@@ -3,8 +3,8 @@
 Runs a seeded two-agent :class:`CooperSession` (the full OBU loop: scan →
 ROI → compress → transmit → align/merge → SPOD) with the stage profiler
 enabled, benchmarks the SPOD inference engine on the session's merged
-clouds (a float32/float64 × cached/uncached rulebook matrix, a detect-stage
-breakdown and a batched-vs-per-agent comparison, under a ``"detect"`` key),
+clouds (a float32/float64 × cached/uncached rulebook matrix and a
+detect-stage breakdown, under a ``"detect"`` key),
 then sweeps the ``repro.runtime`` parallel executor over a multi-case
 workload (the Fig. 4 KITTI case set) at several worker counts, and writes
 everything to ``results/BENCH_pipeline.json``.  Track that file across
@@ -22,7 +22,7 @@ Runs two ways:
   section of an existing report.
 
 Regression guards are *ratios* between configurations measured in the same
-process (cached vs uncached, float32 vs float64, batched vs per-agent) —
+process (cached vs uncached, float32 vs float64) —
 never absolute wall-clock thresholds — so they hold on any CI hardware.
 The parallel sweep also re-verifies the determinism contract: every
 worker count must reproduce the ``workers=1`` results bit-for-bit
@@ -79,16 +79,6 @@ EXPECTED_STAGES = (
     "cooper.detect",
     "session.step",
 )
-
-#: ``cooper.detect`` mean (ms) recorded by the seed's full bench run —
-#: the float64, uncached-rulebook, per-agent baseline every ``detect``
-#: matrix entry reports its speedup against.
-SEED_DETECT_BASELINE_MS = 85.21
-
-#: ``float32_cached`` detect mean (ms) recorded before the temporal layer
-#: landed — the cold-frame steady-state cost the ``incremental`` section's
-#: warm numbers are measured against.
-COLD_STEADY_BASELINE_MS = 37.31
 
 
 def build_session(detector: SPOD | None = None) -> CooperSession:
@@ -150,7 +140,7 @@ def collect_detect_workload(duration_seconds: float = 4.0) -> list:
 
     Re-runs the seeded session un-profiled, then replays each logged
     step's fuse (scan + received packages) to recover exactly the clouds
-    ``cooper.detect`` saw — the workload behind the seed baseline.
+    ``cooper.detect`` saw.
     """
     session = build_session()
     logs = session.run(
@@ -242,38 +232,12 @@ def _profile_detect_pass(detector: SPOD, clouds: list) -> dict:
     return {"stages": stages, "counters": counters}
 
 
-def _session_detect_stats(batch_detection: bool, duration_seconds: float) -> dict:
-    """``cooper.detect`` stats of one profiled session run."""
-    session = build_session()
-    session.batch_detection = batch_detection
-    # Earlier matrix passes leave warm rulebooks behind; this section
-    # claims to measure a fresh session, so start it cold.
-    RULEBOOK_CACHE.clear()
-    PROFILER.reset()
-    PROFILER.enable()
-    try:
-        session.run(
-            duration_seconds=duration_seconds, period_seconds=1.0, seed=SEED
-        )
-    finally:
-        PROFILER.disable()
-    stats = PROFILER.stats("cooper.detect")
-    PROFILER.reset()
-    return {
-        "count": stats.count if stats else 0,
-        "mean_ms": round(stats.mean * 1e3, 3) if stats else 0.0,
-    }
-
-
 def run_detect_bench(duration_seconds: float = 4.0, repeats: int = 3) -> dict:
     """Benchmark the SPOD inference engine; return the ``"detect"`` section.
 
     Times every (dtype x rulebook-cache) configuration over the session's
-    merged clouds, records each mean against the seed baseline
-    (:data:`SEED_DETECT_BASELINE_MS`), verifies float32/float64 detection
-    parity, captures the detect-stage breakdown of the inference
-    configuration, and compares the session's batched detection path
-    against the per-agent one.
+    merged clouds, verifies float32/float64 detection parity and captures
+    the detect-stage breakdown of the inference configuration.
     """
     clouds = collect_detect_workload(duration_seconds)
     detectors = {
@@ -287,9 +251,6 @@ def run_detect_bench(duration_seconds: float = 4.0, repeats: int = 3) -> dict:
             mean_s, detections = _time_detect(detector, clouds, cached, repeats)
             matrix[f"{dtype}_{cache_label}"] = {
                 "mean_ms": round(mean_s * 1e3, 3),
-                "speedup_vs_seed": round(
-                    SEED_DETECT_BASELINE_MS / (mean_s * 1e3), 3
-                ),
             }
             parity_detections[dtype] = detections
 
@@ -313,15 +274,10 @@ def run_detect_bench(duration_seconds: float = 4.0, repeats: int = 3) -> dict:
             f"bench session merged clouds ({len(clouds)} clouds, "
             f"{duration_seconds:g}s session)"
         ),
-        "seed_baseline_ms": SEED_DETECT_BASELINE_MS,
         "repeats": repeats,
         "matrix": matrix,
         "parity": parity,
         "stage_breakdown": _profile_detect_pass(detectors["float32"], clouds),
-        "session": {
-            "batched": _session_detect_stats(True, duration_seconds),
-            "per_agent": _session_detect_stats(False, duration_seconds),
-        },
     }
 
 
@@ -350,15 +306,6 @@ def check_detect_guards(detect: dict) -> None:
         "float32 kernels regressed: "
         f"{mean('float32_uncached')}ms vs float64 {mean('float64_uncached')}ms"
     )
-    session = detect["session"]
-    assert (
-        session["batched"]["mean_ms"]
-        <= session["per_agent"]["mean_ms"] / slack
-    ), (
-        "batched detection regressed: "
-        f"{session['batched']['mean_ms']}ms vs per-agent "
-        f"{session['per_agent']['mean_ms']}ms"
-    )
     parity = detect["parity"]
     assert parity["counts_match"], (
         "float32 changed the detection count: "
@@ -376,20 +323,11 @@ def check_detect_guards(detect: dict) -> None:
 def render_detect_table(detect: dict) -> str:
     """Human-readable summary of a :func:`run_detect_bench` section."""
     lines = [
-        f"workload: {detect['workload']}  "
-        f"(seed baseline {detect['seed_baseline_ms']:.2f} ms)",
-        f"{'config':>18s} {'mean ms':>9s} {'vs seed':>8s}",
+        f"workload: {detect['workload']}",
+        f"{'config':>18s} {'mean ms':>9s}",
     ]
     for config, entry in detect["matrix"].items():
-        lines.append(
-            f"{config:>18s} {entry['mean_ms']:9.2f} "
-            f"{entry['speedup_vs_seed']:7.2f}x"
-        )
-    session = detect["session"]
-    lines.append(
-        f"session cooper.detect: batched {session['batched']['mean_ms']:.2f} ms"
-        f" vs per-agent {session['per_agent']['mean_ms']:.2f} ms"
-    )
+        lines.append(f"{config:>18s} {entry['mean_ms']:9.2f}")
     parity = detect["parity"]
     lines.append(
         f"parity: {parity['float32_detections']} float32 vs "
@@ -460,9 +398,6 @@ def _time_regime(detector: SPOD, frames: list, repeats: int) -> dict:
         "cold_ms": round(cold_best * 1e3, 3),
         "warm_ms": round(warm_best * 1e3, 3),
         "speedup": round(cold_best / warm_best, 3) if warm_best else 0.0,
-        "speedup_vs_seed_cold": round(
-            COLD_STEADY_BASELINE_MS / (warm_best * 1e3), 3
-        ),
         "bit_identical": bit_identical,
         "rulebooks_patched": patched,
         "temporal": state.stats() if state is not None else {},
@@ -567,7 +502,6 @@ def run_incremental_bench(
             f"bench session merged clouds ({len(clouds)} clouds, "
             f"{duration_seconds:g}s session)"
         ),
-        "cold_steady_baseline_ms": COLD_STEADY_BASELINE_MS,
         "repeats": repeats,
         "steady_state": _time_regime(
             detector, _steady_frames(clouds), repeats
@@ -624,8 +558,7 @@ def check_incremental_guards(incremental: dict) -> None:
 def render_incremental_table(incremental: dict) -> str:
     """Human-readable summary of a :func:`run_incremental_bench` section."""
     lines = [
-        f"workload: {incremental['workload']}  "
-        f"(cold steady baseline {incremental['cold_steady_baseline_ms']:.2f} ms)",
+        f"workload: {incremental['workload']}",
         f"{'regime':>14s} {'cold ms':>9s} {'warm ms':>9s} {'speedup':>8s}  mechanism",
     ]
     mechanisms = {

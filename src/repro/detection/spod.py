@@ -184,11 +184,11 @@ class SPOD:
     def equivalent_to(self, other: "SPOD") -> bool:
         """True when two detectors are interchangeable for batching.
 
-        The session's batched detection path runs one detector over every
-        agent's cloud, which is only sound when the agents' detectors
+        The serving engine batches requests for different named models
+        through one detector, which is only sound when those detectors
         would compute the same thing — same config, same compute dtype,
-        same weights.  Checked on live values (not identity), since the
-        default agent factory builds separate-but-identical detectors.
+        same weights.  Checked on live values (not identity), since
+        separately built pretrained detectors are identical.
         """
         if self is other:
             return True
@@ -313,48 +313,26 @@ class SPOD:
             temporal.detect_store(cloud, result)
         return result
 
-    def detect_batch(self, clouds, temporals=None) -> list[list[Detection]]:
+    def detect_batch(self, clouds) -> list[list[Detection]]:
         """Detect over several clouds with one batched RPN pass.
 
         Each cloud is voxelised and encoded independently (those stages are
         shape-ragged), the BEV maps are stacked on the batch axis, and the
-        RPN conv2d stack runs once — amortising its padding, allocation and
-        transposition overhead across agents.  Decode/NMS then run per
-        cloud.  Empty or zero-voxel clouds yield ``[]`` without touching
-        the network.
+        RPN conv2d stack runs once.  Decode/NMS then run per cloud.  Empty
+        or zero-voxel clouds yield ``[]`` without touching the network.
 
         Results are a deterministic function of the input clouds alone
         (batch composition is fixed by the caller, not by worker layout),
-        which is what the session's bit-identity contract requires.
-
-        ``temporals``, when given, is a parallel list of per-cloud
-        :class:`repro.temporal.TemporalState` (or ``None``) objects; memo
-        hits skip the network for their cloud, and the remaining live
-        clouds still batch through one RPN pass.  The per-sample RPN is
-        independent of batch composition, so memo hits cannot perturb the
-        other clouds' results.
+        which is what the serving engine's bit-identity contract requires.
         """
-        if temporals is None:
-            temporals = [None] * len(clouds)
         feats: list[dict | None] = []
-        results: list[list[Detection]] = [[] for _ in clouds]
-        memoised: set[int] = set()
-        for i, cloud in enumerate(clouds):
+        for cloud in clouds:
             if len(cloud) == 0:
                 feats.append(None)
                 continue
-            temporal = temporals[i]
-            if temporal is not None:
-                cached = temporal.detect_recall(cloud)
-                if cached is not None:
-                    results[i] = list(cached)
-                    memoised.add(i)
-                    feats.append(None)
-                    continue
-            tensors = self.forward_features(
-                cloud, inference=True, temporal=temporal
-            )
+            tensors = self.forward_features(cloud, inference=True)
             feats.append(tensors if tensors["grid"].num_voxels else None)
+        results: list[list[Detection]] = [[] for _ in clouds]
         live = [i for i, f in enumerate(feats) if f is not None]
         if live:
             bev = np.concatenate([feats[i]["bev"] for i in live], axis=0)
@@ -364,10 +342,6 @@ class SPOD:
                 tensors["cls_logits"] = cls_logits[j : j + 1]
                 tensors["reg"] = reg[j : j + 1]
                 results[i] = self._decode_and_nms(tensors)
-        for i, cloud in enumerate(clouds):
-            temporal = temporals[i]
-            if temporal is not None and len(cloud) > 0 and i not in memoised:
-                temporal.detect_store(cloud, results[i])
         return results
 
     def _decode_and_nms(self, tensors) -> list[Detection]:

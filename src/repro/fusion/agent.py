@@ -13,7 +13,20 @@ exchange period:
 
 :class:`CooperSession` drives two or more agents through a timeline,
 delivering each agent's package to the others — the system-level
-simulation behind the paper's end-to-end claims.
+simulation behind the paper's end-to-end claims.  Every exchange period
+runs one three-phase pipeline, the same for every fusion mode and worker
+count:
+
+* **sense** — one task per agent observes, then serialises its raw
+  exchange package or, in the feature modes, taps its own detector;
+* **exchange** — the parent builds the feature-mode wire, runs the shared
+  channel and the fault/resilience machinery, assembles every receiver's
+  inbox and decides every temporal-state invalidation;
+* **perceive** — one task per agent decodes its inbox, fuses it with its
+  own data and runs its own detector (as each Cooper vehicle does).
+
+The tasks run on a :class:`repro.runtime.WorkerPool`; with one worker it
+runs them inline, on the session's own objects.
 
 The session is built to *degrade*, not crash, under faults: an optional
 :class:`repro.faults.FaultPlan` injects bursty channel loss, latency
@@ -32,12 +45,12 @@ bit-identical at any worker count.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.detection.detections import Detection
+from repro.detection.preprocess import PreprocessResult
 from repro.detection.spod import SPOD
 from repro.faults.plan import FaultPlan, SensorFaults
 from repro.fusion.align import package_intrinsically_sane, pose_delta_plausible
@@ -63,7 +76,7 @@ from repro.network.messages import MessageFramer
 from repro.network.roi_policy import RoiPolicy, extract_roi
 from repro.network.scheduler import Demand, SharedChannelScheduler
 from repro.profiling import PROFILER
-from repro.runtime import WorkerPool, fork_available, resolve_workers, stable_hash
+from repro.runtime import WorkerPool, resolve_workers, stable_hash
 from repro.scene.trajectories import Trajectory
 from repro.scene.world import World
 from repro.sensors.rig import RigObservation, SensorRig
@@ -308,20 +321,13 @@ class CooperSession:
             and every rig (None — the clean-world behaviour).
         resilience: the graceful-degradation knobs (defaults are inert in
             a fault-free run: nothing is ever stale, insane or dark).
-        batch_detection: when every agent's detector is interchangeable
-            (:meth:`repro.detection.spod.SPOD.equivalent_to`), fuse all
-            agents first and run detection as ONE batched RPN pass per
-            step instead of one per agent.  The batched pass always runs
-            parent-side over the full agent set, so its batch composition
-            — and therefore its results — cannot depend on the worker
-            count.  Set False to force the per-agent path.
         temporal: carry per-agent frame-delta state (``repro.temporal``)
             across steps — scan geometry cache, incremental voxelisation,
             rulebook patching and the detect memo.  Warm-path logs are
             bit-identical to a cold run at any worker count; the state is
             invalidated on LiDAR blackout frames, measured-pose jumps and
-            circuit-breaker/stale-fallback events, with every
-            invalidation decision made parent-side.
+            circuit-breaker/stale-fallback events, each decided and
+            counted parent-side and applied by the agent's next task.
         temporal_config: knobs for the temporal layer (None — defaults).
         fusion_mode: what crosses the wire each period — ``"raw"``
             (exchange packages of points; an agent's :class:`RoiPolicy`
@@ -354,7 +360,6 @@ class CooperSession:
     framer: MessageFramer = field(default_factory=MessageFramer)
     faults: FaultPlan | None = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
-    batch_detection: bool = True
     temporal: bool = False
     temporal_config: TemporalConfig | None = None
     fusion_mode: str = "raw"
@@ -366,7 +371,6 @@ class CooperSession:
     degradation: dict[str, int] = field(
         default_factory=dict, init=False, repr=False
     )
-    _shared_detector: SPOD | None = field(default=None, init=False, repr=False)
     _health: dict[str, PeerHealth] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -379,9 +383,6 @@ class CooperSession:
     _last_measured: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
-    _pending_invalidations: dict[str, list[str]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def run(
         self,
@@ -392,12 +393,13 @@ class CooperSession:
     ) -> dict[str, list[AgentStep]]:
         """Simulate the session; returns each agent's step log.
 
-        ``workers`` > 1 runs each agent's observe -> package and fuse ->
-        detect work of every step on a forked worker pool (``None`` defers
-        to ``REPRO_WORKERS``, default 1).  Logs are bit-identical at any
-        worker count even with ``faults`` set: sensing, channel and fault
-        seeds are derived per (step, agent) independently of scheduling,
-        and all delivery/resilience decisions run in the parent.
+        Every step's sense and perceive tasks run on one
+        :class:`WorkerPool` of ``min(workers, len(agents))`` workers
+        (``None`` defers to ``REPRO_WORKERS``, default 1); one worker runs
+        them inline.  Logs are bit-identical at any worker count even with
+        ``faults`` set: sensing, channel and fault seeds are derived per
+        (step, agent) independently of scheduling, and all
+        delivery/resilience decisions run in the parent.
         """
         if period_seconds <= 0:
             raise ValueError("period_seconds must be positive")
@@ -417,88 +419,34 @@ class CooperSession:
         self._stale_cache = StalePackageCache(
             max_age_steps=self.resilience.max_stale_steps
         )
-        self._shared_detector = self._resolve_shared_detector()
-        worker_temporal_config = None
         if self.temporal:
-            worker_temporal_config = self.temporal_config or TemporalConfig()
+            config = self.temporal_config or TemporalConfig()
             self._temporal = {
-                agent.name: TemporalState(worker_temporal_config)
-                for agent in self.agents
+                agent.name: TemporalState(config) for agent in self.agents
             }
         else:
             self._temporal = {}
         self._last_measured = {}
-        self._pending_invalidations = {}
         logs: dict[str, list[AgentStep]] = {a.name: [] for a in self.agents}
         times = np.arange(0.0, duration_seconds, period_seconds)
-        workers = resolve_workers(workers)
-        if workers <= 1 or len(self.agents) <= 1 or not fork_available():
-            for step_index, t in enumerate(times):
-                with PROFILER.stage("session.step"):
-                    if self.fusion_mode == "raw":
-                        self._step(logs, float(t), step_index, seed)
-                    else:
-                        self._step_features(logs, float(t), step_index, seed)
-            return logs
         # One pool for the whole session: workers warm up once and serve
-        # every step's two fan-out phases.  Chunk size 1 keeps each
+        # both fan-out phases of every step.  Chunk size 1 keeps each
         # agent's (heavy) task a separate unit of work.
         with WorkerPool(
-            workers,
+            min(resolve_workers(workers), len(self.agents)),
             initializer=_session_worker_init,
-            initargs=(self.world, self.agents, worker_temporal_config),
+            initargs=(
+                self.world,
+                self.agents,
+                [self._temporal.get(agent.name) for agent in self.agents],
+                self.fusion_mode,
+            ),
             chunk_size=1,
         ) as pool:
             for step_index, t in enumerate(times):
                 with PROFILER.stage("session.step"):
-                    if self.fusion_mode == "raw":
-                        self._step_parallel(
-                            pool, logs, float(t), step_index, seed
-                        )
-                    else:
-                        self._step_features(
-                            logs, float(t), step_index, seed, pool=pool
-                        )
+                    self._step(pool, logs, float(t), step_index, seed)
         return logs
-
-    # -- batched detection -------------------------------------------------
-    def _resolve_shared_detector(self) -> SPOD | None:
-        """The detector to batch every agent's step through, if any.
-
-        Resolved once per :meth:`run`: all agents' detectors must be
-        interchangeable (equal config, dtype and live weights — identity
-        is not required, since the default agent factory builds
-        separate-but-identical instances).  ``None`` keeps the per-agent
-        path.
-        """
-        if not self.batch_detection or len(self.agents) < 2:
-            return None
-        first = self.agents[0].cooper.detector
-        for agent in self.agents[1:]:
-            if not first.equivalent_to(agent.cooper.detector):
-                return None
-        return first
-
-    def _detect_batched(
-        self, merged_clouds: list, temporals: list | None = None
-    ) -> list[list[Detection]]:
-        """One batched detector pass over every agent's fused cloud.
-
-        Always runs in the parent over the full agent set (batch
-        composition must not depend on worker layout).  The wall-clock
-        cost is attributed to ``cooper.detect`` in equal per-agent shares
-        so profiler totals keep reconciling with the per-agent path.
-        """
-        detector = self._shared_detector
-        start = time.perf_counter()
-        all_detections = detector.detect_batch(merged_clouds, temporals=temporals)
-        share = (time.perf_counter() - start) / max(1, len(merged_clouds))
-        threshold = detector.config.detection_threshold
-        kept: list[list[Detection]] = []
-        for detections in all_detections:
-            PROFILER.record("cooper.detect", share)
-            kept.append([d for d in detections if d.score >= threshold])
-        return kept
 
     # -- degradation accounting -------------------------------------------
     def _count(self, name: str, value: int = 1) -> None:
@@ -523,109 +471,103 @@ class CooperSession:
             self._count("gps_bias_steps")
         return faults if faults.any else None
 
-    # -- temporal state management (parent-side decisions) -----------------
+    # -- temporal invalidation (decided and counted parent-side) -----------
     def temporal_states(self) -> dict[str, TemporalState]:
-        """The parent-side per-agent temporal states of the last run."""
+        """The per-agent temporal states of the last run.
+
+        Inline (one worker) the steps ran on exactly these states; forked
+        workers run on copy-on-fork copies of them, which — the caches
+        being exactly verified — can only change speed.
+        """
         return dict(self._temporal)
 
-    def _invalidate_temporal(self, name: str, reason: str, scope: str) -> None:
-        """Apply + count one parent-side invalidation decision."""
-        state = self._temporal.get(name)
-        if state is not None:
-            state.invalidate(reason, scope=scope)
-        self._count("temporal_invalidations")
+    def _invalidations(
+        self, name: str, reasons: tuple[str, ...] | list[str], scope: str
+    ) -> tuple[tuple[str, str], ...]:
+        """Count one agent's invalidation decisions as ``(reason, scope)``.
 
-    def _pre_observe_invalidations(
-        self, faults_by_agent: dict[str, SensorFaults | None]
-    ) -> dict[str, tuple[str, ...]]:
-        """All-scope invalidation reasons decided before this step's sensing.
-
-        A LiDAR blackout frame invalidates the agent's whole temporal
-        state (counted here); pose jumps detected *last* step drain from
-        the pending queue (already counted at detection) so worker-side
-        scan caches drop them too.  The returned reasons ship in the
-        phase-1 task payloads; parent-side states are updated in place.
+        The agent's next task applies them to whichever copy of its
+        temporal state it runs on; without temporal state nothing is
+        decided.
         """
-        reasons: dict[str, tuple[str, ...]] = {}
-        if not self._temporal:
-            return {agent.name: () for agent in self.agents}
-        for agent in self.agents:
-            name = agent.name
-            agent_reasons = list(self._pending_invalidations.pop(name, ()))
-            for reason in agent_reasons:
-                # Counted when the jump was detected; re-apply is hygiene.
-                state = self._temporal.get(name)
-                if state is not None:
-                    state.invalidate(reason, scope="all")
-            faults = faults_by_agent.get(name)
-            if faults is not None and faults.lidar_blackout:
-                agent_reasons.append("lidar_blackout")
-                self._invalidate_temporal(name, "lidar_blackout", "all")
-            reasons[name] = tuple(agent_reasons)
-        return reasons
+        if name not in self._temporal:
+            return ()
+        for _reason in reasons:
+            self._count("temporal_invalidations")
+        return tuple((reason, scope) for reason in reasons)
 
-    def _detect_pose_jumps(
+    def _blackout_invalidations(
+        self, faults_by_agent: dict[str, SensorFaults | None]
+    ) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Sense-phase decisions: a LiDAR blackout frame drops the agent's
+        whole temporal state, scan cache included."""
+        return {
+            name: self._invalidations(
+                name,
+                ("lidar_blackout",)
+                if faults is not None and faults.lidar_blackout
+                else (),
+                "all",
+            )
+            for name, faults in faults_by_agent.items()
+        }
+
+    def _pose_jump_invalidations(
         self, observations: dict[str, RigObservation]
-    ) -> None:
+    ) -> dict[str, tuple[tuple[str, str], ...]]:
         """Invalidate on physically implausible measured-pose motion.
 
         A GPS dropout/teleport makes the merged geometry jump wholesale;
         the temporal caches would all miss anyway (they verify content),
-        so this is hygiene plus an observability signal.  Decided in the
-        parent in agent order — identical at any worker count.  The
-        reason is queued for the next step's phase-1 payloads so
-        worker-side scan caches are dropped too.
+        so this is hygiene plus an observability signal.  The perceive
+        task applies it with ``scope="all"``, so the scan cache is gone
+        before the agent's next observation too.
         """
-        if not self._temporal:
-            return
         limit = (self.temporal_config or TemporalConfig()).pose_jump_m
+        decided: dict[str, tuple[tuple[str, str], ...]] = {}
         for agent in self.agents:
             name = agent.name
             position = observations[name].measured_pose.position
             prev = self._last_measured.get(name)
             self._last_measured[name] = position
-            if prev is None:
-                continue
-            if float(np.hypot(*(position[:2] - prev[:2]))) > limit:
-                self._invalidate_temporal(name, "pose_jump", "all")
-                self._pending_invalidations.setdefault(name, []).append(
-                    "pose_jump"
-                )
+            jumped = (
+                prev is not None
+                and float(np.hypot(*(position[:2] - prev[:2]))) > limit
+            )
+            decided[name] = self._invalidations(
+                name, ("pose_jump",) if jumped else (), "all"
+            )
+        return decided
 
     def _fuse_invalidations(
         self,
         outcomes: dict[str, _Broadcast],
         inboxes: dict[str, tuple],
-    ) -> dict[str, tuple[str, ...]]:
-        """Fuse-scope invalidation reasons for each receiver this step.
+    ) -> dict[str, tuple[tuple[str, str], ...]]:
+        """Fuse-scope invalidation decisions for each receiver this step.
 
         A circuit-breaker skip among the receiver's peers or a
         stale-cache fallback in its inbox changes the merged cloud's
         provenance discontinuously; the fusion-side caches (voxel,
         rulebook, detect memo) are dropped, the scan cache — pure ego
-        geometry — survives.  Parent-side states are updated in place;
-        the reasons ship in phase-3 payloads for worker-side states.
+        geometry — survives.
         """
-        reasons: dict[str, tuple[str, ...]] = {}
-        if not self._temporal:
-            return {agent.name: () for agent in self.agents}
+        decided: dict[str, tuple[tuple[str, str], ...]] = {}
         for agent in self.agents:
             name = agent.name
-            agent_reasons = []
+            reasons = []
             if any(
                 outcomes[peer.name].breaker_skipped
                 for peer in self.agents
                 if peer.name != name
             ):
-                agent_reasons.append("breaker_skip")
+                reasons.append("breaker_skip")
             if inboxes[name][2] > 0:
-                agent_reasons.append("stale_fallback")
-            for reason in agent_reasons:
-                self._invalidate_temporal(name, reason, "fuse")
-            reasons[name] = tuple(agent_reasons)
-        return reasons
+                reasons.append("stale_fallback")
+            decided[name] = self._invalidations(name, reasons, "fuse")
+        return decided
 
-    # -- exchange (parent-side in both execution paths) -------------------
+    # -- exchange (phase 2, parent-side) -----------------------------------
     def _deserialize_package(self, data: bytes):
         """Decode one wire payload per the session's fusion mode."""
         if self.fusion_mode == "raw":
@@ -680,9 +622,9 @@ class CooperSession:
 
         The shared DSRC channel, the optional shared-channel scheduler,
         the fault plan's per-link conditions and the circuit breaker all
-        act here, in the parent, in agent order — the single ordering
-        both execution paths share, which is what keeps fault schedules
-        and health state identical at any worker count.  Delivered
+        act here, in the parent, in agent order, which is what keeps
+        fault schedules and health state identical at any worker count.
+        Delivered
         packages are decoded once for the receiver-independent sanity
         checks and cached for fallback.  Every transmission that reaches
         the air is entered into the :attr:`comm` ledger.
@@ -845,97 +787,8 @@ class CooperSession:
             self._count("ego_only_steps")
         return payloads, flags, stale
 
-    # -- execution paths --------------------------------------------------
+    # -- the step pipeline ------------------------------------------------
     def _step(
-        self,
-        logs: dict[str, list[AgentStep]],
-        t: float,
-        step_index: int,
-        seed: int,
-    ) -> None:
-        """Run one exchange period for every agent (inline path)."""
-        faults_by_agent = {
-            agent.name: self._resolve_sensor_faults(step_index, agent.name)
-            for agent in self.agents
-        }
-        self._pre_observe_invalidations(faults_by_agent)
-        observations = {
-            agent.name: agent.observe(
-                self.world,
-                t,
-                seed=_observe_seed(seed, step_index, i),
-                faults=faults_by_agent[agent.name],
-                scan_cache=(
-                    self._temporal[agent.name].scan
-                    if agent.name in self._temporal
-                    else None
-                ),
-            )
-            for i, agent in enumerate(self.agents)
-        }
-        self._detect_pose_jumps(observations)
-        # Every agent broadcasts one package per period.
-        wire: dict[str, tuple[bytes, int]] = {}
-        for agent in self.agents:
-            package = agent.build_package(self.world, observations[agent.name], t)
-            payload = package.serialize()
-            wire[agent.name] = (payload, len(payload) * 8)
-
-        outcomes = self._broadcast_outcomes(wire, step_index, seed)
-        inboxes: dict[str, tuple[list[ExchangePackage], list[bool], int]] = {}
-        for agent in self.agents:
-            payloads, delivered_flags, stale = self._receiver_inbox(
-                agent.name,
-                observations[agent.name].measured_pose,
-                outcomes,
-                step_index,
-            )
-            received = [ExchangePackage.deserialize(p) for p in payloads]
-            fresh = len(received) - stale
-            PROFILER.count("session.packages_received", fresh)
-            PROFILER.count(
-                "session.packages_lost", len(delivered_flags) - fresh
-            )
-            inboxes[agent.name] = (received, delivered_flags, stale)
-
-        self._fuse_invalidations(outcomes, inboxes)
-        if self._shared_detector is not None:
-            merged = [
-                agent.cooper.fuse(
-                    observations[agent.name].scan.cloud,
-                    observations[agent.name].measured_pose,
-                    inboxes[agent.name][0],
-                )[0]
-                for agent in self.agents
-            ]
-            detections_by_agent = self._detect_batched(
-                merged,
-                temporals=[self._temporal.get(a.name) for a in self.agents],
-            )
-        else:
-            detections_by_agent = [
-                agent.perceive(
-                    observations[agent.name],
-                    inboxes[agent.name][0],
-                    temporal=self._temporal.get(agent.name),
-                )
-                for agent in self.agents
-            ]
-        for agent, detections in zip(self.agents, detections_by_agent):
-            received, delivered_flags, stale = inboxes[agent.name]
-            logs[agent.name].append(
-                AgentStep(
-                    time=t,
-                    observation=observations[agent.name],
-                    sent_bits=wire[agent.name][1],
-                    received_packages=received,
-                    delivered=delivered_flags,
-                    stale_count=stale,
-                    detections=detections,
-                )
-            )
-
-    def _step_parallel(
         self,
         pool: WorkerPool,
         logs: dict[str, list[AgentStep]],
@@ -943,50 +796,54 @@ class CooperSession:
         step_index: int,
         seed: int,
     ) -> None:
-        """One exchange period with per-agent work fanned out to ``pool``.
+        """Run one exchange period for every agent.
 
-        Phase 1 (workers): observe + build + serialize, one task per
-        agent (resolved sensor faults ride along in the task payload).
-        Phase 2 (parent): the shared DSRC channel, fault plan and
-        resilience state decide each receiver's inbox — cheap, and keeps
-        the link model and all stateful decisions in one place.
-        Phase 3 (workers): decode + fuse (+ detect on the per-agent
-        path), one task per agent.  With batched detection active the
-        workers stop after fusing and the parent runs the single batched
-        detector pass over every agent — the same call, over the same
-        clouds, that the inline path makes, so logs stay bit-identical
-        at any worker count.
-        Seeds match :meth:`_step` exactly, so logs are bit-identical.
-        Temporal-state decisions (which caches to invalidate, and when)
-        are made here in the parent and shipped inside the task payloads;
-        worker-side states only ever change *how fast* a task runs, never
-        its result, so scheduling nondeterminism cannot leak into logs.
+        Phase 1 (one task per agent): observe, then serialise the raw
+        package or tap the agent's features.  Phase 2 (parent): the
+        feature wire, the shared channel, the fault plan and the
+        resilience state decide each receiver's inbox, and every
+        temporal-state invalidation is decided and counted.  Phase 3 (one
+        task per agent): decode, fuse and detect.  A task's result is a
+        pure function of its payload (seeds, faults and inbox included;
+        temporal caches change only speed), so logs are bit-identical at
+        any worker count.
         """
         faults_by_agent = {
             agent.name: self._resolve_sensor_faults(step_index, agent.name)
             for agent in self.agents
         }
-        scan_invalidations = self._pre_observe_invalidations(faults_by_agent)
-        built = pool.map(
-            _observe_build_task,
+        blackouts = self._blackout_invalidations(faults_by_agent)
+        sensed = pool.map(
+            _sense_task,
             [
                 (
                     i,
                     t,
                     _observe_seed(seed, step_index, i),
                     faults_by_agent[agent.name],
-                    scan_invalidations[agent.name],
+                    blackouts[agent.name],
                 )
                 for i, agent in enumerate(self.agents)
             ],
         )
         observations: dict[str, RigObservation] = {}
-        wire: dict[str, tuple[bytes, int]] = {}
-        for agent, (observation, payload) in zip(self.agents, built):
+        # Raw mode: each agent's serialised package; feature modes: its tap.
+        prepared: dict[str, bytes | _FeatureTap] = {}
+        for agent, (observation, out) in zip(self.agents, sensed):
             observations[agent.name] = observation
-            wire[agent.name] = (payload, len(payload) * 8)
-        self._detect_pose_jumps(observations)
+            prepared[agent.name] = out
+        jumps = self._pose_jump_invalidations(observations)
 
+        raw = self.fusion_mode == "raw"
+        if raw:
+            wire = {
+                name: (payload, len(payload) * 8)
+                for name, payload in prepared.items()
+            }
+        else:
+            wire = self._build_feature_wire(
+                observations, prepared, t, step_index
+            )
         outcomes = self._broadcast_outcomes(wire, step_index, seed)
         inboxes: dict[str, tuple[list[bytes], list[bool], int]] = {
             agent.name: self._receiver_inbox(
@@ -999,40 +856,19 @@ class CooperSession:
         }
         fuse_invalidations = self._fuse_invalidations(outcomes, inboxes)
 
-        if self._shared_detector is not None:
-            fused = pool.map(
-                _fuse_task,
-                [
-                    (i, observations[agent.name], inboxes[agent.name][0])
-                    for i, agent in enumerate(self.agents)
-                ],
-            )
-            # Batched detection runs parent-side, so it uses the
-            # parent's temporal states — deterministic at any worker
-            # count, and the detect memo works even with workers > 1.
-            detections_by_agent = self._detect_batched(
-                [cloud for _received, cloud in fused],
-                temporals=[self._temporal.get(a.name) for a in self.agents],
-            )
-            perceived = [
-                (received, detections)
-                for (received, _cloud), detections in zip(
-                    fused, detections_by_agent
+        perceived = pool.map(
+            _perceive_task,
+            [
+                (
+                    i,
+                    observations[agent.name],
+                    None if raw else prepared[agent.name],
+                    inboxes[agent.name][0],
+                    jumps[agent.name] + fuse_invalidations[agent.name],
                 )
-            ]
-        else:
-            perceived = pool.map(
-                _perceive_task,
-                [
-                    (
-                        i,
-                        observations[agent.name],
-                        inboxes[agent.name][0],
-                        fuse_invalidations[agent.name],
-                    )
-                    for i, agent in enumerate(self.agents)
-                ],
-            )
+                for i, agent in enumerate(self.agents)
+            ],
+        )
         for agent, (received, detections) in zip(self.agents, perceived):
             _payloads, delivered_flags, stale = inboxes[agent.name]
             fresh = len(received) - stale
@@ -1052,11 +888,10 @@ class CooperSession:
                 )
             )
 
-    # -- feature-level execution path --------------------------------------
     def _build_feature_wire(
         self,
         observations: dict[str, RigObservation],
-        taps: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+        taps: dict[str, _FeatureTap],
         t: float,
         step_index: int,
     ) -> dict[str, tuple[bytes, int]]:
@@ -1066,22 +901,15 @@ class CooperSession:
         first broadcasts its confidence request (a tiny control message,
         entered into the ledger but exempt from scheduler admission the
         way safety beacons are), then each sender packages the union of
-        what the other requesters still want.  An agent whose LiDAR
-        produced no points this step ships an empty package and — gated —
-        an all-clear request, so the wire schedule never depends on
-        sensor faults.
+        what the other requesters still want.
         """
         gated = self.fusion_mode == "gated"
         requests: dict[str, ConfidenceRequest] = {}
         if gated:
             for agent in self.agents:
                 name = agent.name
-                coords, features, heat = taps[name]
-                if heat is None:
-                    nx, ny = agent.cooper.detector.config.voxel_spec.grid_shape[:2]
-                    heat = np.zeros((nx, ny), dtype=np.float64)
                 request = build_request(
-                    heat,
+                    taps[name].heat,
                     observations[name].measured_pose,
                     name,
                     timestamp=t,
@@ -1094,19 +922,15 @@ class CooperSession:
         wire: dict[str, tuple[bytes, int]] = {}
         for agent in self.agents:
             name = agent.name
-            spec = agent.cooper.detector.config.voxel_spec
-            coords, features, heat = taps[name]
-            if gated and heat is None:
-                nx, ny = spec.grid_shape[:2]
-                heat = np.zeros((nx, ny), dtype=np.float64)
+            tap = taps[name]
             package = build_feature_package(
-                spec,
-                coords,
-                features,
+                agent.cooper.detector.config.voxel_spec,
+                tap.coords,
+                tap.features,
                 observations[name].measured_pose,
                 name,
                 timestamp=t,
-                heat=heat,
+                heat=tap.heat,
                 requests=(
                     tuple(
                         requests[peer.name]
@@ -1122,278 +946,136 @@ class CooperSession:
             wire[name] = (payload, len(payload) * 8)
         return wire
 
-    def _detect_fused(
-        self,
-        fused: list[tuple[list[FeaturePackage], np.ndarray | None, object]],
-    ) -> list[list[Detection]]:
-        """RPN + analytic decode over every agent's fused feature map.
 
-        Always runs in the parent, in both execution paths.  The RPN
-        treats batch rows independently, so batching through the shared
-        detector produces the same per-agent output as separate passes —
-        logs cannot depend on whether detectors were interchangeable.
-        Agents with no BEV map this step (empty scan, or nothing fused)
-        detect nothing.
-        """
-        detections: list[list[Detection]] = [[] for _ in self.agents]
-        live = [i for i, (_r, bev, _e) in enumerate(fused) if bev is not None]
-        if not live:
-            return detections
-        with PROFILER.stage("cooper.detect"):
-            if self._shared_detector is not None:
-                detector = self._shared_detector
-                batch = np.concatenate([fused[i][1] for i in live], axis=0)
-                cls_logits, reg = detector.rpn_apply(batch)
-                for row, i in enumerate(live):
-                    detections[i] = decode_fused(
-                        detector,
-                        cls_logits[row : row + 1],
-                        reg[row : row + 1],
-                        fused[i][2],
-                    )
-            else:
-                for i in live:
-                    detector = self.agents[i].cooper.detector
-                    cls_logits, reg = detector.rpn_apply(fused[i][1])
-                    detections[i] = decode_fused(
-                        detector, cls_logits, reg, fused[i][2]
-                    )
-        return detections
+@dataclass
+class _FeatureTap:
+    """An agent's own feature tap, kept from sensing to detection.
 
-    def _step_features(
-        self,
-        logs: dict[str, list[AgentStep]],
-        t: float,
-        step_index: int,
-        seed: int,
-        pool: WorkerPool | None = None,
-    ) -> None:
-        """One exchange period at feature level (both execution paths).
+    Attributes:
+        coords: active voxel grid coordinates, ``(N, 3)``.
+        features: the middle block's features at ``coords``, ``(N, C)``
+            float64 with ``C`` the detector's ``vfe_channels``.
+        heat: the RPN confidence map (gated mode only, else None).
+        pre: the preprocess result the decode stage consumes; None for an
+            empty scan, which has no ground model to decode against.
+    """
 
-        The phase layout mirrors the raw path exactly.  Phase 1: every
-        agent senses and runs its detector up to the feature tap (plus
-        the cheap RPN confidence map in gated mode) — inline, or one
-        worker task per agent.  Phase 2 (always parent-side): confidence
-        requests and feature packages are built in agent order, the
-        shared channel/scheduler/fault/breaker machinery decides each
-        broadcast's fate, and every transmission lands in the
-        :attr:`comm` ledger.  Phase 3: each receiver aligns and
-        maxout-fuses its inbox onto its own grid — inline the phase-1
-        tap is reused; a worker recomputes it (a pure function of the
-        observation, so the result is identical) because sparse tensors
-        stay worker-local.  Detection over the fused maps then runs in
-        the parent, batched when detectors are interchangeable.  Seeds
-        and every stateful decision match the inline path, so logs are
-        bit-identical at any worker count.
-        """
-        gated = self.fusion_mode == "gated"
-        faults_by_agent = {
-            agent.name: self._resolve_sensor_faults(step_index, agent.name)
-            for agent in self.agents
-        }
-        observations: dict[str, RigObservation] = {}
-        lite: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
-        taps: dict[str, dict | None] = {}
-        if pool is None:
-            for i, agent in enumerate(self.agents):
-                observation = agent.observe(
-                    self.world,
-                    t,
-                    seed=_observe_seed(seed, step_index, i),
-                    faults=faults_by_agent[agent.name],
-                )
-                observations[agent.name] = observation
-                tapped = _tap_features(
-                    agent.cooper.detector, observation.scan.cloud, gated
-                )
-                taps[agent.name] = None if tapped is None else tapped[0]
-                lite[agent.name] = _lite_tap(tapped)
-        else:
-            built = pool.map(
-                _observe_tap_task,
-                [
-                    (
-                        i,
-                        t,
-                        _observe_seed(seed, step_index, i),
-                        faults_by_agent[agent.name],
-                        gated,
-                    )
-                    for i, agent in enumerate(self.agents)
-                ],
-            )
-            for agent, (observation, coords, features, heat) in zip(
-                self.agents, built
-            ):
-                observations[agent.name] = observation
-                lite[agent.name] = (coords, features, heat)
-        self._detect_pose_jumps(observations)
-
-        wire = self._build_feature_wire(observations, lite, t, step_index)
-        outcomes = self._broadcast_outcomes(wire, step_index, seed)
-        inboxes: dict[str, tuple[list[bytes], list[bool], int]] = {
-            agent.name: self._receiver_inbox(
-                agent.name,
-                observations[agent.name].measured_pose,
-                outcomes,
-                step_index,
-            )
-            for agent in self.agents
-        }
-
-        if pool is None:
-            fused = [
-                _fuse_features_one(
-                    agent.cooper.detector,
-                    observations[agent.name],
-                    taps[agent.name],
-                    inboxes[agent.name][0],
-                )
-                for agent in self.agents
-            ]
-        else:
-            fused = pool.map(
-                _feature_fuse_task,
-                [
-                    (i, observations[agent.name], inboxes[agent.name][0])
-                    for i, agent in enumerate(self.agents)
-                ],
-            )
-        detections_by_agent = self._detect_fused(fused)
-        for agent, detections, (received, _bev, _evidence) in zip(
-            self.agents, detections_by_agent, fused
-        ):
-            name = agent.name
-            _payloads, delivered_flags, stale = inboxes[name]
-            fresh = len(received) - stale
-            PROFILER.count("session.packages_received", fresh)
-            PROFILER.count(
-                "session.packages_lost", len(delivered_flags) - fresh
-            )
-            logs[name].append(
-                AgentStep(
-                    time=t,
-                    observation=observations[name],
-                    sent_bits=wire[name][1],
-                    received_packages=received,
-                    delivered=delivered_flags,
-                    stale_count=stale,
-                    detections=detections,
-                )
-            )
+    coords: np.ndarray
+    features: np.ndarray
+    heat: np.ndarray | None
+    pre: PreprocessResult | None
 
 
-def _tap_features(
-    detector: SPOD, cloud, want_heat: bool
-) -> tuple[dict, np.ndarray | None] | None:
-    """Run one agent's feature tap (and optional confidence map).
+def _tap_features(detector: SPOD, cloud, want_heat: bool) -> _FeatureTap:
+    """Run one agent's feature tap (and, gated, its confidence map).
 
-    Returns ``None`` for an empty scan — there is no ground model to
-    decode against, matching the raw path's empty-cloud behaviour.
+    An empty scan yields an empty tap of the detector's own channel width
+    and, gated, an all-clear confidence map, so the wire schedule never
+    depends on sensor faults.
     """
     if len(cloud) == 0:
-        return None
-    tap = detector.forward_features(cloud, tap=True)
-    heat = rpn_confidence(detector, tap["bev"]) if want_heat else None
-    return tap, heat
-
-
-def _lite_tap(
-    tapped: tuple[dict, np.ndarray | None] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Reduce a tap to the arrays the packaging stage ships to the parent."""
-    if tapped is None:
-        return (
-            np.zeros((0, 3), dtype=np.int64),
-            np.zeros((0, 4), dtype=np.float64),
-            None,
+        nx, ny = detector.config.voxel_spec.grid_shape[:2]
+        return _FeatureTap(
+            coords=np.zeros((0, 3), dtype=np.int64),
+            features=np.zeros(
+                (0, detector.config.vfe_channels), dtype=np.float64
+            ),
+            heat=np.zeros((nx, ny), dtype=np.float64) if want_heat else None,
+            pre=None,
         )
-    tap, heat = tapped
-    return (
-        np.asarray(tap["grid"].coords),
-        np.asarray(tap["middle"].features, dtype=np.float64),
-        heat,
+    tap = detector.forward_features(cloud, tap=True)
+    return _FeatureTap(
+        coords=np.asarray(tap["grid"].coords),
+        features=np.asarray(tap["middle"].features, dtype=np.float64),
+        heat=rpn_confidence(detector, tap["bev"]) if want_heat else None,
+        pre=tap["pre"],
     )
 
 
-def _fuse_features_one(
+def _detect_features(
     detector: SPOD,
-    observation: RigObservation,
-    tap: dict | None,
-    payloads: list[bytes],
-) -> tuple[list[FeaturePackage], np.ndarray | None, object]:
-    """Decode + align + maxout-fuse one receiver's feature inbox.
+    receiver_pose,
+    tap: _FeatureTap,
+    received: list[FeaturePackage],
+) -> list[Detection]:
+    """Maxout-fuse a feature inbox onto the agent's own tap and detect.
 
-    Returns ``(received, bev, evidence)``; ``bev`` is ``None`` when the
-    agent has no tap (empty scan) or nothing fused, which the detection
-    stage maps to zero detections.
+    An empty scan or an empty fused map detects nothing, matching the
+    raw path's empty-cloud behaviour.
     """
-    received = [FeaturePackage.deserialize(p) for p in payloads]
-    if tap is None:
-        return received, None, None
-    spec = detector.config.voxel_spec
+    if tap.pre is None:
+        return []
     fused = fuse_feature_packages(
-        spec,
-        np.asarray(tap["grid"].coords),
-        np.asarray(tap["middle"].features, dtype=np.float64),
+        detector.config.voxel_spec,
+        tap.coords,
+        tap.features,
         received,
-        observation.measured_pose,
+        receiver_pose,
     )
     if len(fused.coords) == 0:
-        return received, None, None
+        return []
     bev = feature_bev(detector, fused)
-    evidence = decode_evidence(tap["pre"], fused.proxy_xyz)
-    return received, bev, evidence
+    evidence = decode_evidence(tap.pre, fused.proxy_xyz)
+    with PROFILER.stage("cooper.detect"):
+        cls_logits, reg = detector.rpn_apply(bev)
+        return decode_fused(detector, cls_logits, reg, evidence)
 
 
-#: Session state installed in each worker by :func:`_session_worker_init`;
-#: the world and agent stacks are shipped once per worker, not per task.
+#: Session state installed by :func:`_session_worker_init` — in each
+#: forked worker, or in the parent when the pool runs inline — so the
+#: world, agent stacks and temporal states ship once per worker, not per
+#: task.
 _WORKER_WORLD: World | None = None
-_WORKER_AGENTS: list[CooperAgent] | None = None
-#: Worker-local temporal states, one per agent index.  Which worker ran an
-#: agent's previous task depends on scheduling, so these states hit or
-#: miss nondeterministically — which is fine: every temporal cache
-#: verifies content exactly, so worker-side state changes only speed,
-#: never results.  Invalidation *decisions* still arrive from the parent
-#: in the task payloads (as reason tuples) so hygiene matches the plan.
-_WORKER_TEMPORAL_CONFIG: TemporalConfig | None = None
-_WORKER_TEMPORAL: dict[int, TemporalState] = {}
+_WORKER_AGENTS: list[CooperAgent] = []
+_WORKER_STATES: list[TemporalState | None] = []
+_WORKER_MODE: str = "raw"
 
 
 def _session_worker_init(
     world: World,
     agents: list[CooperAgent],
-    temporal_config: TemporalConfig | None = None,
+    temporal: list[TemporalState | None],
+    fusion_mode: str,
 ) -> None:
-    """Worker warm-up: install the session's world and agent stacks."""
-    global _WORKER_WORLD, _WORKER_AGENTS, _WORKER_TEMPORAL_CONFIG
+    """Install the session's world, agents, temporal states and mode.
+
+    Inline these are the session's own objects, so tasks update the very
+    states :meth:`CooperSession.temporal_states` reports.  A forked worker
+    holds copy-on-fork copies; which worker runs an agent's task depends
+    on scheduling, but every temporal cache verifies its content exactly,
+    so a worker's copy changes only speed, never results.
+    """
+    global _WORKER_WORLD, _WORKER_AGENTS, _WORKER_STATES, _WORKER_MODE
     _WORKER_WORLD = world
     _WORKER_AGENTS = agents
-    _WORKER_TEMPORAL_CONFIG = temporal_config
-    _WORKER_TEMPORAL.clear()
+    _WORKER_STATES = temporal
+    _WORKER_MODE = fusion_mode
 
 
-def _worker_temporal(agent_index: int) -> TemporalState | None:
-    """This worker's temporal state for one agent (None — temporal off)."""
-    if _WORKER_TEMPORAL_CONFIG is None:
-        return None
-    state = _WORKER_TEMPORAL.get(agent_index)
-    if state is None:
-        state = TemporalState(_WORKER_TEMPORAL_CONFIG)
-        _WORKER_TEMPORAL[agent_index] = state
-    return state
-
-
-def _observe_build_task(
-    payload: tuple[int, float, int, SensorFaults | None, tuple[str, ...]],
-) -> tuple[RigObservation, bytes]:
-    """Phase-1 worker task: one agent senses and serialises its package."""
-    agent_index, t, obs_seed, faults, invalidations = payload
-    agent = _WORKER_AGENTS[agent_index]
-    state = _worker_temporal(agent_index)
+def _task_agent(
+    agent_index: int, invalidations: tuple[tuple[str, str], ...]
+) -> tuple[CooperAgent, TemporalState | None]:
+    """One task's agent and temporal state, with the parent's
+    invalidation decisions applied."""
+    state = _WORKER_STATES[agent_index]
     if state is not None:
-        for reason in invalidations:
-            state.invalidate(reason, scope="all")
+        for reason, scope in invalidations:
+            state.invalidate(reason, scope=scope)
+    return _WORKER_AGENTS[agent_index], state
+
+
+def _sense_task(
+    payload: tuple[
+        int, float, int, SensorFaults | None, tuple[tuple[str, str], ...]
+    ],
+) -> tuple[RigObservation, bytes | _FeatureTap]:
+    """Phase-1 task: one agent senses and prepares its broadcast.
+
+    Returns the observation plus, in raw mode, the serialised exchange
+    package or, in the feature modes, the agent's :class:`_FeatureTap`.
+    """
+    agent_index, t, obs_seed, faults, invalidations = payload
+    agent, state = _task_agent(agent_index, invalidations)
     observation = agent.observe(
         _WORKER_WORLD,
         t,
@@ -1401,74 +1083,32 @@ def _observe_build_task(
         faults=faults,
         scan_cache=None if state is None else state.scan,
     )
-    package = agent.build_package(_WORKER_WORLD, observation, t)
-    return observation, package.serialize()
+    if _WORKER_MODE == "raw":
+        package = agent.build_package(_WORKER_WORLD, observation, t)
+        return observation, package.serialize()
+    return observation, _tap_features(
+        agent.cooper.detector,
+        observation.scan.cloud,
+        want_heat=_WORKER_MODE == "gated",
+    )
 
 
 def _perceive_task(
-    payload: tuple[int, RigObservation, list[bytes], tuple[str, ...]],
-) -> tuple[list[ExchangePackage], list[Detection]]:
-    """Phase-3 worker task: one agent decodes, fuses and detects."""
-    agent_index, observation, package_payloads, invalidations = payload
-    agent = _WORKER_AGENTS[agent_index]
-    state = _worker_temporal(agent_index)
-    if state is not None:
-        for reason in invalidations:
-            state.invalidate(reason, scope="fuse")
-    received = [ExchangePackage.deserialize(p) for p in package_payloads]
-    return received, agent.perceive(observation, received, temporal=state)
-
-
-def _fuse_task(payload: tuple[int, RigObservation, list[bytes]]):
-    """Phase-3 worker task (batched mode): decode + fuse, no detection.
-
-    Fusion is a pure function of the observation and payloads, so doing
-    it in a worker instead of the parent cannot change the merged cloud;
-    the parent then batches detection over every agent's result.
-    """
-    agent_index, observation, package_payloads = payload
-    agent = _WORKER_AGENTS[agent_index]
-    received = [ExchangePackage.deserialize(p) for p in package_payloads]
-    merged, _accepted, _rejected, _seconds = agent.cooper.fuse(
-        observation.scan.cloud, observation.measured_pose, received
+    payload: tuple[
+        int,
+        RigObservation,
+        _FeatureTap | None,
+        list[bytes],
+        tuple[tuple[str, str], ...],
+    ],
+) -> tuple[list[ExchangePackage] | list[FeaturePackage], list[Detection]]:
+    """Phase-3 task: one agent decodes its inbox, fuses and detects."""
+    agent_index, observation, tap, package_payloads, invalidations = payload
+    agent, state = _task_agent(agent_index, invalidations)
+    if _WORKER_MODE == "raw":
+        received = [ExchangePackage.deserialize(p) for p in package_payloads]
+        return received, agent.perceive(observation, received, temporal=state)
+    received = [FeaturePackage.deserialize(p) for p in package_payloads]
+    return received, _detect_features(
+        agent.cooper.detector, observation.measured_pose, tap, received
     )
-    return received, merged
-
-
-def _observe_tap_task(
-    payload: tuple[int, float, int, SensorFaults | None, bool],
-) -> tuple[RigObservation, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Phase-1 worker task (feature modes): sense + feature tap (+ heat).
-
-    Ships back only the arrays the parent's packaging stage needs — the
-    sparse tensors and preprocess result stay worker-local and are
-    recomputed by the phase-3 task, which is a pure function of the
-    observation.
-    """
-    agent_index, t, obs_seed, faults, want_heat = payload
-    agent = _WORKER_AGENTS[agent_index]
-    observation = agent.observe(
-        _WORKER_WORLD, t, seed=obs_seed, faults=faults
-    )
-    tapped = _tap_features(
-        agent.cooper.detector, observation.scan.cloud, want_heat
-    )
-    coords, features, heat = _lite_tap(tapped)
-    return observation, coords, features, heat
-
-
-def _feature_fuse_task(
-    payload: tuple[int, RigObservation, list[bytes]],
-) -> tuple[list[FeaturePackage], np.ndarray | None, object]:
-    """Phase-3 worker task (feature modes): re-tap, decode and fuse.
-
-    The tap is recomputed from the observation (deterministic), the
-    inbox payloads are decoded and fused, and the dense BEV + decode
-    evidence ship back for the parent's detection pass.
-    """
-    agent_index, observation, package_payloads = payload
-    agent = _WORKER_AGENTS[agent_index]
-    detector = agent.cooper.detector
-    tapped = _tap_features(detector, observation.scan.cloud, want_heat=False)
-    tap = None if tapped is None else tapped[0]
-    return _fuse_features_one(detector, observation, tap, package_payloads)

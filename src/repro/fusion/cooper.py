@@ -77,10 +77,8 @@ class Cooper:
     ) -> tuple[PointCloud, int, int, float]:
         """Validate + align + merge without detecting.
 
-        Returns ``(merged_cloud, accepted, rejected, fuse_seconds)``.  The
-        session's batched detection path fuses every agent's cloud first
-        and then runs one batched detector pass over all of them;
-        :meth:`perceive` composes this with per-agent detection.
+        Returns ``(merged_cloud, accepted, rejected, fuse_seconds)``;
+        :meth:`perceive` composes this with detection.
         """
         from repro.fusion.diagnostics import validate_package
 

@@ -143,8 +143,8 @@ class FeaturePackage:
 
     @property
     def num_channels(self) -> int:
-        """Feature channels per voxel."""
-        return int(self.features.shape[1]) if self.features.size else 4
+        """Feature channels per voxel (kept on the wire with zero voxels)."""
+        return int(self.features.shape[1]) if self.features.ndim == 2 else 4
 
     def serialize(self) -> bytes:
         """Encode: header + pose + per-channel quant params + payload."""

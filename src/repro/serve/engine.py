@@ -303,9 +303,9 @@ class ServingEngine:
 
     One engine owns one or more named detectors plus a bounded queue and
     ``lanes`` virtual service lanes.  Detector models are grouped by
-    :meth:`SPOD.equivalent_to` — exactly the session's batched-path
-    compatibility key — and detect-class requests batch only within their
-    model's group, so every batched pass is sound by construction.
+    :meth:`SPOD.equivalent_to` (equal config, dtype and live weights),
+    and detect-class requests batch only within their model's group, so
+    every batched pass is sound by construction.
     ``workers`` fans the *fusion and ROI geometry* work of each dispatch
     across a :class:`~repro.runtime.WorkerPool`; the batched detector
     pass always runs in the parent so batch composition and numerics

@@ -69,6 +69,12 @@ class TestFeaturePackageWire:
         assert decoded.num_voxels == 0
         assert decoded.grid_shape == package.grid_shape
 
+    def test_empty_roundtrip_keeps_channel_width(self):
+        # A receiver stacks an empty package's features under its own.
+        package = make_package(num_voxels=0, num_channels=8)
+        decoded = FeaturePackage.deserialize(package.serialize())
+        assert decoded.features.shape == (0, 8)
+
     @pytest.mark.parametrize("num_voxels", [0, 1, 7, 400])
     @pytest.mark.parametrize("num_channels", [1, 4, 6])
     def test_size_bytes_matches_serialized_length(
@@ -316,6 +322,20 @@ class TestSessionModes:
             assert set(summary["by_kind"]) == kinds, mode
             assert summary["frames"] == 2
             assert summary["total_bytes"] > 0
+
+    @pytest.mark.parametrize("mode", ["feature", "gated"])
+    def test_lidar_blackout_with_wide_features(self, mode):
+        # A blacked-out agent taps and ships an empty feature map of its
+        # detector's own channel width, which receivers stack under theirs.
+        from repro.detection.spod import SPOD, SPODConfig
+        from tests.test_runtime import _toy_session
+
+        session = _toy_session(SPOD.pretrained(SPODConfig(vfe_channels=8)))
+        session.fusion_mode = mode
+        session.faults = FaultPlan.from_spec("lidar-blackout=0.5", seed=0)
+        logs = session.run(duration_seconds=4.0, seed=0)
+        assert session.degradation["lidar_blackouts"] > 0
+        assert [len(steps) for steps in logs.values()] == [4, 4]
 
     def test_gated_session_cheaper_than_feature(self, detector):
         feature = _session(detector, "feature")

@@ -143,13 +143,23 @@ class TestEquivalenceGating:
         from repro.fusion.cooper import Cooper
         from tests.test_runtime import _toy_session
 
-        session = _toy_session(SPOD.pretrained())
-        assert session._resolve_shared_detector() is not None
-        # Give one agent a float64 detector: batching must disengage.
-        session.agents[1].cooper = Cooper(
-            detector=SPOD.pretrained(SPODConfig(dtype="float64"))
-        )
-        assert session._resolve_shared_detector() is None
+        f32 = SPOD.pretrained(SPODConfig(dtype="float32"))
+        f64 = SPOD.pretrained(SPODConfig(dtype="float64"))
+        rpn_rows = {f32: [], f64: []}
+        for detector in rpn_rows:
+
+            def rpn_apply(bev, detector=detector):
+                rpn_rows[detector].append((bev.shape[0], bev.dtype))
+                return SPOD.rpn_apply(detector, bev)
+
+            detector.rpn_apply = rpn_apply
+        session = _toy_session(f32)
+        session.agents[1].cooper = Cooper(detector=f64)
+        session.run(duration_seconds=2.0, seed=0)
+        # One single-row RPN pass per step for each agent, through that
+        # agent's own detector and dtype.
+        assert rpn_rows[f32] == [(1, np.float32)] * 2
+        assert rpn_rows[f64] == [(1, np.float64)] * 2
 
 
 class TestBlackoutEndToEnd:

@@ -15,8 +15,10 @@ import sys
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan
 from repro.fusion.agent import CooperAgent, CooperSession, _channel_seed
 from repro.fusion.cooper import Cooper
+from repro.fusion.feature import FeaturePackage
 from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.profiling import PROFILER, Profiler
 from repro.runtime import (
@@ -332,8 +334,20 @@ class TestParallelCaseEvaluation:
 FAST_16 = BeamPattern("runtime-16", tuple(np.linspace(-15, 15, 16)), 0.8)
 
 
-def _toy_session(detector) -> CooperSession:
-    layout = parking_lot(seed=51, rows=3, cols=6, occupancy=0.8)
+def _toy_session(detector, num_agents: int = 2) -> CooperSession:
+    # The world does not depend on the viewpoints, so adding a third one
+    # leaves every two-agent session unchanged.
+    layout = parking_lot(
+        seed=51,
+        rows=3,
+        cols=6,
+        occupancy=0.8,
+        viewpoint_offsets={
+            "car1": (0.0, 0.0, 0.0),
+            "car2": (5.5, 0.0, 0.0),
+            "car3": (11.0, 0.0, 0.0),
+        },
+    )
     cooper = Cooper(detector=detector)
 
     def make_agent(name: str, viewpoint: str, speed: float = 0.0) -> CooperAgent:
@@ -351,8 +365,19 @@ def _toy_session(detector) -> CooperSession:
             cooper=cooper,
         )
 
-    agents = [make_agent("alpha", "car1", speed=2.0), make_agent("beta", "car2")]
-    return CooperSession(world=layout.world, agents=agents)
+    agents = [
+        make_agent("alpha", "car1", speed=2.0),
+        make_agent("beta", "car2"),
+        make_agent("gamma", "car3", speed=1.0),
+    ]
+    return CooperSession(world=layout.world, agents=agents[:num_agents])
+
+
+def _package_bytes(package) -> bytes:
+    """Bit-exact content of a received raw or feature package."""
+    if isinstance(package, FeaturePackage):
+        return package.coords.tobytes() + package.features.tobytes()
+    return package.cloud.data.tobytes()
 
 
 def _canonical_logs(logs) -> dict:
@@ -364,7 +389,7 @@ def _canonical_logs(logs) -> dict:
                 step.sent_bits,
                 tuple(step.delivered),
                 tuple(
-                    (p.sender, p.cloud.data.tobytes())
+                    (p.sender, _package_bytes(p))
                     for p in step.received_packages
                 ),
                 step.observation.scan.cloud.data.tobytes(),
@@ -389,3 +414,39 @@ class TestParallelSession:
             duration_seconds=2.0, period_seconds=1.0, seed=0, workers=2
         )
         assert _canonical_logs(serial) == _canonical_logs(parallel)
+
+    # The single step pipeline serves every fusion mode at every worker
+    # layout: two workers run three tasks per phase, four get one each.
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    @pytest.mark.parametrize(
+        "mode,temporal",
+        [("raw", False), ("raw", True), ("feature", False), ("gated", False)],
+        ids=["raw", "raw-temporal", "feature", "gated"],
+    )
+    def test_three_agents_identical_across_worker_counts(
+        self, detector, mode, temporal, chaos
+    ):
+        faults = FaultPlan.chaos(1) if chaos else None
+        serial = _session_outcome(detector, 3, 1, mode, temporal, faults)
+        for workers in (2, 4):
+            parallel = _session_outcome(
+                detector, 3, workers, mode, temporal, faults
+            )
+            assert parallel == serial, workers
+        assert bool(serial[1]) == chaos  # degradation only under faults
+
+    def test_one_agent_on_four_workers(self, detector):
+        serial = _session_outcome(detector, 1, 1)
+        assert _session_outcome(detector, 1, 4) == serial
+
+
+def _session_outcome(
+    detector, num_agents, workers, mode="raw", temporal=False, faults=None
+):
+    """Canonical logs, degradation counts and comm ledger of one run."""
+    session = _toy_session(detector, num_agents)
+    session.fusion_mode = mode
+    session.temporal = temporal
+    session.faults = faults
+    logs = session.run(duration_seconds=3.0, seed=5, workers=workers)
+    return _canonical_logs(logs), session.degradation, session.comm.summary()

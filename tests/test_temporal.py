@@ -495,7 +495,7 @@ class TestSessionWarmPath:
         scan = lidar.scan(layout.world, layout.viewpoint("car1"), seed=0)
         detector = SPOD.pretrained()
         state = TemporalState()
-        base = detector.detect_batch([scan.cloud], temporals=[state])
-        again = detector.detect_batch([scan.cloud], temporals=[state])
-        assert _det_keys(base[0]) == _det_keys(again[0])
+        base = detector.detect_all(scan.cloud, temporal=state)
+        again = detector.detect_all(scan.cloud, temporal=state)
+        assert _det_keys(base) == _det_keys(again)
         assert state.detect_hits == 1
