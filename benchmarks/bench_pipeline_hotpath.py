@@ -47,7 +47,6 @@ from repro.eval.experiments import run_cases
 from repro.fusion.agent import CooperAgent, CooperSession
 from repro.fusion.cooper import Cooper
 from repro.network.roi_policy import RoiCategory, RoiPolicy
-from repro.pointcloud.cloud import PointCloud
 from repro.profiling import PROFILER
 from repro.scene.layouts import parking_lot
 from repro.scene.trajectories import StationaryTrajectory, StraightTrajectory
@@ -370,14 +369,13 @@ def _time_regime(detector: SPOD, frames: list, repeats: int) -> dict:
 
     Both passes start from a cleared rulebook cache and *exclude the
     first frame* from their means: the warm path's frame 0 is a cold
-    frame by construction (there is no previous frame to delta against),
-    and the cold path's frame 0 pays the same one-off rulebook build.
-    What remains is the steady-state comparison the regime is after.
+    frame by construction (there is no previous frame to reuse), and the
+    cold path's frame 0 pays the same one-off rulebook build.  What
+    remains is the steady-state comparison the regime is after.
     """
     cold_best = float("inf")
     warm_best = float("inf")
     state = None
-    patched = 0
     bit_identical = True
     for _ in range(max(1, repeats)):
         RULEBOOK_CACHE.clear()
@@ -389,7 +387,6 @@ def _time_regime(detector: SPOD, frames: list, repeats: int) -> dict:
             detector, frames, temporal=True
         )
         bit_identical = bit_identical and cold_results == warm_results
-        patched = RULEBOOK_CACHE.patched
         cold_best = min(cold_best, float(np.mean(cold_times[1:])))
         warm_best = min(warm_best, float(np.mean(warm_times[1:])))
     RULEBOOK_CACHE.clear()
@@ -399,7 +396,6 @@ def _time_regime(detector: SPOD, frames: list, repeats: int) -> dict:
         "warm_ms": round(warm_best * 1e3, 3),
         "speedup": round(cold_best / warm_best, 3) if warm_best else 0.0,
         "bit_identical": bit_identical,
-        "rulebooks_patched": patched,
         "temporal": state.stats() if state is not None else {},
     }
     return entry
@@ -408,38 +404,6 @@ def _time_regime(detector: SPOD, frames: list, repeats: int) -> dict:
 def _steady_frames(clouds: list, k: int = 10) -> list:
     """The same merged cloud re-detected ``k`` times (Fig. 9 steady state)."""
     return [clouds[-1]] * k
-
-
-def _delta_frames(clouds: list, k: int = 8) -> list:
-    """Progressively shrinking prefixes of one merged cloud.
-
-    Each frame is a strict row-prefix of the previous one — the shape of
-    a peer package dropping out or thinning — so the voxel cache's
-    prefix-delta tier and the rulebook patcher both engage while the
-    frame content (and hence every exact-key cache) keeps changing.
-    """
-    data = clouds[-1].data
-    step = max(1, int(0.03 * len(data)))
-    return [
-        PointCloud(data[: len(data) - i * step].copy()) for i in range(k)
-    ]
-
-
-def _jitter_frames(clouds: list, k: int = 8) -> list:
-    """Reflectance-only jitter: geometry static, values churn every frame.
-
-    Point→voxel assignments are untouched, so the voxel cache's
-    rescatter tier serves every frame while the detect memo never hits.
-    """
-    base = clouds[-1].data
-    frames = []
-    for i in range(k):
-        rng = np.random.default_rng(1000 + i)
-        data = base.copy()
-        idx = rng.choice(len(data), size=max(1, len(data) // 50), replace=False)
-        data[idx, 3] = rng.uniform(0.0, 1.0, size=len(idx)).astype(np.float32)
-        frames.append(PointCloud(data))
-    return frames
 
 
 def _session_incremental_stats(duration_seconds: float) -> dict:
@@ -487,13 +451,11 @@ def run_incremental_bench(
 ) -> dict:
     """Benchmark the frame-delta layer; return the ``"incremental"`` section.
 
-    Three frame-sequence regimes over the bench session's merged clouds —
-    ``steady_state`` (identical frames: the detect memo carries), ``delta``
-    (shrinking row prefixes: incremental voxelisation + rulebook patching
-    carry) and ``jitter`` (reflectance churn: the rescatter tier carries) —
-    plus a warm-vs-cold session run.  Every regime asserts warm results
-    bit-identical to cold and records the temporal cache counters, so the
-    JSON shows *why* each regime is fast, not just that it is.
+    One frame-sequence regime over the bench session's merged clouds —
+    ``steady_state`` (identical frames: the detect memo carries) — plus a
+    warm-vs-cold session run.  Both assert warm results bit-identical to
+    cold and record the temporal cache counters, so the JSON shows *why*
+    a warm run is fast, not just that it is.
     """
     clouds = collect_detect_workload(duration_seconds)
     detector = SPOD.pretrained(SPODConfig(dtype="float32"))
@@ -506,8 +468,6 @@ def run_incremental_bench(
         "steady_state": _time_regime(
             detector, _steady_frames(clouds), repeats
         ),
-        "delta": _time_regime(detector, _delta_frames(clouds), repeats),
-        "jitter": _time_regime(detector, _jitter_frames(clouds), repeats),
         "session": _session_incremental_stats(duration_seconds),
     }
     return report
@@ -516,16 +476,12 @@ def run_incremental_bench(
 def check_incremental_guards(incremental: dict) -> None:
     """Regression guards over an ``"incremental"`` section.
 
-    Bit-identity is absolute; the timing guards are same-process ratios.
-    The steady-state one — a warm frame must be at least twice as cheap
-    as a cold one — holds with enormous margin (memo vs full pipeline)
-    on any hardware.  The delta/jitter regimes are *parity* regimes
-    (dense VFE/RPN dominates and must rerun), so their guard only
-    catches a catastrophic warm-path regression (0.7 slack: warm may
-    not exceed ~1.4x cold); the mechanism assertions on the cache
-    counters are what prove the delta paths actually engaged.
+    Bit-identity is absolute.  The steady-state timing guard — a warm
+    frame must be at least twice as cheap as a cold one — is a
+    same-process ratio that holds with enormous margin (memo vs full
+    pipeline) on any hardware.
     """
-    for regime in ("steady_state", "delta", "jitter", "session"):
+    for regime in ("steady_state", "session"):
         assert incremental[regime]["bit_identical"], (
             f"temporal layer changed results in the {regime} regime"
         )
@@ -537,48 +493,23 @@ def check_incremental_guards(incremental: dict) -> None:
     assert steady["temporal"]["detect"]["hits"] > 0, (
         "steady-state regime never hit the detect memo"
     )
-    slack = 0.7
-    for regime in ("delta", "jitter"):
-        entry = incremental[regime]
-        assert entry["warm_ms"] <= entry["cold_ms"] / slack, (
-            f"{regime} warm path regressed: "
-            f"{entry['warm_ms']}ms vs cold {entry['cold_ms']}ms"
-        )
-    assert incremental["delta"]["temporal"]["voxel"]["patched"] > 0, (
-        "delta regime never exercised the voxel prefix tier"
-    )
-    assert incremental["delta"]["rulebooks_patched"] > 0, (
-        "delta regime never exercised the rulebook patcher"
-    )
-    assert incremental["jitter"]["temporal"]["voxel"]["rescatters"] > 0, (
-        "jitter regime never exercised the voxel rescatter tier"
-    )
 
 
 def render_incremental_table(incremental: dict) -> str:
     """Human-readable summary of a :func:`run_incremental_bench` section."""
-    lines = [
-        f"workload: {incremental['workload']}",
-        f"{'regime':>14s} {'cold ms':>9s} {'warm ms':>9s} {'speedup':>8s}  mechanism",
-    ]
-    mechanisms = {
-        "steady_state": "detect memo",
-        "delta": "voxel prefix + rulebook patch",
-        "jitter": "voxel rescatter + rulebook hit",
-    }
-    for regime, why in mechanisms.items():
-        entry = incremental[regime]
-        lines.append(
-            f"{regime:>14s} {entry['cold_ms']:9.2f} {entry['warm_ms']:9.2f} "
-            f"{entry['speedup']:7.2f}x  {why}"
-        )
+    steady = incremental["steady_state"]
     session = incremental["session"]
-    lines.append(
-        f"session step: warm {session['step_warm_ms']:.2f} ms vs cold "
-        f"{session['step_cold_ms']:.2f} ms "
-        f"({session['temporal_invalidations']} invalidations)"
+    return "\n".join(
+        [
+            f"workload: {incremental['workload']}",
+            f"{'regime':>14s} {'cold ms':>9s} {'warm ms':>9s} {'speedup':>8s}  mechanism",
+            f"{'steady_state':>14s} {steady['cold_ms']:9.2f} "
+            f"{steady['warm_ms']:9.2f} {steady['speedup']:7.2f}x  detect memo",
+            f"session step: warm {session['step_warm_ms']:.2f} ms vs cold "
+            f"{session['step_cold_ms']:.2f} ms "
+            f"({session['temporal_invalidations']} invalidations)",
+        ]
     )
-    return "\n".join(lines)
 
 
 def run_parallel_bench(

@@ -60,9 +60,7 @@ class SparseMiddleExtractor(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
 
-    def forward_sparse(
-        self, tensor: SparseTensor3d, temporal=None
-    ) -> SparseTensor3d:
+    def forward_sparse(self, tensor: SparseTensor3d) -> SparseTensor3d:
         """The convolutional block alone: sparse in, sparse out.
 
         This is the feature tap the fusion layer consumes: the per-voxel
@@ -70,21 +68,16 @@ class SparseMiddleExtractor(Module):
         actually needs to ship (active voxels only) and what F-Cooper
         style maxout fusion combines across vehicles.  Both convolutions
         are stride-1 submanifold: the active set is invariant through the
-        block, so one rulebook (memoised across frames by RULEBOOK_CACHE,
-        and patched from the previous frame's when temporal state is
-        supplied) serves them both.
+        block, so one rulebook serves them both.
         """
-        rulebook = self.conv1.build_rulebook(tensor, temporal=temporal)
+        rulebook = self.conv1.build_rulebook(tensor)
         x = self.relu1(self.conv1(tensor, rulebook=rulebook))
         return self.relu2(self.conv2(x, rulebook=rulebook))
 
     def forward(
-        self,
-        tensor: SparseTensor3d,
-        channel_mask: np.ndarray | None = None,
-        temporal=None,
+        self, tensor: SparseTensor3d, channel_mask: np.ndarray | None = None
     ) -> np.ndarray:
-        x = self.forward_sparse(tensor, temporal=temporal)
+        x = self.forward_sparse(tensor)
         return self.to_dense(x, channel_mask=channel_mask)
 
     def backward(self, grad_output: np.ndarray) -> SparseTensor3d:

@@ -37,7 +37,6 @@ __all__ = [
     "RULEBOOK_CACHE",
     "SubmanifoldConv3d",
     "SparseToDense",
-    "patch_rulebook",
 ]
 
 
@@ -197,122 +196,6 @@ def _build_pairs(
     return pairs
 
 
-def patch_rulebook(
-    prev: Rulebook,
-    tensor: SparseTensor3d,
-    kernel_size: int,
-    max_delta_fraction: float = 0.5,
-) -> Rulebook | None:
-    """Derive ``tensor``'s stride-1 rulebook by patching a previous frame's.
-
-    Instead of re-running the full per-offset ``searchsorted`` sweep of
-    :func:`_build_pairs`, remap the previous rulebook's gather rows
-    through the old→new site correspondence (dropping pairs with a
-    removed endpoint) and enumerate the pairs contributed by added sites
-    — as outputs against every neighbour, and as inputs against
-    *pre-existing* outputs (added-output pairs already cover the rest).
-    Each offset's pairs are then ordered by ascending output row, exactly
-    the order a fresh build emits, so the patched rulebook is
-    element-for-element identical — including the ``np.add.at``
-    accumulation order of the forward pass.
-
-    Preconditions: stride-1 submanifold (output sites == input sites),
-    matching grid, unique site coordinates (what the voxeliser produces).
-    Returns ``None`` when the active-site delta exceeds
-    ``max_delta_fraction`` of the new site count (a fresh build is
-    cheaper) or when either frame is empty.
-    """
-    if tensor.grid_shape != prev.out_grid:
-        return None
-    new_linear = tensor.linear_index()
-    old_linear = prev.linear
-    if len(new_linear) == 0 or len(old_linear) == 0:
-        return None
-    with PROFILER.stage("temporal.rulebook_patch"):
-        new_order = tensor.sort_order()
-        new_sorted = new_linear[new_order]
-
-        # Old row -> new row (-1 when the site was removed).
-        pos = np.searchsorted(new_sorted, old_linear)
-        pos_c = np.minimum(pos, len(new_sorted) - 1)
-        survived = (pos < len(new_sorted)) & (new_sorted[pos_c] == old_linear)
-        old_to_new = np.where(survived, new_order[pos_c], -1)
-
-        # New rows whose site did not exist in the previous frame.
-        old_sorted = np.sort(old_linear)
-        pos2 = np.searchsorted(old_sorted, new_linear)
-        pos2_c = np.minimum(pos2, len(old_sorted) - 1)
-        existed = (pos2 < len(old_sorted)) & (old_sorted[pos2_c] == new_linear)
-        added_rows = np.nonzero(~existed)[0].astype(np.int64)
-
-        removed = int(len(old_linear) - np.count_nonzero(survived))
-        if len(added_rows) + removed > max_delta_fraction * len(new_linear):
-            return None
-
-        pad = (kernel_size - 1) // 2
-        nx, ny, nz = tensor.grid_shape
-        is_added = np.zeros(len(new_linear), dtype=bool)
-        is_added[added_rows] = True
-        added_coords = tensor.coords[added_rows].astype(np.int64)
-
-        def site_rows(cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """New-tensor rows at candidate coords, with a found mask.
-
-            Bounds are checked *before* the linear lookup — an
-            out-of-range coordinate could alias a valid linear index.
-            """
-            in_bounds = (
-                (cands[:, 0] >= 0)
-                & (cands[:, 0] < nx)
-                & (cands[:, 1] >= 0)
-                & (cands[:, 1] < ny)
-                & (cands[:, 2] >= 0)
-                & (cands[:, 2] < nz)
-            )
-            lin = cands[:, 0] * (ny * nz) + cands[:, 1] * nz + cands[:, 2]
-            p = np.searchsorted(new_sorted, lin)
-            p_c = np.minimum(p, len(new_sorted) - 1)
-            found = in_bounds & (p < len(new_sorted)) & (new_sorted[p_c] == lin)
-            return new_order[p_c], found
-
-        prev_by_offset = {k: (i, o) for k, i, o in prev.pairs}
-        pairs: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for k, offset in enumerate(
-            itertools.product(range(kernel_size), repeat=3)
-        ):
-            shift = np.array(offset, dtype=np.int64) - pad
-            ins: list[np.ndarray] = []
-            outs: list[np.ndarray] = []
-            old = prev_by_offset.get(k)
-            if old is not None:
-                in_new = old_to_new[old[0]]
-                out_new = old_to_new[old[1]]
-                ok = (in_new >= 0) & (out_new >= 0)
-                if ok.any():
-                    ins.append(in_new[ok])
-                    outs.append(out_new[ok])
-            if len(added_rows):
-                rows, found = site_rows(added_coords + shift)
-                if found.any():
-                    ins.append(rows[found])
-                    outs.append(added_rows[found])
-                rows, found = site_rows(added_coords - shift)
-                found &= ~is_added[rows]
-                if found.any():
-                    ins.append(added_rows[found])
-                    outs.append(rows[found])
-            if not ins:
-                continue
-            in_all = np.concatenate(ins).astype(np.int64)
-            out_all = np.concatenate(outs).astype(np.int64)
-            # Per offset every output row receives at most one input, so
-            # sorting by output row reproduces the fresh build's
-            # ascending ``np.nonzero`` order exactly.
-            order_k = np.argsort(out_all, kind="stable")
-            pairs.append((k, in_all[order_k], out_all[order_k]))
-        return Rulebook(tensor.coords, tensor.grid_shape, pairs, new_linear)
-
-
 class RulebookCache:
     """Cross-frame memoisation of rulebooks, keyed by the active-site set.
 
@@ -333,19 +216,18 @@ class RulebookCache:
         self.enabled = True
         self.hits = 0
         self.misses = 0
-        self.patched = 0
         self._entries: OrderedDict[tuple, Rulebook] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss/patched counters."""
+        """Drop every entry and reset the hit/miss counters."""
         self._entries.clear()
         self.reset_stats()
 
     def reset_stats(self) -> None:
-        """Zero the hit/miss/patched counters without dropping entries.
+        """Zero the hit/miss counters without dropping entries.
 
         Benchmarks call this between repeats so a timed pass's counters
         reflect that pass alone while the (intentionally) warm entries
@@ -353,7 +235,6 @@ class RulebookCache:
         """
         self.hits = 0
         self.misses = 0
-        self.patched = 0
 
     @property
     def hit_rate(self) -> float:
@@ -375,18 +256,11 @@ class RulebookCache:
         kernel_size: int,
         stride: int,
         build,
-        patch=None,
     ) -> Rulebook:
         """Return the memoised rulebook for ``tensor``, building on miss.
 
         ``build`` is a zero-argument callable producing the
         :class:`Rulebook` when the cache cannot serve the request.
-        ``patch`` (optional) is tried first on a miss: a zero-argument
-        callable that may derive the rulebook more cheaply (e.g. by
-        patching the previous frame's; see :func:`patch_rulebook`) or
-        return ``None`` to decline.  Either way the entry is stored under
-        ``tensor``'s exact key, so a patched rulebook must equal what
-        ``build`` would produce.
         """
         if not self.enabled:
             return build()
@@ -399,12 +273,7 @@ class RulebookCache:
             return entry
         self.misses += 1
         PROFILER.count("spod.rulebook_misses")
-        entry = patch() if patch is not None else None
-        if entry is not None:
-            self.patched += 1
-            PROFILER.count("temporal.rulebook_patched")
-        else:
-            entry = build()
+        entry = build()
         self._entries[key] = entry
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -465,21 +334,12 @@ class SubmanifoldConv3d(Module):
         unique = np.unique(down, axis=0)
         return unique, out_grid  # type: ignore[return-value]
 
-    def build_rulebook(
-        self, tensor: SparseTensor3d, temporal=None
-    ) -> Rulebook:
+    def build_rulebook(self, tensor: SparseTensor3d) -> Rulebook:
         """The (possibly memoised) rulebook relating ``tensor`` to its output.
 
         Stride-1 rulebooks depend only on the active-site set, so a block
         of submanifold convolutions builds one rulebook and passes it to
         every :meth:`forward` in the block.
-
-        ``temporal`` (a :class:`repro.temporal.TemporalState`) supplies
-        the previous frame's rulebook; on an exact-key cache miss the
-        active-site *delta* against it is patched via
-        :func:`patch_rulebook` instead of rebuilding from scratch.  The
-        patched rulebook is bit-identical to a fresh build, so the result
-        never depends on temporal state.
         """
 
         def build() -> Rulebook:
@@ -487,25 +347,7 @@ class SubmanifoldConv3d(Module):
             pairs = _build_pairs(tensor, out_coords, self.kernel_size, self.stride)
             return Rulebook(out_coords, out_grid, pairs, tensor.linear_index())
 
-        patch = None
-        if temporal is not None and self.stride == 1:
-            prev = temporal.previous_rulebook(self.kernel_size, tensor.grid_shape)
-            if prev is not None:
-                fraction = temporal.config.max_rulebook_delta_fraction
-
-                def patch() -> Rulebook | None:
-                    return patch_rulebook(
-                        prev, tensor, self.kernel_size, fraction
-                    )
-
-        rulebook = RULEBOOK_CACHE.lookup(
-            tensor, self.kernel_size, self.stride, build, patch=patch
-        )
-        if temporal is not None and self.stride == 1:
-            temporal.store_rulebook(
-                self.kernel_size, tensor.grid_shape, rulebook
-            )
-        return rulebook
+        return RULEBOOK_CACHE.lookup(tensor, self.kernel_size, self.stride, build)
 
     def forward(
         self, tensor: SparseTensor3d, rulebook: Rulebook | None = None

@@ -202,18 +202,14 @@ class SPOD:
 
     # -- network forward ---------------------------------------------------
     def forward_features(
-        self, cloud: PointCloud, inference: bool = False, temporal=None,
-        tap: bool = False,
+        self, cloud: PointCloud, inference: bool = False, tap: bool = False
     ):
         """Preprocess + voxelize + VFE + middle; return tensors up to BEV.
 
         With ``inference=True`` the BEV densification skips channels the
         RPN's first convolution provably ignores (zero weights) — exact for
         the forward pass but useless for training, where those channels
-        still need gradients.  ``temporal`` (a
-        :class:`repro.temporal.TemporalState`) enables the frame-delta fast
-        paths through voxelisation and rulebook construction; outputs are
-        bit-identical with or without it.
+        still need gradients.
 
         With ``tap=True`` the returned dict additionally exposes the
         sparse tensors the fusion layer taps: ``"vfe"`` (the VFE's output)
@@ -232,16 +228,9 @@ class SPOD:
                 ),
                 densify=cfg.densify,
             )
-        voxel_cache = None
-        if temporal is not None and temporal.config.voxel_delta:
-            voxel_cache = temporal.voxel
         with PROFILER.stage("spod.voxelize"):
             grid = voxelize(
-                pre.obstacles,
-                cfg.voxel_spec,
-                seed=cfg.seed,
-                dtype=self.dtype,
-                cache=voxel_cache,
+                pre.obstacles, cfg.voxel_spec, seed=cfg.seed, dtype=self.dtype
             )
         with PROFILER.stage("spod.vfe"):
             sparse = self.vfe(grid)
@@ -251,7 +240,7 @@ class SPOD:
             if not used.all():
                 channel_mask = used
         with PROFILER.stage("spod.middle"):
-            middle = self.middle.forward_sparse(sparse, temporal=temporal)
+            middle = self.middle.forward_sparse(sparse)
             bev = self.middle.to_dense(middle, channel_mask=channel_mask)
         tensors = {"pre": pre, "grid": grid, "bev": bev}
         if tap:
@@ -288,10 +277,11 @@ class SPOD:
     def detect_all(self, cloud: PointCloud, temporal=None) -> list[Detection]:
         """Detect cars including sub-threshold candidates (post-NMS).
 
-        ``temporal`` threads per-agent frame-delta state through the
-        pipeline; when the exact cloud recurs, the previous frame's
-        post-NMS detections are returned outright (the memo verifies the
-        cloud bit-for-bit, so results never differ from a cold run).
+        ``temporal`` (a :class:`repro.temporal.TemporalState`) carries the
+        whole-frame detect memo: when the exact cloud recurs, the previous
+        frame's post-NMS detections are returned outright (the memo
+        verifies the cloud bit-for-bit, so results never differ from a
+        cold run).  A changed frame runs the full pipeline.
         """
         if len(cloud) == 0:
             # A blackout frame (repro.faults) or out-of-range cloud: no
@@ -301,7 +291,7 @@ class SPOD:
             cached = temporal.detect_recall(cloud)
             if cached is not None:
                 return list(cached)
-        tensors = self.forward_features(cloud, inference=True, temporal=temporal)
+        tensors = self.forward_features(cloud, inference=True)
         if tensors["grid"].num_voxels == 0:
             result: list[Detection] = []
         else:

@@ -80,7 +80,7 @@ from repro.runtime import WorkerPool, resolve_workers, stable_hash
 from repro.scene.trajectories import Trajectory
 from repro.scene.world import World
 from repro.sensors.rig import RigObservation, SensorRig
-from repro.temporal import TemporalConfig, TemporalState
+from repro.temporal import POSE_JUMP_M, TemporalState
 
 __all__ = [
     "AgentStep",
@@ -322,13 +322,12 @@ class CooperSession:
         resilience: the graceful-degradation knobs (defaults are inert in
             a fault-free run: nothing is ever stale, insane or dark).
         temporal: carry per-agent frame-delta state (``repro.temporal``)
-            across steps — scan geometry cache, incremental voxelisation,
-            rulebook patching and the detect memo.  Warm-path logs are
-            bit-identical to a cold run at any worker count; the state is
-            invalidated on LiDAR blackout frames, measured-pose jumps and
-            circuit-breaker/stale-fallback events, each decided and
-            counted parent-side and applied by the agent's next task.
-        temporal_config: knobs for the temporal layer (None — defaults).
+            across steps — the scan geometry cache and the detect memo.
+            Warm-path logs are bit-identical to a cold run at any worker
+            count; the state is invalidated on LiDAR blackout frames,
+            measured-pose jumps and circuit-breaker/stale-fallback events,
+            each decided and counted parent-side and applied by the
+            agent's next task.
         fusion_mode: what crosses the wire each period — ``"raw"``
             (exchange packages of points; an agent's :class:`RoiPolicy`
             decides how much cloud), ``"feature"`` (F-Cooper style
@@ -361,7 +360,6 @@ class CooperSession:
     faults: FaultPlan | None = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     temporal: bool = False
-    temporal_config: TemporalConfig | None = None
     fusion_mode: str = "raw"
     feature_config: FeatureFusionConfig = field(
         default_factory=FeatureFusionConfig
@@ -420,10 +418,7 @@ class CooperSession:
             max_age_steps=self.resilience.max_stale_steps
         )
         if self.temporal:
-            config = self.temporal_config or TemporalConfig()
-            self._temporal = {
-                agent.name: TemporalState(config) for agent in self.agents
-            }
+            self._temporal = {agent.name: TemporalState() for agent in self.agents}
         else:
             self._temporal = {}
         self._last_measured = {}
@@ -523,7 +518,6 @@ class CooperSession:
         task applies it with ``scope="all"``, so the scan cache is gone
         before the agent's next observation too.
         """
-        limit = (self.temporal_config or TemporalConfig()).pose_jump_m
         decided: dict[str, tuple[tuple[str, str], ...]] = {}
         for agent in self.agents:
             name = agent.name
@@ -532,7 +526,7 @@ class CooperSession:
             self._last_measured[name] = position
             jumped = (
                 prev is not None
-                and float(np.hypot(*(position[:2] - prev[:2]))) > limit
+                and float(np.hypot(*(position[:2] - prev[:2]))) > POSE_JUMP_M
             )
             decided[name] = self._invalidations(
                 name, ("pose_jump",) if jumped else (), "all"
@@ -548,9 +542,8 @@ class CooperSession:
 
         A circuit-breaker skip among the receiver's peers or a
         stale-cache fallback in its inbox changes the merged cloud's
-        provenance discontinuously; the fusion-side caches (voxel,
-        rulebook, detect memo) are dropped, the scan cache — pure ego
-        geometry — survives.
+        provenance discontinuously; the fusion-side detect memo is
+        dropped, the scan cache — pure ego geometry — survives.
         """
         decided: dict[str, tuple[tuple[str, str], ...]] = {}
         for agent in self.agents:

@@ -117,7 +117,7 @@ class Cooper:
         ``reject_misaligned`` set, inconsistent packages are dropped and
         counted in :attr:`CooperResult.rejected_packages`.  ``temporal``
         (per-agent :class:`repro.temporal.TemporalState`) enables the
-        frame-delta detect fast paths; results are bit-identical either way.
+        detect memo; results are bit-identical either way.
         """
         merged, num_accepted, rejected, fuse_seconds = self.fuse(
             native_cloud, receiver_pose, packages

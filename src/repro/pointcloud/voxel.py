@@ -8,8 +8,7 @@ encoder and, through coordinates, the sparse convolutional middle layers.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from repro.pointcloud.cloud import PointCloud
 from repro.profiling import PROFILER
 from repro.runtime.seeding import derive_seed
 
-__all__ = ["VoxelGridSpec", "VoxelGrid", "VoxelDeltaCache"]
+__all__ = ["VoxelGridSpec", "VoxelGrid"]
 
 
 @dataclass(frozen=True)
@@ -91,21 +90,11 @@ class VoxelGrid:
     coords: np.ndarray
     points: np.ndarray
     counts: np.ndarray
-    _index: dict[tuple[int, int, int], int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index = {
-            (int(c[0]), int(c[1]), int(c[2])): i for i, c in enumerate(self.coords)
-        }
 
     @property
     def num_voxels(self) -> int:
         """Number of non-empty voxels."""
         return len(self.coords)
-
-    def voxel_at(self, coord: tuple[int, int, int]) -> int | None:
-        """Return the row index of a voxel coordinate, or None if empty."""
-        return self._index.get(coord)
 
     def occupancy_bev(self) -> np.ndarray:
         """Project counts onto the BEV plane: an (nx, ny) point-count image."""
@@ -120,7 +109,6 @@ def voxelize(
     spec: VoxelGridSpec,
     seed: int = 0,
     dtype: np.dtype | None = None,
-    cache: "VoxelDeltaCache | None" = None,
 ) -> VoxelGrid:
     """Group a cloud into the sparse voxel grid described by ``spec``.
 
@@ -136,30 +124,9 @@ def voxelize(
     the downstream kernels (default float32, the sensor dtype).  Grouping
     itself always runs on the raw float32 sensor data, so the choice
     cannot move a point between voxels.
-
-    ``cache`` (a :class:`VoxelDeltaCache`) enables the frame-delta fast
-    paths; the result is always bit-identical to an uncached call.
     """
     with PROFILER.stage("voxel.voxelize"):
-        return _voxelize(cloud, spec, seed, dtype, cache)
-
-
-@dataclass
-class _VoxelFrame:
-    """One voxelised frame plus the grouping artifacts the delta tiers reuse.
-
-    ``inside`` is per *original* cloud row; ``linear`` is per inside row in
-    scan order; the remaining arrays are the cold path's grouping state.
-    """
-
-    data: np.ndarray
-    inside: np.ndarray
-    linear: np.ndarray
-    order: np.ndarray
-    group_ids: np.ndarray
-    positions: np.ndarray
-    keep: np.ndarray
-    grid: VoxelGrid
+        return _voxelize(cloud.data, spec, seed, dtype)
 
 
 def _assign_voxels(
@@ -167,9 +134,8 @@ def _assign_voxels(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row voxel assignment: ``(inside_mask, linear_of_inside_rows)``.
 
-    Every operation is elementwise per row, so the assignment of a row is
-    independent of every other row — the property the prefix-delta tier
-    relies on to reuse assignments of unchanged rows.
+    The crop and the floor run in float32 against float32 bounds, so a
+    point's voxel is the same whatever storage ``dtype`` the grid uses.
     """
     origin = np.array(spec.point_range[:3], dtype=np.float32)
     size = np.array(spec.voxel_size, dtype=np.float32)
@@ -203,9 +169,9 @@ def _overflow_positions(
     Each overflowing voxel draws from its own RNG stream —
     ``derive_seed(seed, "voxel-overflow", linear)`` — so the sample kept
     in one voxel is a pure function of (seed, voxel, member count),
-    independent of what every other voxel received.  That locality is what
-    lets the delta tiers re-run the sampler for touched voxels only while
-    staying bit-identical to a full rebuild.
+    independent of what every other voxel received: adding or removing
+    points elsewhere in the cloud never changes which points a voxel
+    keeps.
     """
     overflowing = np.nonzero(group_counts > t_max)[0]
     for g in overflowing:
@@ -216,35 +182,22 @@ def _overflow_positions(
         positions[start : start + count] = rng.permutation(count)
 
 
-def _compute_frame(
+def _voxelize(
     data: np.ndarray,
     spec: VoxelGridSpec,
     seed: int,
-    out_dtype: np.dtype,
-    inside: np.ndarray | None = None,
-    linear: np.ndarray | None = None,
-) -> _VoxelFrame:
-    """The cold grouping + scatter pipeline, returning the full frame state.
-
-    ``inside``/``linear`` may be supplied pre-computed (the prefix-delta
-    tier concatenates reused prefix assignments with fresh suffix ones);
-    they must equal what :func:`_assign_voxels` would produce.
-    """
-    if inside is None or linear is None:
-        inside, linear = _assign_voxels(data, spec)
+    dtype: np.dtype | None = None,
+) -> VoxelGrid:
+    out_dtype = np.dtype(dtype) if dtype is not None else np.float32
+    inside, linear = _assign_voxels(data, spec)
     data_in = data[inside]
     t_max = spec.max_points_per_voxel
     if len(data_in) == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        grid = VoxelGrid(
+        return VoxelGrid(
             spec,
             np.zeros((0, 3), dtype=np.int32),
             np.zeros((0, t_max, 4), dtype=out_dtype),
             np.zeros(0, dtype=np.int32),
-        )
-        return _VoxelFrame(
-            data, inside, linear, empty, empty, empty,
-            np.zeros(0, dtype=bool), grid,
         )
 
     # Group points by voxel using a stable (radix) sort of linear indices.
@@ -278,178 +231,4 @@ def _compute_frame(
 
     keep = positions < t_max
     points[group_ids[keep], positions[keep]] = data_sorted[keep]
-    grid = VoxelGrid(spec, coords, points, counts)
-    return _VoxelFrame(
-        data, inside, linear, order, group_ids, positions, keep, grid
-    )
-
-
-class VoxelDeltaCache:
-    """Frame-delta memo for :func:`voxelize` (one previous frame).
-
-    Three tiers, each verified exactly so the result is bit-identical to a
-    cold rebuild at every tier:
-
-    1. **identical** — the input rows equal the previous frame's: return
-       the previous grid as-is.
-    2. **rescatter** — same rows count and identical point→voxel
-       assignments, but some feature values changed (e.g. reflectance
-       jitter): reuse the previous grouping wholesale and re-scatter only
-       the voxels containing changed points into a copy of the previous
-       padded tensor.
-    3. **prefix delta** — the new cloud shares a row prefix with the
-       previous one (e.g. the native scan unchanged, a peer package
-       dropped or recovered): reuse the prefix's per-row voxel
-       assignments and recompute only the suffix's, then regroup.  The
-       per-voxel overflow streams make the re-sampled subsets of touched
-       voxels equal what a full rebuild draws.
-
-    Anything else is a miss and falls through to the cold path.  The cache
-    key includes the spec, seed and output dtype; hit/miss totals are
-    mirrored into ``temporal.voxel_*`` profiler counters.
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.rescatters = 0
-        self.patched = 0
-        self.misses = 0
-        self._key: tuple | None = None
-        self._frame: _VoxelFrame | None = None
-
-    def clear(self) -> None:
-        """Drop the stored frame (counters are preserved)."""
-        self._key = None
-        self._frame = None
-
-    def reset_stats(self) -> None:
-        """Zero the tier counters without dropping the stored frame."""
-        self.hits = 0
-        self.rescatters = 0
-        self.patched = 0
-        self.misses = 0
-
-    def stats(self) -> dict:
-        """Counter snapshot for benchmark reports."""
-        return {
-            "hits": self.hits,
-            "rescatters": self.rescatters,
-            "patched": self.patched,
-            "misses": self.misses,
-        }
-
-    def fetch(
-        self,
-        data: np.ndarray,
-        spec: VoxelGridSpec,
-        seed: int,
-        out_dtype: np.dtype,
-    ) -> VoxelGrid | None:
-        """Serve ``data`` from a delta tier, or ``None`` on a miss."""
-        key = (spec, int(seed), out_dtype)
-        prev = self._frame
-        if prev is None or self._key != key:
-            return None
-        same_shape = data.shape == prev.data.shape
-        if same_shape and (data is prev.data or np.array_equal(data, prev.data)):
-            self.hits += 1
-            PROFILER.count("temporal.voxel_hits")
-            return prev.grid
-        if same_shape:
-            grid = self._rescatter(data, spec, out_dtype, prev)
-            if grid is not None:
-                return grid
-        return self._prefix_delta(data, spec, seed, out_dtype, prev)
-
-    def store(self, spec: VoxelGridSpec, seed: int, out_dtype, frame: _VoxelFrame) -> None:
-        """Install a cold-path frame as the new delta base (a miss)."""
-        self.misses += 1
-        PROFILER.count("temporal.voxel_misses")
-        self._key = (spec, int(seed), out_dtype)
-        self._frame = frame
-
-    def _rescatter(
-        self,
-        data: np.ndarray,
-        spec: VoxelGridSpec,
-        out_dtype: np.dtype,
-        prev: _VoxelFrame,
-    ) -> VoxelGrid | None:
-        """Tier 2: same assignments, changed values — rescatter touched voxels."""
-        inside, linear = _assign_voxels(data, spec)
-        if not (
-            np.array_equal(inside, prev.inside)
-            and np.array_equal(linear, prev.linear)
-        ):
-            return None
-        changed_in = np.any(data != prev.data, axis=1)[inside]
-        # Voxel groups holding at least one changed point; all of a touched
-        # voxel's kept members are re-scattered (the unchanged ones write
-        # back the same values), so the tensor equals a full rebuild's.
-        changed_sorted = changed_in[prev.order]
-        touched = np.unique(prev.group_ids[changed_sorted])
-        points = prev.grid.points.copy()
-        member = np.isin(prev.group_ids, touched) & prev.keep
-        data_in = data[inside]
-        points[prev.group_ids[member], prev.positions[member]] = data_in[
-            prev.order[member]
-        ]
-        grid = VoxelGrid(spec, prev.grid.coords, points, prev.grid.counts)
-        self.rescatters += 1
-        PROFILER.count("temporal.voxel_rescatters")
-        self._frame = dataclasses.replace(prev, data=data, grid=grid)
-        return grid
-
-    def _prefix_delta(
-        self,
-        data: np.ndarray,
-        spec: VoxelGridSpec,
-        seed: int,
-        out_dtype: np.dtype,
-        prev: _VoxelFrame,
-    ) -> VoxelGrid | None:
-        """Tier 3: shared row prefix — reuse its assignments, regroup the rest."""
-        m = min(len(data), len(prev.data))
-        if m == 0:
-            return None
-        diff = np.any(data[:m] != prev.data[:m], axis=1)
-        prefix = int(np.argmax(diff)) if diff.any() else m
-        # Below half the new cloud the reuse no longer pays for the
-        # bookkeeping; fall through to the cold path.
-        if prefix * 2 < len(data):
-            return None
-        prefix_inside = prev.inside[:prefix]
-        suffix_inside, suffix_linear = _assign_voxels(data[prefix:], spec)
-        inside = np.concatenate([prefix_inside, suffix_inside])
-        n_prefix_in = int(np.count_nonzero(prefix_inside))
-        linear = np.concatenate([prev.linear[:n_prefix_in], suffix_linear])
-        frame = _compute_frame(
-            data, spec, seed, out_dtype, inside=inside, linear=linear
-        )
-        self.patched += 1
-        PROFILER.count("temporal.voxel_patched")
-        self._frame = frame
-        return frame.grid
-
-
-def _voxelize(
-    cloud: PointCloud,
-    spec: VoxelGridSpec,
-    seed: int,
-    dtype: np.dtype | None = None,
-    cache: "VoxelDeltaCache | None" = None,
-) -> VoxelGrid:
-    out_dtype = np.dtype(dtype) if dtype is not None else np.float32
-    data = cloud.data
-    if cache is not None:
-        grid = cache.fetch(data, spec, seed, out_dtype)
-        if grid is not None:
-            return grid
-    frame = _compute_frame(data, spec, seed, out_dtype)
-    if cache is not None:
-        cache.store(spec, seed, out_dtype, frame)
-    return frame.grid
-
-
-# Re-export as a method-style helper for discoverability.
-VoxelGrid.from_cloud = staticmethod(voxelize)  # type: ignore[attr-defined]
+    return VoxelGrid(spec, coords, points, counts)

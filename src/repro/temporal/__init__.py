@@ -1,91 +1,57 @@
 """Frame-delta (temporal) inference state — warm paths, cold-path bits.
 
-Cooper's OBU loop runs at sensor frame rate, and consecutive frames are
-nearly identical: a handful of moving actors against static geometry.
-This package carries the per-agent state that lets every stage exploit
-that delta:
+Cooper's OBU loop runs at sensor frame rate, and consecutive frames of a
+static scene repeat work.  This package carries the per-agent state that
+skips the two repeats that measure as worth skipping:
 
 * **scan** — a :class:`repro.sensors.lidar.ScanGeometryCache`: the
   per-actor raycast matrix is reused across frames for a repeated pose,
   re-raycasting only actors whose geometry changed.
-* **voxel** — a :class:`repro.pointcloud.voxel.VoxelDeltaCache`: identical
-  clouds return the previous grid; same-assignment clouds rescatter only
-  touched voxels; shared-prefix clouds reuse the prefix's assignments.
-* **rulebook** — the previous frame's sparse-conv rulebook, patched by
-  active-site delta via :func:`repro.detection.nn.sparse.patch_rulebook`.
 * **detect memo** — the previous frame's post-NMS detections, returned
   outright when the exact cloud recurs (the steady state of a stationary
   scene re-detecting the same frame).
 
-**Determinism contract.**  Every cache is content-keyed and verified
-exactly (stored keys/arrays compared element-for-element), and every
-delta algorithm reproduces the cold path's operation order — so every
+A changed frame runs voxelisation and the sparse convolutions cold.
+
+**Determinism contract.**  Both caches are content-keyed and verified
+exactly (stored keys/arrays compared element-for-element), so every
 warm-path output (detections, scores, logs) is bit-identical to a cold
 run, at any worker count, under any invalidation schedule.  Temporal
 state can only change *when* work is done, never *what* is computed.
 
 **Invalidation rules.**  The session invalidates an agent's state on
-LiDAR blackout frames and pose jumps (``scope="all"``: the scan cache is
-geometry-bound) and on circuit-breaker skips or stale-package fallbacks
-among its peers (``scope="fuse"``: only the fusion-side caches — voxel,
-rulebook, detect memo — see the inbox).  Because hits are verified
-exactly, invalidation is pure hygiene: skipping one can never corrupt a
-result, it only wastes a lookup.
+LiDAR blackout frames and measured-pose jumps above :data:`POSE_JUMP_M`
+(``scope="all"``: the scan cache is geometry-bound) and on
+circuit-breaker skips or stale-package fallbacks among its peers
+(``scope="fuse"``: only the detect memo sees the inbox).  Because hits
+are verified exactly, invalidation is pure hygiene: skipping one can
+never corrupt a result, it only wastes a lookup.
 
-Profiler surfaces: ``temporal.scan_*``, ``temporal.voxel_*``,
-``temporal.rulebook_patched``, ``temporal.detect_*`` counters and the
-``temporal.rulebook_patch`` stage, mirrored from the per-state totals in
+Profiler surfaces: ``temporal.scan_*`` and ``temporal.detect_*``
+counters, mirrored from the per-state totals in
 :meth:`TemporalState.stats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.pointcloud.voxel import VoxelDeltaCache
 from repro.profiling import PROFILER
 from repro.sensors.lidar import ScanGeometryCache
 
-__all__ = ["TemporalConfig", "TemporalState"]
+__all__ = ["POSE_JUMP_M", "SCAN_CACHE_ENTRIES", "TemporalState"]
 
+#: Pose cells each agent's scan geometry cache retains.
+SCAN_CACHE_ENTRIES = 4
 
-@dataclass(frozen=True)
-class TemporalConfig:
-    """Knobs of the frame-delta layer.
-
-    Attributes:
-        scan_cache_entries: pose cells the scan geometry cache retains.
-        detect_memo: memoise the previous frame's post-NMS detections.
-        voxel_delta: enable the incremental voxelisation tiers.
-        rulebook_delta: patch the previous frame's rulebook on cache miss.
-        max_rulebook_delta_fraction: largest active-site delta (as a
-            fraction of the new site count) worth patching; beyond it a
-            fresh build is cheaper.
-        pose_jump_m: measured-pose displacement per step above which the
-            session invalidates the agent's temporal state (a GPS glitch
-            or teleport, not frame-to-frame motion).
-    """
-
-    scan_cache_entries: int = 4
-    detect_memo: bool = True
-    voxel_delta: bool = True
-    rulebook_delta: bool = True
-    max_rulebook_delta_fraction: float = 0.5
-    pose_jump_m: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.scan_cache_entries < 1:
-            raise ValueError("scan_cache_entries must be at least 1")
-        if not 0.0 <= self.max_rulebook_delta_fraction <= 1.0:
-            raise ValueError("max_rulebook_delta_fraction must be in [0, 1]")
-        if self.pose_jump_m <= 0:
-            raise ValueError("pose_jump_m must be positive")
+#: Measured-pose displacement per step (metres) above which the session
+#: invalidates an agent's state: a GPS glitch or teleport, not
+#: frame-to-frame motion.
+POSE_JUMP_M = 5.0
 
 
 class TemporalState:
-    """Per-agent frame-delta state threaded through scan → voxel → detect.
+    """Per-agent frame-delta state threaded through scan → detect.
 
     One instance belongs to one (agent, detector) stream of frames; the
     session keeps one per agent and hands it to ``observe`` and
@@ -94,34 +60,18 @@ class TemporalState:
     moment changes nothing but speed.
     """
 
-    def __init__(self, config: TemporalConfig | None = None) -> None:
-        self.config = config or TemporalConfig()
-        self.scan = ScanGeometryCache(maxsize=self.config.scan_cache_entries)
-        self.voxel = VoxelDeltaCache()
-        self._rulebooks: dict[tuple, object] = {}
+    def __init__(self) -> None:
+        self.scan = ScanGeometryCache(maxsize=SCAN_CACHE_ENTRIES)
         self._detect_data: np.ndarray | None = None
         self._detect_result: list | None = None
         self.detect_hits = 0
         self.detect_misses = 0
         self.invalidations: dict[str, int] = {}
 
-    # -- rulebook handoff --------------------------------------------------
-    def previous_rulebook(self, kernel_size: int, grid_shape: tuple):
-        """The last stored rulebook for this (kernel, grid), if any."""
-        if not self.config.rulebook_delta:
-            return None
-        return self._rulebooks.get((kernel_size, grid_shape))
-
-    def store_rulebook(
-        self, kernel_size: int, grid_shape: tuple, rulebook
-    ) -> None:
-        """Remember this frame's rulebook as the next frame's patch base."""
-        self._rulebooks[(kernel_size, grid_shape)] = rulebook
-
     # -- detect memo -------------------------------------------------------
     def detect_recall(self, cloud) -> list | None:
         """The previous frame's detections iff ``cloud`` recurs bit-exactly."""
-        if not self.config.detect_memo or self._detect_result is None:
+        if self._detect_result is None:
             return None
         data = cloud.data
         prev = self._detect_data
@@ -137,8 +87,6 @@ class TemporalState:
 
     def detect_store(self, cloud, detections: list) -> None:
         """Install this frame's (cloud, post-NMS detections) as the memo."""
-        if not self.config.detect_memo:
-            return
         self._detect_data = cloud.data
         self._detect_result = list(detections)
 
@@ -156,8 +104,6 @@ class TemporalState:
             raise ValueError("scope must be 'all' or 'fuse'")
         if scope == "all":
             self.scan.clear()
-        self.voxel.clear()
-        self._rulebooks.clear()
         self._detect_data = None
         self._detect_result = None
         self.invalidations[reason] = self.invalidations.get(reason, 0) + 1
@@ -167,7 +113,8 @@ class TemporalState:
         """Counter snapshot across every cache surface (for benchmarks)."""
         return {
             "scan": self.scan.stats(),
-            "voxel": self.voxel.stats(),
+            # Constant zeros: perfbench/run.py still reads this block.
+            "voxel": {"hits": 0, "rescatters": 0, "patched": 0, "misses": 0},
             "detect": {"hits": self.detect_hits, "misses": self.detect_misses},
             "invalidations": dict(self.invalidations),
         }

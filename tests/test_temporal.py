@@ -1,8 +1,8 @@
 """Tests for the frame-delta (temporal) inference layer.
 
 The contract under test everywhere: warm-path outputs are bit-identical
-to cold-path outputs — scans, voxel grids, rulebooks, detections and
-whole session logs, clean or under chaos, at any worker count.
+to cold-path outputs — scans, detections and whole session logs, clean
+or under chaos, at any worker count.
 """
 
 import numpy as np
@@ -12,23 +12,24 @@ from repro.detection.nn.sparse import (
     RULEBOOK_CACHE,
     SparseTensor3d,
     SubmanifoldConv3d,
-    patch_rulebook,
 )
 from repro.detection.spod import SPOD
 from repro.faults import FaultPlan
-from repro.geometry.boxes import Box3D
-from repro.geometry.transforms import Pose
+from repro.fusion.agent import CooperAgent, CooperSession
+from repro.fusion.cooper import Cooper
+from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.pointcloud.cloud import PointCloud
-from repro.pointcloud.voxel import VoxelDeltaCache, VoxelGridSpec, voxelize
+from repro.scenario import FAMILIES, compile_scenario, scenario_seed
 from repro.scene.layouts import parking_lot
-from repro.scene.objects import Actor
+from repro.scene.trajectories import StationaryTrajectory
 from repro.sensors.lidar import (
     BeamPattern,
     LidarModel,
     ScanGeometryCache,
     _ray_direction_table,
 )
-from repro.temporal import TemporalConfig, TemporalState
+from repro.sensors.rig import SensorRig
+from repro.temporal import TemporalState
 from tests.test_runtime import _canonical_logs, _toy_session
 
 
@@ -126,129 +127,6 @@ class TestScanGeometryCache:
         assert _ray_direction_table(a) is not _ray_direction_table(c)
 
 
-SPEC = VoxelGridSpec(
-    point_range=(0.0, -4.0, -1.0, 8.0, 4.0, 1.0),
-    voxel_size=(1.0, 1.0, 1.0),
-    max_points_per_voxel=4,
-)
-
-
-def _random_cloud(rng, n=400):
-    xyz = rng.uniform([-1.0, -5.0, -1.5], [9.0, 5.0, 1.5], size=(n, 3))
-    refl = rng.uniform(0.0, 1.0, size=(n, 1))
-    return PointCloud(np.hstack([xyz, refl]).astype(np.float32))
-
-
-def _grids_equal(a, b):
-    return (
-        np.array_equal(a.coords, b.coords)
-        and np.array_equal(a.counts, b.counts)
-        and a.points.dtype == b.points.dtype
-        and np.array_equal(a.points, b.points)
-    )
-
-
-class TestVoxelDeltaCache:
-    def test_identical_frame_hit(self):
-        rng = np.random.default_rng(0)
-        cloud = _random_cloud(rng)
-        cache = VoxelDeltaCache()
-        first = voxelize(cloud, SPEC, seed=5, cache=cache)
-        again = voxelize(cloud, SPEC, seed=5, cache=cache)
-        assert again is first
-        assert cache.stats() == {
-            "hits": 1,
-            "rescatters": 0,
-            "patched": 0,
-            "misses": 1,
-        }
-
-    def test_value_jitter_rescatters_bit_identical(self):
-        rng = np.random.default_rng(1)
-        cloud = _random_cloud(rng)
-        jittered = cloud.data.copy()
-        # Reflectance-only change: every point keeps its voxel assignment.
-        jittered[::7, 3] = rng.uniform(0.0, 1.0, size=len(jittered[::7]))
-        jittered_cloud = PointCloud(jittered)
-
-        cache = VoxelDeltaCache()
-        voxelize(cloud, SPEC, seed=5, cache=cache)
-        warm = voxelize(jittered_cloud, SPEC, seed=5, cache=cache)
-        cold = voxelize(jittered_cloud, SPEC, seed=5)
-        assert _grids_equal(cold, warm)
-        assert cache.rescatters == 1
-
-    def test_prefix_delta_bit_identical(self):
-        rng = np.random.default_rng(2)
-        cloud = _random_cloud(rng, n=500)
-        cache = VoxelDeltaCache()
-        voxelize(cloud, SPEC, seed=5, cache=cache)
-        for keep in (450, 400, 500):
-            sub = PointCloud(cloud.data[:keep].copy())
-            warm = voxelize(sub, SPEC, seed=5, cache=cache)
-            cold = voxelize(sub, SPEC, seed=5)
-            assert _grids_equal(cold, warm)
-        assert cache.patched >= 2
-
-    def test_prefix_grows_bit_identical(self):
-        rng = np.random.default_rng(3)
-        cloud = _random_cloud(rng, n=400)
-        extra = _random_cloud(rng, n=60)
-        grown = PointCloud(np.vstack([cloud.data, extra.data]))
-        cache = VoxelDeltaCache()
-        voxelize(cloud, SPEC, seed=5, cache=cache)
-        warm = voxelize(grown, SPEC, seed=5, cache=cache)
-        cold = voxelize(grown, SPEC, seed=5)
-        assert _grids_equal(cold, warm)
-        assert cache.patched == 1
-
-    def test_large_delta_falls_back_to_cold(self):
-        rng = np.random.default_rng(4)
-        a = _random_cloud(rng, n=400)
-        b = _random_cloud(rng, n=400)
-        cache = VoxelDeltaCache()
-        voxelize(a, SPEC, seed=5, cache=cache)
-        warm = voxelize(b, SPEC, seed=5, cache=cache)
-        cold = voxelize(b, SPEC, seed=5)
-        assert _grids_equal(cold, warm)
-        assert cache.misses == 2
-
-    def test_spec_or_seed_change_misses(self):
-        rng = np.random.default_rng(5)
-        cloud = _random_cloud(rng)
-        cache = VoxelDeltaCache()
-        voxelize(cloud, SPEC, seed=5, cache=cache)
-        voxelize(cloud, SPEC, seed=6, cache=cache)
-        assert cache.hits == 0
-        assert cache.misses == 2
-
-    def test_overflow_sampling_is_per_voxel_independent(self):
-        # The per-voxel RNG streams are what make local delta updates
-        # legal: removing points that land in one voxel must not change
-        # which points another (untouched) overflowing voxel keeps.
-        rng = np.random.default_rng(6)
-        cluster_a = np.hstack(
-            [
-                rng.uniform([0.1, 0.1, -0.9], [0.9, 0.9, -0.1], size=(12, 3)),
-                rng.uniform(0.0, 1.0, size=(12, 1)),
-            ]
-        ).astype(np.float32)
-        cluster_b = np.hstack(
-            [
-                rng.uniform([5.1, 2.1, 0.1], [5.9, 2.9, 0.9], size=(12, 3)),
-                rng.uniform(0.0, 1.0, size=(12, 1)),
-            ]
-        ).astype(np.float32)
-        both = voxelize(
-            PointCloud(np.vstack([cluster_a, cluster_b])), SPEC, seed=9
-        )
-        only_a = voxelize(PointCloud(cluster_a), SPEC, seed=9)
-        coord_a = tuple(only_a.coords[0])
-        row_both = both.voxel_at(coord_a)
-        row_only = only_a.voxel_at(coord_a)
-        assert np.array_equal(both.points[row_both], only_a.points[row_only])
-
-
 def _site_tensor(linear_sites, grid=(12, 12, 6), channels=3, seed=0):
     rng = np.random.default_rng(seed)
     nx, ny, nz = grid
@@ -260,97 +138,6 @@ def _site_tensor(linear_sites, grid=(12, 12, 6), channels=3, seed=0):
     return SparseTensor3d(coords, features, grid)
 
 
-def _pairs_equal(a, b):
-    if len(a.pairs) != len(b.pairs):
-        return False
-    for (ka, ia, oa), (kb, ib, ob) in zip(a.pairs, b.pairs):
-        if ka != kb or not np.array_equal(ia, ib) or not np.array_equal(oa, ob):
-            return False
-    return True
-
-
-class TestPatchRulebook:
-    def _fresh(self, tensor, kernel_size=3):
-        conv = SubmanifoldConv3d(3, 3, kernel_size=kernel_size, seed=0)
-        RULEBOOK_CACHE.enabled = False
-        try:
-            return conv.build_rulebook(tensor)
-        finally:
-            RULEBOOK_CACHE.enabled = True
-
-    def test_patched_equals_fresh_over_random_churn(self):
-        rng = np.random.default_rng(11)
-        grid = (12, 12, 6)
-        universe = grid[0] * grid[1] * grid[2]
-        sites = set(rng.choice(universe, size=120, replace=False).tolist())
-        prev_rb = self._fresh(_site_tensor(sites, grid))
-        for round_idx in range(6):
-            removed = set(
-                rng.choice(sorted(sites), size=10, replace=False).tolist()
-            )
-            added = set(
-                rng.choice(
-                    sorted(set(range(universe)) - sites), size=10, replace=False
-                ).tolist()
-            )
-            sites = (sites - removed) | added
-            tensor = _site_tensor(sites, grid, seed=round_idx)
-            fresh = self._fresh(tensor)
-            patched = patch_rulebook(prev_rb, tensor, 3)
-            assert patched is not None
-            assert _pairs_equal(fresh, patched)
-            assert np.array_equal(fresh.linear, patched.linear)
-            assert np.array_equal(fresh.out_coords, patched.out_coords)
-            prev_rb = patched
-
-    def test_forward_with_patched_rulebook_bit_identical(self):
-        rng = np.random.default_rng(12)
-        grid = (10, 10, 4)
-        universe = grid[0] * grid[1] * grid[2]
-        prev_sites = set(rng.choice(universe, size=60, replace=False).tolist())
-        next_sites = set(list(prev_sites)[:-5]) | set(
-            rng.choice(
-                sorted(set(range(universe)) - prev_sites), size=5, replace=False
-            ).tolist()
-        )
-        prev_rb = self._fresh(_site_tensor(prev_sites, grid))
-        tensor = _site_tensor(next_sites, grid, seed=99)
-        conv = SubmanifoldConv3d(3, 4, seed=1)
-        fresh_out = conv(tensor, rulebook=self._fresh(tensor))
-        patched_out = conv(tensor, rulebook=patch_rulebook(prev_rb, tensor, 3))
-        assert np.array_equal(fresh_out.features, patched_out.features)
-
-    def test_large_delta_declined(self):
-        rng = np.random.default_rng(13)
-        grid = (12, 12, 6)
-        universe = grid[0] * grid[1] * grid[2]
-        a = set(rng.choice(universe, size=100, replace=False).tolist())
-        b = set(rng.choice(universe, size=100, replace=False).tolist())
-        prev_rb = self._fresh(_site_tensor(a, grid))
-        assert patch_rulebook(prev_rb, _site_tensor(b, grid), 3, 0.1) is None
-
-    def test_grid_mismatch_declined(self):
-        prev_rb = self._fresh(_site_tensor({1, 2, 3}, (12, 12, 6)))
-        tensor = _site_tensor({1, 2, 3}, (10, 10, 4))
-        assert patch_rulebook(prev_rb, tensor, 3) is None
-
-    def test_build_rulebook_uses_temporal_patch(self):
-        state = TemporalState()
-        rng = np.random.default_rng(14)
-        grid = (12, 12, 6)
-        universe = grid[0] * grid[1] * grid[2]
-        sites = set(rng.choice(universe, size=80, replace=False).tolist())
-        conv = SubmanifoldConv3d(3, 3, seed=0)
-        conv.build_rulebook(_site_tensor(sites, grid), temporal=state)
-        assert state.previous_rulebook(3, grid) is not None
-        sites = set(list(sites)[:-4])
-        before = RULEBOOK_CACHE.patched
-        rb = conv.build_rulebook(_site_tensor(sites, grid), temporal=state)
-        assert RULEBOOK_CACHE.patched == before + 1
-        fresh = self._fresh(_site_tensor(sites, grid))
-        assert _pairs_equal(fresh, rb)
-
-
 class TestRulebookCacheApi:
     def test_clear_resets_entries_and_stats(self):
         t = _site_tensor({1, 5, 9}, (6, 6, 4))
@@ -360,12 +147,7 @@ class TestRulebookCacheApi:
         assert RULEBOOK_CACHE.hits >= 1 and len(RULEBOOK_CACHE) >= 1
         RULEBOOK_CACHE.clear()
         assert len(RULEBOOK_CACHE) == 0
-        assert (
-            RULEBOOK_CACHE.hits
-            == RULEBOOK_CACHE.misses
-            == RULEBOOK_CACHE.patched
-            == 0
-        )
+        assert RULEBOOK_CACHE.hits == RULEBOOK_CACHE.misses == 0
 
     def test_reset_stats_keeps_entries(self):
         t = _site_tensor({1, 5, 9}, (6, 6, 4))
@@ -379,14 +161,6 @@ class TestRulebookCacheApi:
 
 
 class TestTemporalState:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TemporalConfig(scan_cache_entries=0)
-        with pytest.raises(ValueError):
-            TemporalConfig(max_rulebook_delta_fraction=1.5)
-        with pytest.raises(ValueError):
-            TemporalConfig(pose_jump_m=0.0)
-
     def test_detect_memo_recall_and_store(self):
         state = TemporalState()
         cloud = PointCloud(
@@ -407,11 +181,15 @@ class TestTemporalState:
             np.array([[1.0, 2.0, 0.5, 0.3]], dtype=np.float32)
         )
         state.detect_store(cloud, ["sentinel"])
-        state.store_rulebook(3, (4, 4, 4), object())
+        layout = parking_lot(seed=7, rows=2, cols=3, occupancy=0.9)
+        lidar = LidarModel(pattern=PATTERN)
+        lidar.scan(layout.world, layout.viewpoint("car1"), seed=0, cache=state.scan)
         state.invalidate("stale_fallback", scope="fuse")
         assert state.detect_recall(cloud) is None
-        assert state.previous_rulebook(3, (4, 4, 4)) is None
-        assert state.invalidations == {"stale_fallback": 1}
+        assert len(state.scan) == 1
+        state.invalidate("lidar_blackout", scope="all")
+        assert len(state.scan) == 0
+        assert state.invalidations == {"stale_fallback": 1, "lidar_blackout": 1}
         with pytest.raises(ValueError):
             state.invalidate("bogus", scope="partial")
 
@@ -446,7 +224,52 @@ def _run_session(temporal, workers, faults_spec=None, seconds=4.0):
     return session, _canonical_logs(logs)
 
 
+def _family_session(family_name, index):
+    """A stationary session on one compiled scenario, each observer on its
+    own sampled rig."""
+    compiled = compile_scenario(
+        FAMILIES[family_name], scenario_seed(0, family_name, index)
+    )
+    cooper = Cooper(detector=SPOD.pretrained())
+    agents = [
+        CooperAgent(
+            name=name,
+            rig=SensorRig(lidar=LidarModel(pattern=compiled.rigs[name]), name=name),
+            trajectory=StationaryTrajectory(pose),
+            policy=RoiPolicy(category=RoiCategory.FULL_FRAME),
+            cooper=cooper,
+        )
+        for name, pose in compiled.viewpoints.items()
+    ]
+    return CooperSession(world=compiled.world, agents=agents)
+
+
+# One seeded scenario per family; highway_merge index 0 detects nothing,
+# so its index 1 stands in.
+FAMILY_INDICES = {
+    "roundabout": 0,
+    "highway_merge": 1,
+    "occluded_pedestrian": 0,
+    "convoy": 0,
+    "mixed_fleet_intersection": 0,
+}
+
+
 class TestSessionWarmPath:
+    @pytest.mark.parametrize("family_name", sorted(FAMILY_INDICES))
+    def test_family_session_warm_equals_cold(self, family_name):
+        assert set(FAMILY_INDICES) == set(FAMILIES)
+        logs = {}
+        for temporal in (False, True):
+            session = _family_session(family_name, FAMILY_INDICES[family_name])
+            session.temporal = temporal
+            logs[temporal] = session.run(duration_seconds=3.0, seed=0, workers=1)
+        assert _canonical_logs(logs[False]) == _canonical_logs(logs[True])
+        assert any(s.detections for steps in logs[True].values() for s in steps)
+        # Stationary observers: steps 2 and 3 reuse step 1's scan geometry.
+        for state in session.temporal_states().values():
+            assert state.scan.hits == 2
+
     def test_clean_session_warm_equals_cold(self):
         _, cold = _run_session(False, 1)
         warm_session, warm = _run_session(True, 1)

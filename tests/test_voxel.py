@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pointcloud.cloud import PointCloud
-from repro.pointcloud.voxel import VoxelGrid, VoxelGridSpec, voxelize
+from repro.pointcloud.voxel import VoxelGridSpec, voxelize
 
 SPEC = VoxelGridSpec(
     point_range=(0.0, -4.0, -1.0, 8.0, 4.0, 1.0),
@@ -105,15 +105,37 @@ class TestVoxelize:
             grid.points[0, :4, 3], [p[3] for p in points]
         )
 
+    def test_overflow_sampling_is_per_voxel_independent(self):
+        # Each overflowing voxel draws from its own seeded RNG stream:
+        # adding points that land in another voxel must not change which
+        # points either voxel keeps.
+        rng = np.random.default_rng(6)
+        cluster_a = np.hstack(
+            [
+                rng.uniform([0.1, 0.1, -0.9], [0.9, 0.9, -0.1], size=(12, 3)),
+                rng.uniform(0.0, 1.0, size=(12, 1)),
+            ]
+        ).astype(np.float32)
+        cluster_b = np.hstack(
+            [
+                rng.uniform([5.1, 2.1, 0.1], [5.9, 2.9, 0.9], size=(12, 3)),
+                rng.uniform(0.0, 1.0, size=(12, 1)),
+            ]
+        ).astype(np.float32)
+        both = voxelize(
+            PointCloud(np.vstack([cluster_a, cluster_b])), SPEC, seed=9
+        )
+        for cluster in (cluster_a, cluster_b):
+            alone = voxelize(PointCloud(cluster), SPEC, seed=9)
+            assert alone.num_voxels == 1 and alone.counts[0] == 5
+            row = np.flatnonzero((both.coords == alone.coords[0]).all(axis=1))
+            assert len(row) == 1
+            np.testing.assert_array_equal(both.points[row[0]], alone.points[0])
+
     def test_empty_cloud(self):
         grid = voxelize(PointCloud.empty(), SPEC)
         assert grid.num_voxels == 0
         assert grid.coords.shape == (0, 3)
-
-    def test_voxel_at_lookup(self):
-        grid = voxelize(cloud_of([0.5, -3.5, -0.5, 0]), SPEC)
-        assert grid.voxel_at((0, 0, 0)) == 0
-        assert grid.voxel_at((5, 5, 1)) is None
 
     def test_occupancy_bev(self):
         grid = voxelize(
@@ -133,10 +155,6 @@ class TestVoxelize:
         b = voxelize(PointCloud(points), SPEC)
         np.testing.assert_array_equal(a.coords, b.coords)
         np.testing.assert_array_equal(a.points, b.points)
-
-    def test_from_cloud_alias(self):
-        grid = VoxelGrid.from_cloud(cloud_of([0.5, -3.5, -0.5, 0]), SPEC)
-        assert grid.num_voxels == 1
 
     def test_boundary_point_on_upper_edge_excluded(self):
         grid = voxelize(cloud_of([8.0, 0.0, 0.0, 0.0]), SPEC)
