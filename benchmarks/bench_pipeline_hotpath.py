@@ -74,6 +74,11 @@ EXPECTED_STAGES = (
     "spod.middle",
     "spod.rpn",
     "spod.decode",
+    "spod.decode.cells",
+    "spod.decode.index",
+    "spod.decode.refine",
+    "spod.decode.calibrate",
+    "spod.decode.suppress",
     "spod.nms",
     "cooper.detect",
     "session.step",

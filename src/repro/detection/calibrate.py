@@ -34,6 +34,13 @@ __all__ = ["ConfidenceCalibrator", "CalibratorWeights", "BoxEvidence"]
 #: No real car carries LiDAR mass this far above the ground.
 CAR_MAX_HEIGHT = 2.0
 
+#: Padding (m) of the box footprint that every evidence term reads.
+FOOTPRINT_PAD = 0.1
+
+#: Widening (m) of the footprint's circumradius in the neighbour lookup, far
+#: above float64 rounding in the footprint test.
+LOOKUP_SLACK = 1e-3
+
 #: Grid cell size for structural clustering.  With 8-connected labelling,
 #: sub-cell gaps merge (one physical object) while the >1 m spaces between
 #: parked cars stay separate.
@@ -57,13 +64,10 @@ class CalibratorWeights:
     bias: float = 2.5
     count_cap: int = 500
     coverage_bins: int = 8
-    neighborhood_radius: float = 5.0
 
     def __post_init__(self) -> None:
         if self.coverage_bins < 1:
             raise ValueError("coverage_bins must be positive")
-        if self.neighborhood_radius <= 0:
-            raise ValueError("neighborhood_radius must be positive")
 
 
 @dataclass
@@ -106,10 +110,7 @@ class ConfidenceCalibrator:
         if self._tree is None:
             return BoxEvidence(0, 0.0, 0, 0.0)
         w = self.weights
-        neighbor_indices = np.asarray(
-            self._tree.query_ball_point(box.center[:2], w.neighborhood_radius),
-            dtype=int,
-        )
+        neighbor_indices = self._footprint_neighbors(box)
         neighborhood = self.points[neighbor_indices]
         if len(neighborhood) == 0:
             return BoxEvidence(0, 0.0, 0, 0.0)
@@ -122,8 +123,8 @@ class ConfidenceCalibrator:
         cos_y, sin_y = np.cos(-box.yaw), np.sin(-box.yaw)
         u = rel[:, 0] * cos_y - rel[:, 1] * sin_y
         v = rel[:, 0] * sin_y + rel[:, 1] * cos_y
-        in_footprint = (np.abs(u) <= box.length / 2 + 0.1) & (
-            np.abs(v) <= box.width / 2 + 0.1
+        in_footprint = (np.abs(u) <= box.length / 2 + FOOTPRINT_PAD) & (
+            np.abs(v) <= box.width / 2 + FOOTPRINT_PAD
         )
         dz = neighborhood[:, 2] - box.center[2]
         in_column = in_footprint & (
@@ -146,6 +147,21 @@ class ConfidenceCalibrator:
         coverage = occupied / w.coverage_bins
         return BoxEvidence(
             int(len(box_points)), float(coverage), tall_count, overrun
+        )
+
+    def _footprint_neighbors(self, box: Box3D) -> np.ndarray:
+        """Indices of a superset of the points over ``box``'s padded footprint.
+
+        Every evidence term reads only points inside the footprint padded
+        by ``FOOTPRINT_PAD``, so the disk through its corners, widened by
+        ``LOOKUP_SLACK``, yields the same evidence as the whole cloud.
+        """
+        radius = float(
+            np.hypot(box.length / 2 + FOOTPRINT_PAD, box.width / 2 + FOOTPRINT_PAD)
+        )
+        return np.asarray(
+            self._tree.query_ball_point(box.center[:2], radius + LOOKUP_SLACK),
+            dtype=int,
         )
 
     def _contiguous_overrun(

@@ -50,8 +50,15 @@ class RefinementSpec:
     Attributes:
         gather_radius: BEV radius (m) of points considered around a proposal.
         seed_radius: radius locating the cluster(s) under the proposal.
+        multi_class: pick the box template per cluster shape
+            (:func:`~repro.detection.classes.classify_cluster`); when False
+            every fit uses ``template_size``.
+        meanshift_radius: BEV radius (m) of each mean-shift round that
+            moves a proposal onto its local density mode.
+        meanshift_iterations: maximum number of mean-shift rounds.
         min_points: proposals with fewer local points are dropped.
-        template_size: (l, w, h) of the fitted box (mean car).
+        template_size: (l, w, h) of the fitted box (mean car) when
+            ``multi_class`` is off.
     """
 
     gather_radius: float = 2.4
@@ -66,8 +73,9 @@ class RefinementSpec:
 class BoxRefiner:
     """Fits car-template boxes to local obstacle points.
 
-    Build once per cloud (it indexes the points in a KD-tree and labels
-    structural clusters), then call :meth:`refine` per proposal.
+    Build once per cloud (it indexes the points in a KD-tree, labels
+    structural clusters and sorts the ground returns by x), then call
+    :meth:`refine` per proposal.
     """
 
     def __init__(
@@ -75,7 +83,7 @@ class BoxRefiner:
         obstacle_xyz: np.ndarray,
         ground_z: float,
         spec: RefinementSpec | None = None,
-        ground_xyz: np.ndarray | None = None,
+        ground_xy: np.ndarray | None = None,
     ) -> None:
         from repro.detection.calibrate import _label_clusters
 
@@ -84,13 +92,15 @@ class BoxRefiner:
         self.ground_z = float(ground_z)
         # Ground returns disambiguate partial views: the ground beneath a
         # real vehicle is shadowed, so of two candidate box placements the
-        # one covering fewer ground returns is the physical one.
-        if ground_xyz is not None and len(ground_xyz):
-            self._ground_tree = cKDTree(
-                np.asarray(ground_xyz, dtype=float)[:, :2]
-            )
-        else:
-            self._ground_tree = None
+        # one covering fewer ground returns is the physical one.  A cloud
+        # has ~50 such lookups against up to ~80k ground returns, so one
+        # sort by x (a lookup is then an x-slab) beats building a KD-tree.
+        self._ground_x = self._ground_y = None
+        if ground_xy is not None and len(ground_xy):
+            ground_xy = np.asarray(ground_xy, dtype=float).reshape(-1, 2)
+            order = np.argsort(ground_xy[:, 0])
+            self._ground_x = ground_xy[:, 0].take(order)
+            self._ground_y = ground_xy[:, 1].take(order)
         # Cars live below ~2.3 m above ground; taller returns (walls, trees)
         # must not drag the fit.
         car_band = self.points[:, 2] <= self.ground_z + 2.3
@@ -228,7 +238,7 @@ class BoxRefiner:
             (yaw, _l_shape_centers(local_xy, yaw, length, width, centroid=centroid))
             for yaw in (base_yaw, base_yaw + np.pi / 2.0)
         ]
-        ground = self._ground_neighborhood(centroid, yaw_candidates, length, width)
+        ground = self._ground_neighborhood(yaw_candidates, length, width)
         best: tuple[float, float, float, Box3D] | None = None
         for yaw, candidates in yaw_candidates:
             boxes = [
@@ -268,49 +278,49 @@ class BoxRefiner:
 
     def _ground_neighborhood(
         self,
-        centroid: np.ndarray,
         yaw_candidates: list,
         length: float,
         width: float,
-    ) -> np.ndarray | None:
-        """Ground returns covering every candidate footprint of one fit.
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Ground returns ``(x, y)`` covering every candidate footprint of one fit.
 
-        One KD-tree lookup on a disk that provably contains all candidate
-        boxes (each centre's offset from the centroid plus the footprint
-        circumradius) replaces a per-box query; the footprint membership
-        test then runs on this superset with identical results.
+        Returns the ground inside the axis-aligned rectangle that holds
+        each candidate centre's footprint circumcircle: a superset of
+        every footprint, so :func:`_ground_points_under` counts exactly
+        what it would over the whole ground set.  The rectangle's x-range
+        is a slice of the sorted ground; its y-range filters that slab.
         """
-        if self._ground_tree is None:
+        if self._ground_x is None:
             return None
-        circumradius = float(np.hypot(length, width)) / 2.0
-        radius = 0.0
-        for _yaw, candidates in yaw_candidates:
-            for c in candidates:
-                offset = float(np.hypot(c[0] - centroid[0], c[1] - centroid[1]))
-                radius = max(radius, offset + circumradius)
-        idx = self._ground_tree.query_ball_point(
-            (float(centroid[0]), float(centroid[1])), radius
-        )
-        if not idx:
-            return None
-        return self._ground_tree.data[idx]
+        reach = float(np.hypot(length, width)) / 2.0
+        xs = [float(c[0]) for _yaw, candidates in yaw_candidates for c in candidates]
+        ys = [float(c[1]) for _yaw, candidates in yaw_candidates for c in candidates]
+        lo = int(np.searchsorted(self._ground_x, min(xs) - reach, side="left"))
+        hi = int(np.searchsorted(self._ground_x, max(xs) + reach, side="right"))
+        x = self._ground_x[lo:hi]
+        y = self._ground_y[lo:hi]
+        keep = (y >= min(ys) - reach) & (y <= max(ys) + reach)
+        return x[keep], y[keep]
 
 
-def _ground_points_under(ground: np.ndarray | None, box: Box3D) -> int:
+def _ground_points_under(
+    ground: tuple[np.ndarray, np.ndarray] | None, box: Box3D
+) -> int:
     """Ground returns inside the box footprint.
 
-    ``ground`` must be a superset of the footprint's ground returns (see
-    :meth:`BoxRefiner._ground_neighborhood`); None means no ground data.
-    Interior only (negative margin): returns hugging the box *edges* are
-    object-face points grazing the ground band, not open ground.  The test
-    is purely planar — the z comparison is vacuous for ground returns —
-    so only the footprint rotation is computed.
+    ``ground`` holds the x and y of a superset of the footprint's ground
+    returns (see :meth:`BoxRefiner._ground_neighborhood`); None means no
+    ground data.  Interior only (negative margin): returns hugging the box
+    *edges* are object-face points grazing the ground band, not open
+    ground.  The test is purely planar — the z comparison is vacuous for
+    ground returns — so only the footprint rotation is computed.
     """
     if ground is None:
         return 0
+    ground_x, ground_y = ground
     cx, cy = float(box.center[0]), float(box.center[1])
-    rx = ground[:, 0] - cx
-    ry = ground[:, 1] - cy
+    rx = ground_x - cx
+    ry = ground_y - cy
     cos_y, sin_y = np.cos(-box.yaw), np.sin(-box.yaw)
     u = rx * cos_y - ry * sin_y
     v = rx * sin_y + ry * cos_y
@@ -348,10 +358,16 @@ def _l_shape_centers(
 ) -> list[np.ndarray]:
     """Candidate box centres for a partial view: both slide directions.
 
-    The first candidate follows the receiver-as-sensor assumption of
-    :func:`_l_shape_center`; the second slides the unseen half the opposite
-    way (correct when the points came from a cooperator on the far side).
-    Identical candidates (full views, no deficit) are deduplicated.
+    A LiDAR sees only the faces turned towards it, so the raw centroid sits
+    *on* those faces rather than at the vehicle centre.  In the box's yaw
+    frame, wherever the observed extent along an axis falls short of the
+    template dimension, the centre moves by half the shortfall.  The first
+    candidate moves away from the sensor at the frame origin (the
+    receiver-as-sensor assumption), scaled by the sensor direction's unit
+    component so that a face-on view does not flip a half-car shift.  The
+    second moves the opposite way (correct when the points came from a
+    cooperator on the far side).  Identical candidates (full views, no
+    deficit) are deduplicated.
 
     Both candidates share every intermediate (centroid, yaw frame,
     observed extents); only the final slide direction differs.  The maths
@@ -394,58 +410,3 @@ def _l_shape_centers(
     if abs(px - mx) <= 1e-9 + 1e-5 * abs(mx) and abs(py - my) <= 1e-9 + 1e-5 * abs(my):
         return [np.array([px, py])]
     return [np.array([px, py]), np.array([mx, my])]
-
-
-def _l_shape_center(
-    xy: np.ndarray, yaw: float, length: float, width: float, flip: bool = False
-) -> np.ndarray:
-    """Estimate the box centre from partially observed faces.
-
-    A LiDAR sees only the faces turned towards it, so the raw centroid sits
-    *on* those faces rather than at the vehicle centre.  Classic L-shape
-    reasoning fixes this: in the box's yaw frame, wherever the observed
-    extent along an axis falls short of the template dimension, the box is
-    slid away from the sensor (the unseen half is on the far side).
-    """
-    centroid = xy.mean(axis=0)
-    cos_y, sin_y = np.cos(yaw), np.sin(yaw)
-    axes = np.array([[cos_y, sin_y], [-sin_y, cos_y]])  # rows: u, v
-    uv = (xy - centroid) @ axes.T
-    sensor_uv = (np.zeros(2) - centroid) @ axes.T  # sensor at the frame origin
-    norm = float(np.linalg.norm(sensor_uv))
-    # Continuous shift direction: the unseen half lies opposite the sensor.
-    # Scaling by the unit component (rather than its sign) keeps face-on
-    # views stable — a near-zero component must not flip a half-car shift.
-    sensor_unit = sensor_uv / norm if norm > 1e-9 else np.zeros(2)
-    if flip:
-        sensor_unit = -sensor_unit
-    center_uv = np.zeros(2)
-    for axis, dim in ((0, length), (1, width)):
-        lo, hi = float(uv[:, axis].min()), float(uv[:, axis].max())
-        observed_mid = (lo + hi) / 2.0
-        deficit = max(0.0, (dim - (hi - lo)) / 2.0)
-        center_uv[axis] = observed_mid - deficit * sensor_unit[axis]
-    return centroid + center_uv @ axes
-
-
-def _planar_extents(xy: np.ndarray) -> tuple[float, float]:
-    """(major, minor) extents of a 2D point set along its principal axes."""
-    if len(xy) < 2:
-        return 0.0, 0.0
-    centered = xy - xy.mean(axis=0)
-    cov = centered.T @ centered / len(xy)
-    _evals, evecs = np.linalg.eigh(cov)
-    projected = centered @ evecs
-    spans = projected.max(axis=0) - projected.min(axis=0)
-    return float(spans[1]), float(spans[0])
-
-
-def _principal_yaw(xy: np.ndarray) -> float:
-    """Yaw of the principal axis of a 2D point set (0 when degenerate)."""
-    if len(xy) < 3:
-        return 0.0
-    centered = xy - xy.mean(axis=0)
-    cov = centered.T @ centered / len(xy)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    major = eigenvectors[:, int(np.argmax(eigenvalues))]
-    return float(np.arctan2(major[1], major[0]))

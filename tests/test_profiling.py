@@ -146,6 +146,12 @@ class TestPipelineTimingSanity:
         assert 0.0 < inner <= envelope
         # The split accounts for most of the envelope, not a sliver of it.
         assert inner >= 0.5 * envelope
+        decode_parts = sum(
+            profiled.total_seconds(f"spod.decode.{name}")
+            for name in ("cells", "index", "refine", "calibrate", "suppress")
+        )
+        assert 0.0 < decode_parts <= profiled.total_seconds("spod.decode")
+        assert profiled.stats("spod.decode.refine").count == 1
 
     def test_disabled_profiler_untouched_by_pipeline(self, detector, simple_scan):
         PROFILER.reset()

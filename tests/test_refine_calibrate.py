@@ -3,15 +3,41 @@
 import numpy as np
 import pytest
 
+import repro.detection.spod as spod_module
 from repro.detection.calibrate import (
+    FOOTPRINT_PAD,
     BoxEvidence,
     CalibratorWeights,
     ConfidenceCalibrator,
 )
-from repro.detection.refine import BoxRefiner, RefinementSpec
+from repro.detection.classes import CAR, CYCLIST, PEDESTRIAN
+from repro.detection.refine import BoxRefiner, RefinementSpec, _ground_points_under
+from repro.fusion.align import merge_packages
 from repro.geometry.boxes import Box3D
+from repro.scenario import FAMILIES, build_case, compile_scenario, scenario_seed
+from tests.test_temporal import FAMILY_INDICES
 
 GROUND = -1.73
+
+
+class BruteForceRefiner(BoxRefiner):
+    """Reference refiner: every ground-shadow lookup sees the whole ground."""
+
+    def __init__(self, *args, ground_xy=None, **kwargs):
+        super().__init__(*args, ground_xy=ground_xy, **kwargs)
+        self._all_ground = None
+        if ground_xy is not None and len(ground_xy):
+            self._all_ground = tuple(np.asarray(ground_xy, dtype=float).T)
+
+    def _ground_neighborhood(self, yaw_candidates, length, width):
+        return self._all_ground
+
+
+class BruteForceCalibrator(ConfidenceCalibrator):
+    """Reference calibrator: every box reads evidence from all points."""
+
+    def _footprint_neighbors(self, box):
+        return np.arange(len(self.points))
 
 
 def car_surface_points(
@@ -111,10 +137,6 @@ class TestCalibratorWeights:
         with pytest.raises(ValueError):
             CalibratorWeights(coverage_bins=0)
 
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            CalibratorWeights(neighborhood_radius=0.0)
-
 
 class TestCalibrator:
     def test_score_monotone_in_points(self):
@@ -203,3 +225,147 @@ class TestCalibrator:
         a = calibrator.score_from_evidence(BoxEvidence(100, 0.5, 0, 0.0))
         b = calibrator.score_from_evidence(BoxEvidence(10_000, 0.5, 0, 0.0))
         assert a == pytest.approx(b)
+
+
+def _edge_points(center_xy, yaw, half_u, half_v, count=9):
+    """BEV points exactly on the rectangle with half extents (half_u, half_v)
+    around ``center_xy`` at ``yaw``: its four edges and corners."""
+    t = np.linspace(-1.0, 1.0, count)
+    ones = np.ones(count)
+    u = np.concatenate([half_u * ones, -half_u * ones, t * half_u, t * half_u])
+    v = np.concatenate([t * half_v, t * half_v, half_v * ones, -half_v * ones])
+    c, s = np.cos(yaw), np.sin(yaw)
+    return np.column_stack(
+        [center_xy[0] + u * c - v * s, center_xy[1] + u * s + v * c]
+    )
+
+
+TEMPLATES = (CAR, CYCLIST, PEDESTRIAN)
+
+
+class TestGroundLookup:
+    """The sorted ground index against a count over the whole ground set."""
+
+    @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
+    def test_counts_match_whole_ground_set(self, template):
+        length, width, height = template.template
+        rng = np.random.default_rng(17)
+        clutter = rng.uniform(-40.0, 40.0, size=(4000, 2))
+        interior_counted = 0
+        for yaw in np.linspace(-np.pi, np.pi, 48, endpoint=False):
+            centroid = rng.uniform(-30.0, 30.0, 2)
+            # The candidate layout of BoxRefiner._fit: the principal yaw and
+            # its perpendicular, each with one or two slid centres.
+            yaw_candidates = [
+                (yaw, [centroid + rng.uniform(-1.0, 1.0, 2) for _ in range(2)]),
+                (yaw + np.pi / 2.0, [centroid + rng.uniform(-1.0, 1.0, 2)]),
+            ]
+            boxes = [
+                Box3D(np.array([*c, GROUND + height / 2]), length, width, height, y)
+                for y, centers in yaw_candidates
+                for c in centers
+            ]
+            # Points on the interior footprint's edges (where the shadow
+            # test's margin puts them), on the full footprint's edges and
+            # scattered around the centroid.
+            ground = np.vstack(
+                [clutter, centroid + rng.normal(0.0, 2.0, size=(600, 2))]
+                + [
+                    _edge_points(
+                        b.center, b.yaw, b.length / 2 - margin, b.width / 2 - margin
+                    )
+                    for b in boxes
+                    for margin in (0.4, 0.0)
+                ]
+            )
+            refiner = BoxRefiner(np.zeros((0, 3)), GROUND, ground_xy=ground)
+            near = refiner._ground_neighborhood(yaw_candidates, length, width)
+            for box in boxes:
+                expected = _ground_points_under((ground[:, 0], ground[:, 1]), box)
+                assert _ground_points_under(near, box) == expected
+                interior_counted += expected
+        # The car footprint has an interior; the smaller templates' margin
+        # leaves none, so they never count ground.
+        assert (interior_counted > 0) == (template is CAR)
+
+    def test_empty_ground_returns_none(self):
+        refiner = BoxRefiner(
+            car_surface_points(10.0, 0.0), GROUND, ground_xy=np.zeros((0, 2))
+        )
+        assert refiner._ground_neighborhood([(0.0, [np.zeros(2)])], 4.2, 1.8) is None
+
+
+class TestCalibratorLookup:
+    """Footprint-bounded neighbour queries against evidence over all points."""
+
+    @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
+    def test_evidence_matches_all_points(self, template):
+        length, width, height = template.template
+        rng = np.random.default_rng(23)
+        scene = np.vstack(
+            [
+                car_surface_points(10.0, 0.0),
+                car_surface_points(12.0, 4.5, yaw=0.7),
+                wall_points(0.0, 8.0, 25.0, 8.0),
+                np.column_stack(
+                    [
+                        rng.uniform(0.0, 25.0, 800),
+                        rng.uniform(-5.0, 10.0, 800),
+                        rng.uniform(GROUND + 0.2, GROUND + 5.0, 800),
+                    ]
+                ),
+            ]
+        )
+        nonempty = 0
+        for yaw in np.linspace(-np.pi, np.pi, 24, endpoint=False):
+            xy = rng.uniform([5.0, -2.0], [18.0, 7.0])
+            center = np.array([*xy, GROUND + height / 2])
+            box = Box3D(center, length, width, height, yaw)
+            edges = _edge_points(
+                center, yaw, length / 2 + FOOTPRINT_PAD, width / 2 + FOOTPRINT_PAD
+            )
+            z = rng.uniform(GROUND + 0.2, GROUND + 4.0, len(edges))
+            points = np.vstack([scene, np.column_stack([edges, z])])
+            fast = ConfidenceCalibrator(points, GROUND).evidence(box)
+            brute = BruteForceCalibrator(points, GROUND).evidence(box)
+            assert fast == brute
+            nonempty += fast.num_points > 0
+        assert nonempty > 0
+
+
+def _detection_bytes(detections):
+    return [
+        (d.box.as_vector().tobytes(), np.float64(d.score).tobytes(), d.label)
+        for d in detections
+    ]
+
+
+class TestDecodeFamilySweep:
+    """Decode stays bit-identical to the brute-force lookups on one seeded
+    scenario of every ``repro.scenario`` family: each observer's own cloud
+    and the receiver's merged cloud."""
+
+    @pytest.mark.parametrize("family_name", sorted(FAMILY_INDICES))
+    def test_detect_all_matches_brute_force(
+        self, family_name, detector, monkeypatch
+    ):
+        assert set(FAMILY_INDICES) == set(FAMILIES)
+        compiled = compile_scenario(
+            FAMILIES[family_name],
+            scenario_seed(0, family_name, FAMILY_INDICES[family_name]),
+        )
+        case = build_case(compiled)
+        clouds = [case.cloud_of(name) for name in case.observer_names]
+        clouds.append(
+            merge_packages(
+                case.cloud_of(case.receiver),
+                case.packages_for_receiver(),
+                case.receiver_measured_pose(),
+            )
+        )
+        fast = [_detection_bytes(detector.detect_all(c)) for c in clouds]
+        monkeypatch.setattr(spod_module, "BoxRefiner", BruteForceRefiner)
+        monkeypatch.setattr(spod_module, "ConfidenceCalibrator", BruteForceCalibrator)
+        brute = [_detection_bytes(detector.detect_all(c)) for c in clouds]
+        assert fast == brute
+        assert any(fast)
