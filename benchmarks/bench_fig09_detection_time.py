@@ -5,39 +5,80 @@ amount over the single shot (the paper measured ~5 ms on a 1080 Ti; our
 substrate is CPU numpy, so absolute numbers differ but the relative
 overhead stays small — well under 2x, not proportional to the doubled
 point count, because the network works on voxels, not raw points).
+
+Measured the perfbench way: per case one warm-up, then alternating timed
+rounds of single and merged; the table prints medians with their
+quartiles and the environment they were measured in.
 """
 
+import os
+import pathlib
+import platform
+import subprocess
+
 import numpy as np
+import scipy
 
 from benchmarks.conftest import publish
 from repro.eval.experiments import timing_experiment
 from repro.fusion.align import merge_packages
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-def _mean_times(cases, detector, repeats=2):
-    timings = timing_experiment(cases, detector, repeats=repeats)
-    single = float(np.mean([t["single"] for t in timings.values()]))
-    cooper = float(np.mean([t["cooper"] for t in timings.values()]))
-    return single, cooper
+
+def _round_quartiles(cases, detector):
+    """(q1, median, q3) seconds over rounds of the mean over cases."""
+    timings = timing_experiment(cases, detector)
+    return {
+        kind: np.percentile(
+            np.mean([t[f"{kind}_runs"] for t in timings.values()], axis=0),
+            [25, 50, 75],
+        )
+        for kind in ("single", "cooper")
+    }
+
+
+def _environment() -> str:
+    sha = subprocess.run(
+        ["git", "describe", "--always", "--dirty"],
+        cwd=ROOT, capture_output=True, text=True,
+    ).stdout.strip()
+    return (
+        f"env: git {sha or 'unknown'}, Python {platform.python_version()}, "
+        f"numpy {np.__version__}, scipy {scipy.__version__}, "
+        f"{os.cpu_count()} cpus"
+    )
+
+
+def _row(label, quartiles) -> str:
+    single, cooper = quartiles["single"] * 1e3, quartiles["cooper"] * 1e3
+    return (
+        f"{label}: single {single[1]:7.1f} [{single[0]:.1f}, {single[2]:.1f}]"
+        f"  cooper {cooper[1]:7.1f} [{cooper[0]:.1f}, {cooper[2]:.1f}]"
+        f"  ratio {cooper[1] / single[1]:.2f}"
+    )
 
 
 def test_fig09_detection_time(
     benchmark, detector, kitti_case_list, tj_case_list, results_dir
 ):
-    kitti_single, kitti_cooper = _mean_times(kitti_case_list, detector)
-    tj_single, tj_cooper = _mean_times(tj_case_list[:4], detector)
+    kitti = _round_quartiles(kitti_case_list, detector)
+    tj = _round_quartiles(tj_case_list[:4], detector)
 
     lines = [
-        "Fig. 9 analogue — mean detection time (ms), single vs cooperative",
-        f"KITTI (64-beam): single {kitti_single*1e3:7.1f}  cooper {kitti_cooper*1e3:7.1f}",
-        f"T&J   (16-beam): single {tj_single*1e3:7.1f}  cooper {tj_cooper*1e3:7.1f}",
+        "Fig. 9 analogue — median detection time (ms), single vs cooperative",
+        "(per case 1 warm-up + 5 alternating rounds; [q1, q3] over rounds "
+        "of the mean over cases)",
+        _row("KITTI (64-beam)", kitti),
+        _row("T&J   (16-beam)", tj),
+        _environment(),
     ]
     publish(results_dir, "fig09_detection_time.txt", "\n".join(lines))
 
     # Shape: cooperative detection is at most modestly slower, never ~2x
     # the point count's worth.
-    assert kitti_cooper < kitti_single * 2.0
-    assert tj_cooper < tj_single * 2.5
+    assert kitti["cooper"][1] < kitti["single"][1] * 2.0
+    assert tj["cooper"][1] < tj["single"][1] * 2.5
 
     # Benchmark the merged-cloud detection itself on a KITTI case.
     case = kitti_case_list[0]
@@ -48,5 +89,5 @@ def test_fig09_detection_time(
     )
     benchmark.pedantic(detector.detect, args=(merged,), rounds=3, iterations=1)
     benchmark.extra_info["kitti_overhead_ms"] = round(
-        (kitti_cooper - kitti_single) * 1e3, 1
+        (kitti["cooper"][1] - kitti["single"][1]) * 1e3, 1
     )

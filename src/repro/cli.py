@@ -438,7 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     tj.add_argument("--grids", action="store_true", help="print all 15 grids")
     sub.add_parser("cdf", help="Fig. 8 improvement CDF")
     timing = sub.add_parser("timing", help="Fig. 9 detection timing")
-    timing.add_argument("--repeats", type=int, default=1)
+    timing.add_argument(
+        "--repeats", type=int, default=5,
+        help="timed rounds per case after one warm-up (at least 5)",
+    )
     sub.add_parser("drift", help="Fig. 10 GPS drift robustness")
     network = sub.add_parser("network", help="Figs. 11-12 ROI volumes")
     network.add_argument("--seconds", type=float, default=8.0)

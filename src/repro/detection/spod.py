@@ -283,63 +283,42 @@ class SPOD:
         verifies the cloud bit-for-bit, so results never differ from a
         cold run).  A changed frame runs the full pipeline.
         """
+        if temporal is None or len(cloud) == 0:
+            return self._detect_cloud(cloud)
+        cached = temporal.detect_recall(cloud)
+        if cached is not None:
+            return list(cached)
+        result = self._detect_cloud(cloud)
+        temporal.detect_store(cloud, result)
+        return result
+
+    def detect_batch(self, clouds) -> list[list[Detection]]:
+        """Detect over several clouds, one per-cloud pipeline run each.
+
+        The serving engine's dispatch call: results equal
+        :meth:`detect_all` on each cloud, in order.
+        """
+        return [self._detect_cloud(cloud) for cloud in clouds]
+
+    def _detect_cloud(self, cloud: PointCloud) -> list[Detection]:
+        """The per-cloud pipeline behind :meth:`detect_all` and
+        :meth:`detect_batch`."""
         if len(cloud) == 0:
             # A blackout frame (repro.faults) or out-of-range cloud: no
             # active voxels means no proposals; skip the network entirely.
             return []
-        if temporal is not None:
-            cached = temporal.detect_recall(cloud)
-            if cached is not None:
-                return list(cached)
         tensors = self.forward_features(cloud, inference=True)
         if tensors["grid"].num_voxels == 0:
-            result: list[Detection] = []
-        else:
-            cls_logits, reg = self.rpn_apply(tensors["bev"])
-            tensors["cls_logits"] = cls_logits
-            tensors["reg"] = reg
-            result = self._decode_and_nms(tensors)
-        if temporal is not None:
-            temporal.detect_store(cloud, result)
-        return result
-
-    def detect_batch(self, clouds) -> list[list[Detection]]:
-        """Detect over several clouds with one batched RPN pass.
-
-        Each cloud is voxelised and encoded independently (those stages are
-        shape-ragged), the BEV maps are stacked on the batch axis, and the
-        RPN conv2d stack runs once.  Decode/NMS then run per cloud.  Empty
-        or zero-voxel clouds yield ``[]`` without touching the network.
-
-        Results are a deterministic function of the input clouds alone
-        (batch composition is fixed by the caller, not by worker layout),
-        which is what the serving engine's bit-identity contract requires.
-        """
-        feats: list[dict | None] = []
-        for cloud in clouds:
-            if len(cloud) == 0:
-                feats.append(None)
-                continue
-            tensors = self.forward_features(cloud, inference=True)
-            feats.append(tensors if tensors["grid"].num_voxels else None)
-        results: list[list[Detection]] = [[] for _ in clouds]
-        live = [i for i, f in enumerate(feats) if f is not None]
-        if live:
-            bev = np.concatenate([feats[i]["bev"] for i in live], axis=0)
-            cls_logits, reg = self.rpn_apply(bev)
-            for j, i in enumerate(live):
-                tensors = feats[i]
-                tensors["cls_logits"] = cls_logits[j : j + 1]
-                tensors["reg"] = reg[j : j + 1]
-                results[i] = self._decode_and_nms(tensors)
-        return results
-
-    def _decode_and_nms(self, tensors) -> list[Detection]:
+            return []
+        cls_logits, reg = self.rpn_apply(tensors["bev"])
+        pre = tensors["pre"]
         with PROFILER.stage("spod.decode"):
             if self.config.use_learned_heads:
-                raw = self._decode_learned(tensors)
+                raw = self._decode_learned(cls_logits, reg)
             else:
-                raw = self._decode_analytic(tensors)
+                raw = self._decode_analytic(
+                    cls_logits, pre.obstacles.xyz, pre.full.xyz, pre.ground_z
+                )
         with PROFILER.stage("spod.nms"):
             return rotated_nms(raw, self.config.nms_iou)
 
@@ -375,27 +354,37 @@ class SPOD:
         col_c = np.bincount(labels, weights=cols, minlength=count + 1)[1:] / sizes
         return np.round(np.column_stack([row_c, col_c])).astype(int)
 
-    def _decode_analytic(self, tensors) -> list[Detection]:
-        pre = tensors["pre"]
+    def _decode_analytic(
+        self,
+        cls_logits: np.ndarray,
+        obstacle_xyz: np.ndarray,
+        full_xyz: np.ndarray,
+        ground_z: float,
+    ) -> list[Detection]:
+        """Refine and score one RPN output against its point evidence.
+
+        ``obstacle_xyz`` feeds the box refiner and confidence calibrator;
+        ``full_xyz`` (obstacles plus ground returns) supplies the ground
+        band of the refiner's ground-shadow test.
+        """
         with PROFILER.stage("spod.decode.cells"):
-            cells = self._candidate_cells(tensors["cls_logits"])
+            cells = self._candidate_cells(cls_logits)
         if len(cells) == 0:
             return []
         with PROFILER.stage("spod.decode.index"):
-            full = pre.full.xyz
             # Strict ground band: low returns on object *faces* must not count
             # as ground or they would defeat the ground-shadow test.
-            ground_mask = full[:, 2] <= pre.ground_z + 0.08
+            ground_mask = full_xyz[:, 2] <= ground_z + 0.08
             # compress: boolean row indexing of this view is ~2x slower.
-            ground_xy = np.compress(ground_mask, full[:, :2], axis=0)
+            ground_xy = np.compress(ground_mask, full_xyz[:, :2], axis=0)
             refiner = BoxRefiner(
-                pre.obstacles.xyz,
-                pre.ground_z,
+                obstacle_xyz,
+                ground_z,
                 self.config.refinement,
                 ground_xy=ground_xy.astype(float),
             )
             calibrator = ConfidenceCalibrator(
-                pre.obstacles.xyz, pre.ground_z, self.config.calibrator
+                obstacle_xyz, ground_z, self.config.calibrator
             )
         centers = self.anchors.cell_centers()
         with PROFILER.stage("spod.decode.refine"):
@@ -429,9 +418,11 @@ class SPOD:
         with PROFILER.stage("spod.decode.suppress"):
             return _suppress_contained(detections)
 
-    def _decode_learned(self, tensors) -> list[Detection]:
-        cls_logits = tensors["cls_logits"][0]  # (A, H, W)
-        reg = tensors["reg"][0]  # (7A, H, W)
+    def _decode_learned(
+        self, cls_logits: np.ndarray, reg: np.ndarray
+    ) -> list[Detection]:
+        cls_logits = cls_logits[0]  # (A, H, W)
+        reg = reg[0]  # (7A, H, W)
         num_yaws = self.config.num_yaws
         prob = 1.0 / (1.0 + np.exp(-np.clip(cls_logits, -60, 60)))
         anchors = self.anchors

@@ -297,34 +297,41 @@ def improvement_samples(
 def timing_experiment(
     cases: list[CooperativeCase],
     detector: SPOD | None = None,
-    repeats: int = 1,
-) -> dict[str, dict[str, float]]:
-    """Fig. 9: mean detection time, single shot vs cooperative, per dataset.
+    repeats: int = 5,
+) -> dict[str, dict]:
+    """Fig. 9: detection time, single shot vs cooperative, per case.
 
-    Returns ``{case_name: {"single": s, "cooper": s}}``; averaging over
-    cases (and datasets) is left to the caller/bench.
+    Each case runs one untimed warm-up of both clouds, then ``repeats``
+    (at least 5) timed rounds that alternate single and merged, so host
+    speed drift hits both alike.  Returns ``{case_name: {"single": s,
+    "cooper": s, "single_runs": [s, ...], "cooper_runs": [s, ...]}}`` —
+    the medians and every round's seconds, in round order; aggregating
+    over cases (and datasets) is left to the caller.
     """
+    if repeats < 5:
+        raise ValueError("timing needs at least 5 repeats")
     detector = detector or SPOD.pretrained()
-    timings: dict[str, dict[str, float]] = {}
+    timings: dict[str, dict] = {}
     for case in cases:
+        single_cloud = case.cloud_of(case.receiver)
         merged = merge_packages(
-            case.cloud_of(case.receiver),
+            single_cloud,
             case.packages_for_receiver(),
             case.receiver_measured_pose(),
         )
-        single_cloud = case.cloud_of(case.receiver)
-        single_times = []
-        cooper_times = []
+        detector.detect(single_cloud)
+        detector.detect(merged)
+        runs: dict[str, list[float]] = {"single": [], "cooper": []}
         for _ in range(repeats):
-            start = time.perf_counter()
-            detector.detect(single_cloud)
-            single_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            detector.detect(merged)
-            cooper_times.append(time.perf_counter() - start)
+            for kind, cloud in (("single", single_cloud), ("cooper", merged)):
+                start = time.perf_counter()
+                detector.detect(cloud)
+                runs[kind].append(time.perf_counter() - start)
         timings[case.name] = {
-            "single": float(np.mean(single_times)),
-            "cooper": float(np.mean(cooper_times)),
+            "single": float(np.median(runs["single"])),
+            "cooper": float(np.median(runs["cooper"])),
+            "single_runs": runs["single"],
+            "cooper_runs": runs["cooper"],
         }
     return timings
 

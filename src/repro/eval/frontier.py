@@ -36,10 +36,10 @@ from repro.fusion.align import merge_packages
 from repro.fusion.feature import (
     FeatureFusionConfig,
     FeaturePackage,
+    FeatureTap,
     build_feature_package,
     build_request,
-    perceive_features,
-    rpn_confidence,
+    perceive_tap,
 )
 from repro.fusion.package import ExchangePackage
 from repro.network.roi_policy import RoiCategory, RoiPolicy, extract_roi
@@ -72,77 +72,6 @@ def _visible_ground_truth(
         and r[1] <= b.center[1] <= r[4]
         and float(np.hypot(*b.center[:2])) <= max_eval_range
     ]
-
-
-def _sender_tap(detector: SPOD, cloud) -> tuple[np.ndarray, np.ndarray, dict | None]:
-    """(coords, features, tap) for one observer; empty arrays if no points."""
-    if len(cloud) == 0:
-        return (
-            np.zeros((0, 3), dtype=np.int64),
-            np.zeros((0, 4), dtype=np.float64),
-            None,
-        )
-    tap = detector.forward_features(cloud, tap=True)
-    return (
-        np.asarray(tap["grid"].coords),
-        np.asarray(tap["middle"].features, dtype=np.float64),
-        tap,
-    )
-
-
-def _feature_exchange(
-    case: CooperativeCase,
-    detector: SPOD,
-    config: FeatureFusionConfig,
-    gated: bool,
-) -> tuple[list[FeaturePackage], int]:
-    """Build (and roundtrip) every sender's feature package for one case.
-
-    Returns the deserialized packages the receiver fuses plus the total
-    bytes on the wire — gated mode includes the receiver's confidence
-    request, exactly the messages the session ledger would record.
-    """
-    spec = detector.config.voxel_spec
-    receiver_pose = case.receiver_measured_pose()
-    total_bytes = 0
-    requests = ()
-    if gated:
-        coords, _features, tap = _sender_tap(
-            detector, case.cloud_of(case.receiver)
-        )
-        if tap is None:
-            heat = np.zeros(tuple(spec.grid_shape[:2]), dtype=np.float64)
-        else:
-            heat = rpn_confidence(detector, tap["bev"])
-        request = build_request(
-            heat, receiver_pose, case.receiver, config=config
-        )
-        requests = (request,)
-        total_bytes += request.size_bytes()
-    packages: list[FeaturePackage] = []
-    for name, obs in case.observations.items():
-        if name == case.receiver:
-            continue
-        coords, features, tap = _sender_tap(detector, obs.scan.cloud)
-        heat = None
-        if gated and tap is not None:
-            heat = rpn_confidence(detector, tap["bev"])
-        elif gated:
-            heat = np.zeros(tuple(spec.grid_shape[:2]), dtype=np.float64)
-        package = build_feature_package(
-            spec,
-            coords,
-            features,
-            obs.measured_pose,
-            name,
-            heat=heat,
-            requests=requests,
-            config=config,
-        )
-        payload = package.serialize()
-        total_bytes += len(payload)
-        packages.append(FeaturePackage.deserialize(payload))
-    return packages, total_bytes
 
 
 def case_frontier(
@@ -200,12 +129,36 @@ def case_frontier(
     modes["roi"] = score(detector.detect_all(roi_merged), roi_bytes)
 
     # feature / gated: voxel-feature exchange through the real wire format.
-    for mode, gated in (("feature", False), ("gated", True)):
-        packages, total_bytes = _feature_exchange(
-            case, detector, config, gated
-        )
-        detections = perceive_features(
-            detector, receiver_cloud, receiver_pose, packages
+    # Every observer taps once; gated mode adds the receiver's request.
+    spec = detector.config.voxel_spec
+    taps = {
+        name: FeatureTap.of(detector, obs.scan.cloud, want_heat=True)
+        for name, obs in case.observations.items()
+    }
+    receiver_tap = taps[case.receiver]
+    request = build_request(
+        receiver_tap.heat, receiver_pose, case.receiver, config=config
+    )
+    for mode, requests in (("feature", ()), ("gated", (request,))):
+        total_bytes = sum(r.size_bytes() for r in requests)
+        packages: list[FeaturePackage] = []
+        for name, obs in case.observations.items():
+            if name == case.receiver:
+                continue
+            payload = build_feature_package(
+                spec,
+                taps[name].coords,
+                taps[name].features,
+                obs.measured_pose,
+                name,
+                heat=taps[name].heat,
+                requests=requests,
+                config=config,
+            ).serialize()
+            total_bytes += len(payload)
+            packages.append(FeaturePackage.deserialize(payload))
+        detections = perceive_tap(
+            detector, receiver_pose, receiver_tap, packages
         )
         modes[mode] = score(detections, total_bytes)
 

@@ -25,11 +25,13 @@ from repro.fusion.feature import (
     ConfidenceRequest,
     FeatureFusionConfig,
     FeaturePackage,
+    FeatureTap,
     FusedFeatures,
     build_feature_package,
     build_request,
     fuse_feature_packages,
     perceive_features,
+    perceive_tap,
     rpn_confidence,
 )
 from repro.fusion.agent import (
@@ -45,11 +47,13 @@ __all__ = [
     "ConfidenceRequest",
     "FeatureFusionConfig",
     "FeaturePackage",
+    "FeatureTap",
     "FusedFeatures",
     "build_feature_package",
     "build_request",
     "fuse_feature_packages",
     "perceive_features",
+    "perceive_tap",
     "rpn_confidence",
     "FUSION_MODES",
     "alignment_transform",

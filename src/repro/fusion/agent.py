@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.detection.detections import Detection
-from repro.detection.preprocess import PreprocessResult
 from repro.detection.spod import SPOD
 from repro.faults.plan import FaultPlan, SensorFaults
 from repro.fusion.align import package_intrinsically_sane, pose_delta_plausible
@@ -59,14 +58,11 @@ from repro.fusion.feature import (
     ConfidenceRequest,
     FeatureFusionConfig,
     FeaturePackage,
+    FeatureTap,
     build_feature_package,
     build_request,
-    decode_evidence,
-    decode_fused,
-    feature_bev,
     feature_package_intrinsically_sane,
-    fuse_feature_packages,
-    rpn_confidence,
+    perceive_tap,
 )
 from repro.fusion.package import ExchangePackage
 from repro.fusion.temporal import StalePackageCache
@@ -821,7 +817,7 @@ class CooperSession:
         )
         observations: dict[str, RigObservation] = {}
         # Raw mode: each agent's serialised package; feature modes: its tap.
-        prepared: dict[str, bytes | _FeatureTap] = {}
+        prepared: dict[str, bytes | FeatureTap] = {}
         for agent, (observation, out) in zip(self.agents, sensed):
             observations[agent.name] = observation
             prepared[agent.name] = out
@@ -884,7 +880,7 @@ class CooperSession:
     def _build_feature_wire(
         self,
         observations: dict[str, RigObservation],
-        taps: dict[str, _FeatureTap],
+        taps: dict[str, FeatureTap],
         t: float,
         step_index: int,
     ) -> dict[str, tuple[bytes, int]]:
@@ -940,80 +936,6 @@ class CooperSession:
         return wire
 
 
-@dataclass
-class _FeatureTap:
-    """An agent's own feature tap, kept from sensing to detection.
-
-    Attributes:
-        coords: active voxel grid coordinates, ``(N, 3)``.
-        features: the middle block's features at ``coords``, ``(N, C)``
-            float64 with ``C`` the detector's ``vfe_channels``.
-        heat: the RPN confidence map (gated mode only, else None).
-        pre: the preprocess result the decode stage consumes; None for an
-            empty scan, which has no ground model to decode against.
-    """
-
-    coords: np.ndarray
-    features: np.ndarray
-    heat: np.ndarray | None
-    pre: PreprocessResult | None
-
-
-def _tap_features(detector: SPOD, cloud, want_heat: bool) -> _FeatureTap:
-    """Run one agent's feature tap (and, gated, its confidence map).
-
-    An empty scan yields an empty tap of the detector's own channel width
-    and, gated, an all-clear confidence map, so the wire schedule never
-    depends on sensor faults.
-    """
-    if len(cloud) == 0:
-        nx, ny = detector.config.voxel_spec.grid_shape[:2]
-        return _FeatureTap(
-            coords=np.zeros((0, 3), dtype=np.int64),
-            features=np.zeros(
-                (0, detector.config.vfe_channels), dtype=np.float64
-            ),
-            heat=np.zeros((nx, ny), dtype=np.float64) if want_heat else None,
-            pre=None,
-        )
-    tap = detector.forward_features(cloud, tap=True)
-    return _FeatureTap(
-        coords=np.asarray(tap["grid"].coords),
-        features=np.asarray(tap["middle"].features, dtype=np.float64),
-        heat=rpn_confidence(detector, tap["bev"]) if want_heat else None,
-        pre=tap["pre"],
-    )
-
-
-def _detect_features(
-    detector: SPOD,
-    receiver_pose,
-    tap: _FeatureTap,
-    received: list[FeaturePackage],
-) -> list[Detection]:
-    """Maxout-fuse a feature inbox onto the agent's own tap and detect.
-
-    An empty scan or an empty fused map detects nothing, matching the
-    raw path's empty-cloud behaviour.
-    """
-    if tap.pre is None:
-        return []
-    fused = fuse_feature_packages(
-        detector.config.voxel_spec,
-        tap.coords,
-        tap.features,
-        received,
-        receiver_pose,
-    )
-    if len(fused.coords) == 0:
-        return []
-    bev = feature_bev(detector, fused)
-    evidence = decode_evidence(tap.pre, fused.proxy_xyz)
-    with PROFILER.stage("cooper.detect"):
-        cls_logits, reg = detector.rpn_apply(bev)
-        return decode_fused(detector, cls_logits, reg, evidence)
-
-
 #: Session state installed by :func:`_session_worker_init` — in each
 #: forked worker, or in the parent when the pool runs inline — so the
 #: world, agent stacks and temporal states ship once per worker, not per
@@ -1061,11 +983,11 @@ def _sense_task(
     payload: tuple[
         int, float, int, SensorFaults | None, tuple[tuple[str, str], ...]
     ],
-) -> tuple[RigObservation, bytes | _FeatureTap]:
+) -> tuple[RigObservation, bytes | FeatureTap]:
     """Phase-1 task: one agent senses and prepares its broadcast.
 
     Returns the observation plus, in raw mode, the serialised exchange
-    package or, in the feature modes, the agent's :class:`_FeatureTap`.
+    package or, in the feature modes, the agent's :class:`FeatureTap`.
     """
     agent_index, t, obs_seed, faults, invalidations = payload
     agent, state = _task_agent(agent_index, invalidations)
@@ -1079,7 +1001,7 @@ def _sense_task(
     if _WORKER_MODE == "raw":
         package = agent.build_package(_WORKER_WORLD, observation, t)
         return observation, package.serialize()
-    return observation, _tap_features(
+    return observation, FeatureTap.of(
         agent.cooper.detector,
         observation.scan.cloud,
         want_heat=_WORKER_MODE == "gated",
@@ -1090,7 +1012,7 @@ def _perceive_task(
     payload: tuple[
         int,
         RigObservation,
-        _FeatureTap | None,
+        FeatureTap | None,
         list[bytes],
         tuple[tuple[str, str], ...],
     ],
@@ -1102,6 +1024,6 @@ def _perceive_task(
         received = [ExchangePackage.deserialize(p) for p in package_payloads]
         return received, agent.perceive(observation, received, temporal=state)
     received = [FeaturePackage.deserialize(p) for p in package_payloads]
-    return received, _detect_features(
+    return received, perceive_tap(
         agent.cooper.detector, observation.measured_pose, tap, received
     )

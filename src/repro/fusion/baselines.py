@@ -9,22 +9,26 @@ baselines make that argument measurable:
 * :func:`single_shot_baseline` — no cooperation at all.
 * :func:`object_level_fusion` — each vehicle detects on its own cloud;
   only the resulting *boxes* are exchanged, aligned and merged by NMS.
-* :func:`feature_level_fusion` — vehicles exchange BEV feature maps; the
-  receiver detects on the element-wise-max fused map (only meaningful for
-  co-located/aligned grids; we align the raw clouds first and re-encode,
-  which is the standard way feature fusion is realised on voxel grids).
+* :func:`feature_level_fusion` — F-Cooper: vehicles exchange voxel
+  feature maps through the feature wire format; the receiver aligns them
+  onto its own grid, fuses by elementwise max and detects on the fused
+  map (the same tap and receiver step the session's feature mode runs).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.detection.detections import Detection
 from repro.detection.nms import rotated_nms
 from repro.detection.spod import SPOD
-from repro.fusion.align import align_package, alignment_transform
+from repro.fusion.align import alignment_transform
+from repro.fusion.feature import (
+    FeaturePackage,
+    FeatureTap,
+    build_feature_package,
+    perceive_features,
+)
 from repro.fusion.package import ExchangePackage
 from repro.geometry.transforms import Pose
 from repro.pointcloud.cloud import PointCloud
@@ -66,61 +70,27 @@ def feature_level_fusion(
     receiver_pose: Pose,
     packages: Sequence[ExchangePackage],
 ) -> list[Detection]:
-    """Mid-level fusion: combine BEV feature maps by element-wise max.
+    """Mid-level fusion: F-Cooper over the packages' clouds.
 
-    The receiver voxelises its own cloud and each aligned cooperator cloud
-    *separately*, runs the VFE + middle extractor on each, max-fuses the
-    BEV maps, and decodes detections from the fused map.  Compared with raw
+    Each cooperator taps its own cloud in its own frame and ships the
+    voxel features through the feature wire format; the receiver aligns
+    them onto its grid, maxout-fuses them with its own tap and decodes
+    (:func:`~repro.fusion.feature.perceive_features`).  Compared with raw
     fusion this loses cross-cloud intra-voxel structure (points from two
     vehicles never meet inside one voxel feature), which is the fidelity
     gap the paper's low-level choice closes.
     """
-    from repro.detection.preprocess import preprocess
-    from repro.pointcloud.voxel import voxelize
-
-    clouds = [native_cloud]
-    clouds.extend(align_package(p, receiver_pose) for p in packages)
-
-    fused_bev: np.ndarray | None = None
-    pres = []
-    for cloud in clouds:
-        pre = preprocess(cloud)
-        pres.append(pre)
-        grid = voxelize(pre.obstacles, detector.config.voxel_spec)
-        bev = detector.middle(detector.vfe(grid))
-        fused_bev = bev if fused_bev is None else np.maximum(fused_bev, bev)
-    if fused_bev is None:
-        return []
-
-    cls_logits, reg = detector.rpn(fused_bev)
-    # Decode against the union of obstacle points so refinement/calibration
-    # see the same evidence the fused features encode.
-    merged_obstacles = np.vstack([p.obstacles.xyz for p in pres])
-    ground_z = float(np.median([p.ground_z for p in pres]))
-    tensors = {
-        "pre": _FusedPre(merged_obstacles, ground_z),
-        "cls_logits": cls_logits,
-        "reg": reg,
-    }
-    raw = detector._decode_analytic(tensors)
-    return [
-        d
-        for d in rotated_nms(raw, detector.config.nms_iou)
-        if d.score >= detector.config.detection_threshold
-    ]
-
-
-class _FusedPre:
-    """Minimal preprocess-result stand-in for the fused decode path."""
-
-    def __init__(self, obstacle_xyz: np.ndarray, ground_z: float) -> None:
-        self.obstacles = _XyzView(obstacle_xyz)
-        # Feature fusion discards raw ground returns; the decode path's
-        # ground-shadow test degrades gracefully without them.
-        self.full = _XyzView(obstacle_xyz)
-        self.ground_z = ground_z
-
-
-class _XyzView:
-    def __init__(self, xyz: np.ndarray) -> None:
-        self.xyz = xyz
+    spec = detector.config.voxel_spec
+    received = []
+    for package in packages:
+        tap = FeatureTap.of(detector, package.cloud)
+        payload = build_feature_package(
+            spec,
+            tap.coords,
+            tap.features,
+            package.pose,
+            package.sender,
+            timestamp=package.timestamp,
+        ).serialize()
+        received.append(FeaturePackage.deserialize(payload))
+    return perceive_features(detector, native_cloud, receiver_pose, received)

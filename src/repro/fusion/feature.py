@@ -25,6 +25,10 @@ This module implements both on top of the existing SPOD pipeline:
   its cell center, at the height encoded in the max-z feature channel,
   with multiplicity from the count channel.  No raw points ever cross the
   wire.
+* The two halves of one cycle, shared by the session, the frontier and
+  the fusion-level baseline: :meth:`FeatureTap.of` taps one vehicle's own
+  features (and, gated, its confidence map), and :func:`perceive_tap`
+  fuses a received inbox onto the receiver's tap and detects.
 
 The feature channels consumed here are the analytic VFE's (occupancy,
 max normalised z, max reflectance, normalised count); see
@@ -34,7 +38,7 @@ max normalised z, max reflectance, normalised count); see
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -42,6 +46,7 @@ from scipy import ndimage
 from repro.detection.detections import Detection
 from repro.detection.nms import rotated_nms
 from repro.detection.nn.sparse import SparseTensor3d
+from repro.detection.preprocess import PreprocessResult
 from repro.detection.spod import SPOD
 from repro.fusion.align import alignment_transform
 from repro.fusion.package import encode_sender
@@ -59,9 +64,10 @@ __all__ = [
     "build_feature_package",
     "fuse_feature_packages",
     "FusedFeatures",
-    "DecodeEvidence",
+    "FeatureTap",
     "feature_bev",
     "decode_fused",
+    "perceive_tap",
     "perceive_features",
     "feature_package_intrinsically_sane",
 ]
@@ -547,45 +553,54 @@ def fuse_feature_packages(
         return FusedFeatures(coords=coords, features=features, proxy_xyz=proxy)
 
 
-# -- detection on fused features ------------------------------------------
+# -- the two halves of one feature-level cycle -----------------------------
 
 @dataclass(frozen=True)
-class DecodeEvidence:
-    """The point evidence the analytic decode stage consumes.
+class FeatureTap:
+    """One vehicle's own feature tap: what it ships and what it decodes
+    against.
 
     Attributes:
-        obstacle_xyz: ego obstacle points plus proxy points.
-        full_xyz: ego full-cloud points plus proxy points (the
-            ground-shadow test's denominator).
-        ground_z: the ego's fitted ground height.
+        coords: active voxel grid coordinates, ``(N, 3)``.
+        features: the middle block's features at ``coords``, ``(N, C)``
+            float64 with ``C`` the detector's ``vfe_channels``.
+        heat: the RPN confidence map (when asked for, else None).
+        pre: the preprocess result the decode stage consumes; None for an
+            empty scan, which has no ground model to decode against.
     """
 
-    obstacle_xyz: np.ndarray
-    full_xyz: np.ndarray
-    ground_z: float
+    coords: np.ndarray
+    features: np.ndarray
+    heat: np.ndarray | None
+    pre: PreprocessResult | None
 
+    @staticmethod
+    def of(
+        detector: SPOD, cloud: PointCloud, want_heat: bool = False
+    ) -> "FeatureTap":
+        """Run one vehicle's feature tap (and, if asked, its confidence map).
 
-class _EvidencePre:
-    """Preprocess-result stand-in built from :class:`DecodeEvidence`."""
-
-    def __init__(self, evidence: DecodeEvidence) -> None:
-        self.obstacles = _XyzView(evidence.obstacle_xyz)
-        self.full = _XyzView(evidence.full_xyz)
-        self.ground_z = evidence.ground_z
-
-
-class _XyzView:
-    def __init__(self, xyz: np.ndarray) -> None:
-        self.xyz = xyz
-
-
-def decode_evidence(pre, proxy_xyz: np.ndarray) -> DecodeEvidence:
-    """Combine the ego's preprocess result with received proxy points."""
-    return DecodeEvidence(
-        obstacle_xyz=np.vstack([pre.obstacles.xyz, proxy_xyz]),
-        full_xyz=np.vstack([pre.full.xyz, proxy_xyz]),
-        ground_z=pre.ground_z,
-    )
+        An empty scan yields an empty tap of the detector's own channel
+        width and an all-clear confidence map, so what goes on the wire
+        never depends on sensor faults.
+        """
+        if len(cloud) == 0:
+            nx, ny = detector.config.voxel_spec.grid_shape[:2]
+            return FeatureTap(
+                coords=np.zeros((0, 3), dtype=np.int64),
+                features=np.zeros(
+                    (0, detector.config.vfe_channels), dtype=np.float64
+                ),
+                heat=np.zeros((nx, ny), dtype=np.float64) if want_heat else None,
+                pre=None,
+            )
+        tap = detector.forward_features(cloud, tap=True)
+        return FeatureTap(
+            coords=np.asarray(tap["grid"].coords),
+            features=np.asarray(tap["middle"].features, dtype=np.float64),
+            heat=rpn_confidence(detector, tap["bev"]) if want_heat else None,
+            pre=tap["pre"],
+        )
 
 
 def feature_bev(detector: SPOD, fused: FusedFeatures) -> np.ndarray:
@@ -601,21 +616,58 @@ def feature_bev(detector: SPOD, fused: FusedFeatures) -> np.ndarray:
 def decode_fused(
     detector: SPOD,
     cls_logits: np.ndarray,
-    reg: np.ndarray,
-    evidence: DecodeEvidence,
+    obstacle_xyz: np.ndarray,
+    full_xyz: np.ndarray,
+    ground_z: float,
 ) -> list[Detection]:
-    """Analytic decode + NMS + threshold over a fused RPN output."""
-    tensors = {
-        "pre": _EvidencePre(evidence),
-        "cls_logits": cls_logits,
-        "reg": reg,
-    }
+    """Analytic decode + NMS + threshold over a fused RPN output.
+
+    ``obstacle_xyz`` and ``full_xyz`` are the receiver's own obstacle and
+    full-cloud points plus the received proxy points; ``ground_z`` is the
+    receiver's fitted ground height.
+    """
     with PROFILER.stage("spod.decode"):
-        raw = detector._decode_analytic(tensors)
+        raw = detector._decode_analytic(
+            cls_logits, obstacle_xyz, full_xyz, ground_z
+        )
     with PROFILER.stage("spod.nms"):
         kept = rotated_nms(raw, detector.config.nms_iou)
     threshold = detector.config.detection_threshold
     return [d for d in kept if d.score >= threshold]
+
+
+def perceive_tap(
+    detector: SPOD,
+    receiver_pose: Pose,
+    tap: FeatureTap,
+    packages: list[FeaturePackage],
+) -> list[Detection]:
+    """The receiver step: fuse an inbox onto the receiver's tap, detect.
+
+    Maxout fusion, BEV densification, the shared RPN head and
+    :func:`decode_fused` against the receiver's own points plus the
+    proxy points.  An empty scan or an empty fused map detects nothing,
+    matching the raw path's empty-cloud behaviour.
+    """
+    if tap.pre is None:
+        return []
+    fused = fuse_feature_packages(
+        detector.config.voxel_spec,
+        tap.coords,
+        tap.features,
+        packages,
+        receiver_pose,
+    )
+    if len(fused.coords) == 0:
+        return []
+    bev = feature_bev(detector, fused)
+    obstacle_xyz = np.vstack([tap.pre.obstacles.xyz, fused.proxy_xyz])
+    full_xyz = np.vstack([tap.pre.full.xyz, fused.proxy_xyz])
+    with PROFILER.stage("cooper.detect"):
+        cls_logits, _reg = detector.rpn_apply(bev)
+        return decode_fused(
+            detector, cls_logits, obstacle_xyz, full_xyz, tap.pre.ground_z
+        )
 
 
 def perceive_features(
@@ -624,27 +676,6 @@ def perceive_features(
     receiver_pose: Pose,
     packages: list[FeaturePackage],
 ) -> list[Detection]:
-    """One full feature-level perception cycle (tap -> fuse -> detect).
-
-    The one-call form the benches and tests use; the session loop runs
-    the same stages split across its phases.
-    """
-    if len(native_cloud) == 0 and not any(p.num_voxels for p in packages):
-        return []
-    if len(native_cloud) == 0:
-        return []  # no ego tap: no ground model to decode against
-    tap = detector.forward_features(native_cloud, tap=True)
-    spec = detector.config.voxel_spec
-    fused = fuse_feature_packages(
-        spec,
-        tap["grid"].coords,
-        np.asarray(tap["middle"].features),
-        packages,
-        receiver_pose,
-    )
-    if len(fused.coords) == 0:
-        return []
-    bev = feature_bev(detector, fused)
-    cls_logits, reg = detector.rpn_apply(bev)
-    evidence = decode_evidence(tap["pre"], fused.proxy_xyz)
-    return decode_fused(detector, cls_logits, reg, evidence)
+    """One full feature-level perception cycle: tap, then receiver step."""
+    tap = FeatureTap.of(detector, native_cloud)
+    return perceive_tap(detector, receiver_pose, tap, packages)

@@ -12,9 +12,10 @@ and, at fleet scale, shards that engine behind a deterministic router.
   (detect, fuse+detect, ROI answer) and their audited lifecycle.
 * :class:`~repro.serve.queues.BoundedPriorityQueue` — admission control:
   bounded depth, documented total order, displace-or-refuse backpressure.
-* :class:`~repro.serve.engine.ServingEngine` — dynamic batching into
-  :meth:`~repro.detection.spod.SPOD.detect_batch` (heterogeneous
-  detectors co-batch only when
+* :class:`~repro.serve.engine.ServingEngine` — dynamic batching of
+  requests into one :meth:`~repro.detection.spod.SPOD.detect_batch`
+  call per dispatch, which runs the per-cloud pipeline on each cloud
+  (heterogeneous detectors co-batch only when
   :meth:`~repro.detection.spod.SPOD.equivalent_to`), deadline-based load
   shedding, queue-depth lane autoscaling, optional fusion fan-out over
   :mod:`repro.runtime` workers.

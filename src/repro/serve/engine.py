@@ -21,16 +21,18 @@ PerceptionRequest`\\ s into scheduled, batched, SLO-tracked work:
   ``max_wait_ms`` past the oldest queued arrival before dispatching a
   partial batch.  The batching window re-anchors whenever admission
   displaces the oldest queued request, so a displaced head-of-queue
-  request can never leave a stale timer behind.  Detect-class batches run
-  through one :meth:`~repro.detection.spod.SPOD.detect_batch` call (the
-  PR-4 batched RPN pass); FUSE_DETECT requests are fused first — fanned
-  out across a :class:`~repro.runtime.WorkerPool` when ``workers > 1`` —
-  and ROI answers batch separately as pure geometry.
+  request can never leave a stale timer behind, and no batch dispatches
+  before its requests have arrived.  Detect-class batches run through
+  one :meth:`~repro.detection.spod.SPOD.detect_batch` call, which runs
+  each cloud through the per-cloud detector pipeline; FUSE_DETECT
+  requests are fused first — fanned out across a
+  :class:`~repro.runtime.WorkerPool` when ``workers > 1`` — and ROI
+  answers batch separately as pure geometry.
 * **Heterogeneous detectors** — an engine may own several named detector
   models (a mixed fleet).  Models whose detectors are interchangeable
   (:meth:`~repro.detection.spod.SPOD.equivalent_to`) share one batch
-  group; requests co-batch only within their group, so a batched pass is
-  always numerically sound.
+  group; requests co-batch only within their group, so one dispatch's
+  detector is always right for every request in it.
 * **Closed-loop clients** — alongside the open-loop trace, the engine
   accepts :class:`~repro.serve.workload.ClosedLoopClient` control loops
   that issue their next request only after the previous one reached a
@@ -305,11 +307,11 @@ class ServingEngine:
     ``lanes`` virtual service lanes.  Detector models are grouped by
     :meth:`SPOD.equivalent_to` (equal config, dtype and live weights),
     and detect-class requests batch only within their model's group, so
-    every batched pass is sound by construction.
+    every dispatch is sound by construction.
     ``workers`` fans the *fusion and ROI geometry* work of each dispatch
-    across a :class:`~repro.runtime.WorkerPool`; the batched detector
-    pass always runs in the parent so batch composition and numerics
-    cannot depend on worker layout.
+    across a :class:`~repro.runtime.WorkerPool`; the detector always
+    runs in the parent so batch composition and numerics cannot depend
+    on worker layout.
     """
 
     def __init__(
@@ -720,9 +722,13 @@ class ServingEngine:
         every admission inside the scan: an arrival can displace the
         oldest queued request, and the stale window would otherwise fire
         a premature partial batch anchored to a request that is no longer
-        queued.
+        queued.  A batch never dispatches before a queued request has
+        arrived: after an idle jump the lane's free time precedes the
+        arrival the loop just admitted.
         """
         cfg = self.config
+        newest = max(request.arrival_ms for request in state.queue)
+        t_free = max(t_free, newest)
         wait_ms = cfg.max_wait_ms
         if state.brownout:
             # Brownout: shrink the batching window so queued work drains
@@ -835,8 +841,8 @@ class ServingEngine:
         group: str,
         pool: WorkerPool | None,
     ) -> list[int]:
-        """Fuse where needed, then one batched detector pass; returns
-        per-request detection counts.
+        """Fuse where needed, then one detector call over the batch;
+        returns per-request detection counts.
 
         Fusion is a pure function of (cloud, pose, packages), so fanning
         it to workers cannot change the merged clouds; the detector pass

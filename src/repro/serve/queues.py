@@ -55,6 +55,10 @@ class BoundedPriorityQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __iter__(self):
+        """Queued requests in service order."""
+        return (entry[1] for entry in self._entries)
+
     def offer(
         self, request: PerceptionRequest
     ) -> tuple[bool, PerceptionRequest | None]:

@@ -48,11 +48,11 @@ class RequestKind(enum.Enum):
     def service_class(self) -> str:
         """Batching compatibility class.
 
-        ``DETECT`` and ``FUSE_DETECT`` both end in a detector pass over
-        one cloud each, so they coalesce into the same
-        :meth:`~repro.detection.spod.SPOD.detect_batch` dispatch;
-        ``ROI_ANSWER`` is pure geometry (no detector) and batches only
-        with its own kind.
+        ``DETECT`` and ``FUSE_DETECT`` both end in a detector run over
+        one cloud each, so they share a dispatch: one
+        :meth:`~repro.detection.spod.SPOD.detect_batch` call, which runs
+        the per-cloud pipeline on each; ``ROI_ANSWER`` is pure geometry
+        (no detector) and batches only with its own kind.
         """
         return "roi" if self is RequestKind.ROI_ANSWER else "detect"
 

@@ -15,6 +15,11 @@ from repro.fusion.baselines import (
     single_shot_baseline,
 )
 from repro.fusion.cooper import Cooper
+from repro.fusion.feature import (
+    FeaturePackage,
+    build_feature_package,
+    perceive_features,
+)
 from repro.fusion.package import ExchangePackage
 from repro.geometry.transforms import Pose
 from repro.pointcloud.cloud import PointCloud
@@ -58,6 +63,14 @@ def cooperative_setup(detector):
 
 def _detected_positions(detections):
     return {tuple(np.round(d.box.center[:2] / 3).astype(int)) for d in detections}
+
+
+def _canonical(detections):
+    return [
+        (d.box.center.tobytes(), d.box.length, d.box.width, d.box.yaw,
+         d.score, d.label)
+        for d in detections
+    ]
 
 
 class TestCooper:
@@ -137,3 +150,17 @@ class TestBaselines:
         cells = _detected_positions(fused)
         assert (3, 2) in cells
         assert (4, -2) in cells
+        # It is F-Cooper over the package's cloud: the sender's own tap,
+        # round-tripped through the feature wire format.
+        tap = detector.forward_features(package.cloud, tap=True)
+        wire = build_feature_package(
+            detector.config.voxel_spec,
+            np.asarray(tap["grid"].coords),
+            np.asarray(tap["middle"].features, dtype=np.float64),
+            package.pose,
+            package.sender,
+        ).serialize()
+        expected = perceive_features(
+            detector, receiver_cloud, pose, [FeaturePackage.deserialize(wire)]
+        )
+        assert _canonical(fused) == _canonical(expected)

@@ -256,6 +256,53 @@ class TestColocatedParity:
         matched_single = match_detections(single, visible, 2.5).num_matched
         assert matched_feature >= matched_single
 
+    def test_frontier_with_empty_cooperator_and_wide_features(
+        self, first_case, monkeypatch
+    ):
+        """An empty sender ships 0 voxels at the detector's channel width."""
+        from dataclasses import replace
+
+        import repro.eval.frontier as frontier
+        from repro.detection.spod import SPOD, SPODConfig
+        from repro.pointcloud.cloud import PointCloud
+
+        detector = SPOD.pretrained(SPODConfig(vfe_channels=8))
+        sender = next(
+            name for name in first_case.observations
+            if name != first_case.receiver
+        )
+        observation = first_case.observations[sender]
+        blank = replace(
+            observation,
+            scan=replace(
+                observation.scan,
+                cloud=PointCloud.empty(),
+                labels=observation.scan.labels[:0],
+            ),
+        )
+        case = replace(
+            first_case,
+            observations={**first_case.observations, sender: blank},
+        )
+        built = []
+        real_build = frontier.build_feature_package
+
+        def recording_build(*args, **kwargs):
+            package = real_build(*args, **kwargs)
+            built.append(package)
+            return package
+
+        monkeypatch.setattr(frontier, "build_feature_package", recording_build)
+        row = case_frontier(case, detector)
+        assert set(row["modes"]) == {"raw", "roi", "feature", "gated"}
+        empty = [package for package in built if package.sender == sender]
+        assert len(empty) == 2  # one per feature mode
+        for package in empty:
+            wire = FeaturePackage.deserialize(package.serialize())
+            for shipped in (package, wire):
+                assert shipped.num_voxels == 0
+                assert shipped.num_channels == 8
+
     def test_frontier_contract_on_first_case(self, detector, first_case):
         """Feature exchange: >=10x fewer bytes, recall parity, gated cheaper."""
         row = case_frontier(first_case, detector)

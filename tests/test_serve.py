@@ -375,6 +375,25 @@ class TestEngine:
         assert all(b.size == 1 for b in per_request.batches)
         assert len(batched.batches) < len(per_request.batches)
 
+    @pytest.mark.parametrize(
+        "config",
+        [ServeConfig(max_batch_size=1, max_wait_ms=0.0), ServeConfig()],
+        ids=["per_request", "default"],
+    )
+    def test_no_dispatch_before_arrival(self, detector, pool, config):
+        """After an idle jump the lane's free time precedes the admitted
+        arrival; a full queue must still wait for its requests."""
+        spec = WorkloadSpec(duration_ms=600.0, rate_rps=10.0, seed=1)
+        result = self.serve(detector, pool, spec, config)
+        completed = [
+            r for r in result.records if r.status is RequestStatus.COMPLETED
+        ]
+        assert completed
+        for record in completed:
+            assert record.dispatch_ms >= record.arrival_ms
+            # latency is complete - arrival: equal to service up to rounding
+            assert record.latency_ms >= record.service_ms - 1e-9
+
     def test_lost_ingress_recorded_not_served(self, detector, pool):
         spec = WorkloadSpec(duration_ms=600.0, rate_rps=30.0, seed=4)
         result = self.serve(
