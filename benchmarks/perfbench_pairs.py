@@ -8,10 +8,21 @@ Runs ``perfbench/run.py --trace 0`` in the parent checkout (for example a
 default the one holding this file), ``--pairs`` times each, alternating
 which side runs first.  It reads the last JSON line and the printed
 ``digest`` of every run.  For each end-to-end metric that ``BENCHMARK.json``
-declares it prints the change's wins, each side's median and quartiles, and
-whether the claim rule holds: the change wins at least nine tenths of the
+declares it prints the change's wins, each side's median and quartiles,
+whether the claim rule holds — the change wins at least nine tenths of the
 pairs (ties count for neither side) and its median beats the parent's by
-more than the parent's interquartile range (IQR).
+more than the parent's interquartile range (IQR) — and a no-regression
+verdict against the metric's ``bound``:
+
+* ``ok``: the change's median is worse than the parent's by at most
+  ``bound`` (a share of the parent's median), or every change run beats
+  every parent run;
+* ``worse``: it is worse by more than ``bound``;
+* ``unresolved``: either side's IQR exceeds ``bound`` times its median,
+  so the runs spread too widely to tell (unless every change run beats
+  every parent run).
+
+A last line says whether every run of both sides printed the same digest.
 
 The script only invokes ``perfbench/run.py``; it changes nothing in either
 checkout beyond what that runner writes to its own ``perfbench/out/``.
@@ -85,6 +96,32 @@ def judge(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def _relative(value: float, base: float) -> float:
+    """``value`` as a share of ``|base|``; a nonzero share of 0 is infinite."""
+    if base:
+        return value / abs(base)
+    return 0.0 if value == 0 else float("inf")
+
+
+def regression(
+    parent: list[float], change: list[float], better: str, bound: float
+) -> str:
+    """No-regression verdict for one metric: ``ok``, ``worse`` or ``unresolved``."""
+    if better == "lower":
+        beats_all = max(change) < min(parent)
+    else:
+        beats_all = min(change) > max(parent)
+    if beats_all:
+        return "ok"
+    p_q1, p_median, p_q3 = quartiles(parent)
+    c_q1, c_median, c_q3 = quartiles(change)
+    if max(_relative(p_q3 - p_q1, p_median), _relative(c_q3 - c_q1, c_median)) > bound:
+        return "unresolved"
+    sign = 1.0 if better == "lower" else -1.0
+    worsening = _relative(sign * (c_median - p_median), p_median)
+    return "worse" if worsening > bound else "ok"
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -126,13 +163,15 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: "
           f"{args.pairs} pairs of {args.seconds:g} s runs")
     print(f"{'metric':<20s} {'unit':<6s} {'wins':>6s}  "
-          f"{'parent median [q1, q3]':<28s} {'change median [q1, q3]':<28s} claim")
+          f"{'parent median [q1, q3]':<28s} {'change median [q1, q3]':<28s} "
+          f"claim regression")
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        verdict = judge(
-            [r["metrics"][name] for r in runs["parent"]],
-            [r["metrics"][name] for r in runs["change"]],
-            metric["better"],
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        verdict = judge(parent, change, metric["better"])
+        verdict["regression"] = regression(
+            parent, change, metric["better"], metric["bound"]
         )
         verdicts[name] = verdict
         p_q1, p_med, p_q3 = verdict["parent"]
@@ -142,12 +181,15 @@ def main(argv=None) -> int:
             f"{verdict['wins']:>3d}/{verdict['pairs']:<2d}  "
             f"{f'{p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]':<28s} "
             f"{f'{c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]':<28s} "
-            f"{'holds' if verdict['holds'] else 'no'}"
+            f"{'holds' if verdict['holds'] else 'no':<5s} {verdict['regression']}"
         )
     for side in sides:
         digests = sorted({str(r["digest"]) for r in runs[side]})
         all_correct = all(r["correct"] and r["failed"] == 0 for r in runs[side])
         print(f"{side:<6s} digest {', '.join(digests)}  all correct: {all_correct}")
+    digests = {r["digest"] for side in sides for r in runs[side]}
+    equal = len(digests) == 1 and None not in digests
+    print(f"digests equal: {'yes' if equal else 'no'}")
     if args.out is not None:
         args.out.write_text(json.dumps(
             {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,

@@ -18,10 +18,16 @@ logistic function of
 The score is deliberately *monotone in evidence*, which is why Cooper's
 merged clouds raise it: merging adds points (count term) and new viewing
 angles (coverage term).
+
+A cloud's distinct boxes are scored in one pass
+(:meth:`ConfidenceCalibrator.score_batch`): one KD-tree query with
+per-box radii gathers every box's footprint neighbourhood, and each
+evidence term is a segment operation over the flattened result.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +95,12 @@ class BoxEvidence:
 
 
 class ConfidenceCalibrator:
-    """Scores candidate boxes from the obstacle cloud around them."""
+    """Scores candidate boxes from the obstacle cloud around them.
+
+    Build once per cloud (it indexes the points in a KD-tree and labels
+    structural clusters), then score the cloud's distinct boxes with one
+    :meth:`score_batch` call.
+    """
 
     def __init__(
         self,
@@ -107,116 +118,153 @@ class ConfidenceCalibrator:
 
     def evidence(self, box: Box3D) -> BoxEvidence:
         """Measure the point evidence supporting ``box``."""
-        if self._tree is None:
-            return BoxEvidence(0, 0.0, 0, 0.0)
-        w = self.weights
-        neighbor_indices = self._footprint_neighbors(box)
-        neighborhood = self.points[neighbor_indices]
-        if len(neighborhood) == 0:
-            return BoxEvidence(0, 0.0, 0, 0.0)
-
-        # The box test and the column test (same footprint extruded in z,
-        # catching wall points above the box) share the yaw rotation and
-        # the xy bounds; compute them once instead of two points_in_box
-        # passes over per-call padded copies.
-        rel = neighborhood[:, :2] - box.center[:2]
-        cos_y, sin_y = np.cos(-box.yaw), np.sin(-box.yaw)
-        u = rel[:, 0] * cos_y - rel[:, 1] * sin_y
-        v = rel[:, 0] * sin_y + rel[:, 1] * cos_y
-        in_footprint = (np.abs(u) <= box.length / 2 + FOOTPRINT_PAD) & (
-            np.abs(v) <= box.width / 2 + FOOTPRINT_PAD
-        )
-        dz = neighborhood[:, 2] - box.center[2]
-        in_column = in_footprint & (
-            np.abs(dz - 2.0) <= (box.height + 6.0) / 2 + 0.1
-        )
-        tall_count = int(
-            (neighborhood[in_column, 2] > self.ground_z + CAR_MAX_HEIGHT).sum()
-        )
-        inside = in_footprint & (np.abs(dz) <= box.height / 2 + 0.1)
-        box_points = neighborhood[inside]
-        if len(box_points) == 0:
-            return BoxEvidence(0, 0.0, tall_count, 0.0)
-
-        overrun = self._contiguous_overrun(box, neighbor_indices[inside])
-        rel = box_points[:, :2] - box.center[:2]
-        azimuth = np.arctan2(rel[:, 1], rel[:, 0])
-        bins = ((azimuth + np.pi) / (2 * np.pi) * w.coverage_bins).astype(int)
-        bins = np.clip(bins, 0, w.coverage_bins - 1)
-        occupied = np.count_nonzero(np.bincount(bins, minlength=w.coverage_bins))
-        coverage = occupied / w.coverage_bins
+        num_points, coverage, tall_count, overrun = self._evidence([box])
         return BoxEvidence(
-            int(len(box_points)), float(coverage), tall_count, overrun
+            int(num_points[0]),
+            float(coverage[0]),
+            int(tall_count[0]),
+            float(overrun[0]),
         )
-
-    def _footprint_neighbors(self, box: Box3D) -> np.ndarray:
-        """Indices of a superset of the points over ``box``'s padded footprint.
-
-        Every evidence term reads only points inside the footprint padded
-        by ``FOOTPRINT_PAD``, so the disk through its corners, widened by
-        ``LOOKUP_SLACK``, yields the same evidence as the whole cloud.
-        """
-        radius = float(
-            np.hypot(box.length / 2 + FOOTPRINT_PAD, box.width / 2 + FOOTPRINT_PAD)
-        )
-        return np.asarray(
-            self._tree.query_ball_point(box.center[:2], radius + LOOKUP_SLACK),
-            dtype=int,
-        )
-
-    def _contiguous_overrun(
-        self, box: Box3D, box_point_indices: np.ndarray
-    ) -> float:
-        """Extent of the contiguous structure through the box, over car size.
-
-        Points were clustered once at construction time (grid-based
-        connected components, true 2D — a truck parked a metre away stays a
-        *separate* object).  Walls, building corners and trucks form
-        clusters far longer than any car; a car bounded by air (or by the
-        gaps between parked vehicles) does not.
-        """
-        if len(box_point_indices) == 0:
-            return 0.0
-        clusters = np.unique(self._cluster_ids[box_point_indices])
-        # Only *thin* structure counts against a car hypothesis: building
-        # walls are long and under ~1 m deep, while a row of parked cars —
-        # which can fuse into one long cluster once two viewpoints fill in
-        # the gaps — is several metres deep and must not be penalised.
-        thin = clusters[self._cluster_minors[clusters] < 1.0]
-        if len(thin) == 0:
-            return 0.0
-        extent = float(self._cluster_extents[thin].max())
-        car_limit = float(np.hypot(box.length, box.width)) + 0.6
-        return max(0.0, extent - car_limit)
 
     def score(self, box: Box3D, object_class=None) -> float:
         """Confidence in [0, 1] for ``box`` (optionally class-aware)."""
-        return self.score_from_evidence(self.evidence(box), object_class)
+        return float(self.score_batch([box], [object_class])[0])
+
+    def score_batch(self, boxes, object_classes) -> np.ndarray:
+        """Confidences of many boxes (one class or None per box) in one pass."""
+        return self._confidence(*self._evidence(boxes), object_classes)
 
     def score_from_evidence(self, ev: BoxEvidence, object_class=None) -> float:
-        """Apply the logistic model to measured evidence.
+        """Apply the logistic model to measured evidence."""
+        return float(
+            self._confidence(
+                np.array([ev.num_points]),
+                np.array([ev.coverage]),
+                np.array([ev.tall_count]),
+                np.array([ev.length_overrun]),
+                [object_class],
+            )[0]
+        )
 
-        ``object_class`` (a :class:`repro.detection.classes.ObjectClass`)
+    def _evidence(self, boxes) -> tuple[np.ndarray, ...]:
+        """Evidence arrays ``(num_points, coverage, tall_count, length_overrun)``
+        of ``boxes``, one entry per box.
+
+        One neighbour query serves all boxes: the disk through each
+        footprint's corners, padded by ``FOOTPRINT_PAD`` and widened by
+        ``LOOKUP_SLACK``, holds every point an evidence term reads.  The
+        query's result lists become one index array with an owner array,
+        and every term is a segment operation over it.
+        """
+        m = len(boxes)
+        num_points = np.zeros(m, dtype=np.intp)
+        tall_count = np.zeros(m, dtype=np.intp)
+        coverage = np.zeros(m)
+        overrun = np.zeros(m)
+        if self._tree is None or m == 0:
+            return num_points, coverage, tall_count, overrun
+        w = self.weights
+        center = np.array([box.center for box in boxes])
+        length, width, height, yaw = np.array(
+            [(box.length, box.width, box.height, box.yaw) for box in boxes]
+        ).T
+        half_l = length / 2 + FOOTPRINT_PAD
+        half_w = width / 2 + FOOTPRINT_PAD
+        idx, owner = _flat_lists(
+            self._tree.query_ball_point(
+                center[:, :2],
+                np.hypot(half_l, half_w) + LOOKUP_SLACK,
+                return_sorted=False,
+            )
+        )
+        neighborhood = self.points[idx]
+        # The box test and the column test (same footprint extruded in z,
+        # catching wall points above the box) share the yaw rotation and
+        # the xy bounds.
+        rel_x = neighborhood[:, 0] - center[owner, 0]
+        rel_y = neighborhood[:, 1] - center[owner, 1]
+        cos_y, sin_y = np.cos(-yaw)[owner], np.sin(-yaw)[owner]
+        u = rel_x * cos_y - rel_y * sin_y
+        v = rel_x * sin_y + rel_y * cos_y
+        in_footprint = (np.abs(u) <= half_l[owner]) & (np.abs(v) <= half_w[owner])
+        dz = neighborhood[:, 2] - center[owner, 2]
+        in_column = in_footprint & (
+            np.abs(dz - 2.0) <= ((height + 6.0) / 2 + 0.1)[owner]
+        )
+        tall = in_column & (neighborhood[:, 2] > self.ground_z + CAR_MAX_HEIGHT)
+        tall_count = np.bincount(owner[tall], minlength=m)
+        inside = in_footprint & (np.abs(dz) <= (height / 2 + 0.1)[owner])
+        box_of = owner[inside]
+        num_points = np.bincount(box_of, minlength=m)
+        # Extent of the contiguous structure through each box, over car
+        # size.  Points were clustered once at construction time (grid-based
+        # connected components, true 2D — a truck parked a metre away stays
+        # a *separate* object).  Only *thin* structure counts against a car
+        # hypothesis: building walls are long and under ~1 m deep, while a
+        # row of parked cars — which can fuse into one long cluster once two
+        # viewpoints fill in the gaps — is several metres deep and must not
+        # be penalised.
+        clusters = self._cluster_ids[idx[inside]]
+        thin = self._cluster_minors[clusters] < 1.0
+        longest = np.full(m, -np.inf)
+        np.maximum.at(longest, box_of[thin], self._cluster_extents[clusters[thin]])
+        excess = longest - (np.hypot(length, width) + 0.6)
+        overrun = np.where(excess > 0.0, excess, 0.0)
+        # Angular coverage: occupied azimuth bins around each box centre.
+        azimuth = np.arctan2(rel_y[inside], rel_x[inside])
+        bins = ((azimuth + np.pi) / (2 * np.pi) * w.coverage_bins).astype(int)
+        bins = np.clip(bins, 0, w.coverage_bins - 1)
+        occupied = np.zeros((m, w.coverage_bins), dtype=bool)
+        occupied[box_of, bins] = True
+        coverage = np.count_nonzero(occupied, axis=1) / w.coverage_bins
+        return num_points, coverage, tall_count, overrun
+
+    def _confidence(
+        self,
+        num_points: np.ndarray,
+        coverage: np.ndarray,
+        tall_count: np.ndarray,
+        overrun: np.ndarray,
+        object_classes,
+    ) -> np.ndarray:
+        """The logistic model over evidence arrays.
+
+        An object class (a :class:`repro.detection.classes.ObjectClass`)
         shifts the bias and the evidence cap: a pedestrian is fully
-        confirmed by far fewer points than a car.
+        confirmed by far fewer points than a car.  None keeps the weights'
+        own bias and cap.
         """
         w = self.weights
-        bias = w.bias
-        count_cap = w.count_cap
-        if object_class is not None:
-            bias += object_class.bias_offset
-            count_cap = min(count_cap, object_class.count_cap)
+        bias = np.array(
+            [w.bias if c is None else w.bias + c.bias_offset for c in object_classes]
+        )
+        count_cap = np.array(
+            [w.count_cap if c is None else min(w.count_cap, c.count_cap)
+             for c in object_classes]
+        )
         # Evidence saturates: past ~count_cap points an object is as
         # confirmed as it gets, keeping scores inside the paper's band.
         logit = (
-            w.count_weight * np.log1p(min(ev.num_points, count_cap))
-            + w.coverage_weight * ev.coverage
-            - w.tall_penalty * np.log1p(ev.tall_count)
-            - w.overrun_penalty * ev.length_overrun
+            w.count_weight * np.log1p(np.minimum(num_points, count_cap))
+            + w.coverage_weight * coverage
+            - w.tall_penalty * np.log1p(tall_count)
+            - w.overrun_penalty * overrun
             - bias
         )
-        return float(1.0 / (1.0 + np.exp(-np.clip(logit, -60, 60))))
+        return 1.0 / (1.0 + np.exp(-np.clip(logit, -60, 60)))
 
+
+def _flat_lists(lists) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten a vector KD-tree query's result lists.
+
+    Returns one index array (the lists concatenated in order) and the
+    owner array giving each entry's list position.
+    """
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lengths.sum())
+    )
+    return flat, np.repeat(np.arange(len(lists)), lengths)
 
 
 def _label_clusters(

@@ -12,6 +12,18 @@ structures (same grid clustering the calibrator uses), and a proposal only
 fits to the cluster(s) directly under it.  Without this, a dense neighbour
 two metres away drags the centroid off the actual object — visible as
 detections "migrating" between adjacent parked cars on merged clouds.
+
+A cloud's proposals are refined together, in flat array passes rather
+than a loop per proposal: each KD-tree round (seed, mean-shift, gather)
+is one vector query whose result lists become one index array plus an
+owner array, and cutoffs, cluster membership and modes are segment
+operations over it.  Proposals that gather the same points share one
+fit, and every distinct fit runs in one pass: stacked 2x2
+eigendecompositions, the L-shape candidates and all ground-shadow counts
+at once.  Only the small BLAS products (covariance, principal-axis
+projection, box rotation) stay per fit, since an elementwise rewrite
+rounds them differently; segment sums use ``np.bincount``, which adds in
+index order exactly as ``.mean(axis=0)`` does.
 """
 
 from __future__ import annotations
@@ -22,8 +34,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.detection.anchors import CAR_ANCHOR_SIZE
+from repro.detection.calibrate import _flat_lists, _label_clusters
 from repro.detection.classes import CAR, ObjectClass, classify_cluster
-from repro.geometry.boxes import Box3D, points_in_box
+from repro.geometry.boxes import Box3D
+from repro.geometry.rotations import normalize_angle
 
 __all__ = ["BoxRefiner", "RefinementSpec", "Fit"]
 
@@ -56,7 +70,8 @@ class RefinementSpec:
         meanshift_radius: BEV radius (m) of each mean-shift round that
             moves a proposal onto its local density mode.
         meanshift_iterations: maximum number of mean-shift rounds.
-        min_points: proposals with fewer local points are dropped.
+        min_points: proposals with fewer local points (and at least one)
+            are dropped.
         template_size: (l, w, h) of the fitted box (mean car) when
             ``multi_class`` is off.
     """
@@ -75,7 +90,7 @@ class BoxRefiner:
 
     Build once per cloud (it indexes the points in a KD-tree, labels
     structural clusters and sorts the ground returns by x), then call
-    :meth:`refine` per proposal.
+    :meth:`refine_batch` with the cloud's proposals.
     """
 
     def __init__(
@@ -85,8 +100,6 @@ class BoxRefiner:
         spec: RefinementSpec | None = None,
         ground_xy: np.ndarray | None = None,
     ) -> None:
-        from repro.detection.calibrate import _label_clusters
-
         self.spec = spec or RefinementSpec()
         self.points = np.asarray(obstacle_xyz, dtype=float).reshape(-1, 3)
         self.ground_z = float(ground_z)
@@ -124,107 +137,167 @@ class BoxRefiner:
     def refine_batch(self, proposals_xy) -> list[Fit | None]:
         """Fit boxes near each proposal; one entry per input, None = drop.
 
-        Identical results to calling :meth:`refine` per proposal, but the
-        KD-tree lookups (seed, each mean-shift round, gather) are issued
-        as *vector* queries across all still-active proposals — the decode
-        path hands over ~40 proposals per cloud, and per-call query
-        overhead dominated the scalar version's profile.
+        Proposals that gather the same points get the same :class:`Fit`
+        object.
         """
         spec = self.spec
         n = len(proposals_xy)
         fits: list[Fit | None] = [None] * n
         if self._tree is None or n == 0:
             return fits
+        car_xy = self._car_points[:, :2]
         centers = np.array([p[:2] for p in proposals_xy], dtype=float)
-        seed_lists = self._tree.query_ball_point(
-            centers, spec.seed_radius, return_sorted=True
+        # Adopt the *nearest* structure under each proposal, plus anything
+        # almost as close — but not a neighbouring object that merely
+        # grazes the seed radius (a pedestrian proposal must not adopt the
+        # car parked 1.2 m away).  ``member[i, c]``: proposal i adopted
+        # cluster c.  Nothing here depends on the order of the seed points.
+        seed, owner = _flat_lists(
+            self._tree.query_ball_point(centers, spec.seed_radius, return_sorted=False)
         )
-        seed_clusters: list[np.ndarray | None] = [None] * n
-        modes = centers.copy()
-        shifting = np.zeros(n, dtype=bool)
-        for i in range(n):
-            seed_idx = np.asarray(seed_lists[i], dtype=int)
-            if not len(seed_idx):
-                continue
-            # Adopt the *nearest* structure under the proposal, plus
-            # anything almost as close — but not a neighbouring object that
-            # merely grazes the seed radius (a pedestrian proposal must not
-            # adopt the car parked 1.2 m away).
-            distances = np.linalg.norm(
-                self._car_points[seed_idx, :2] - centers[i], axis=1
-            )
-            cutoff = max(0.7, float(distances.min()) + 0.25)
-            seed_clusters[i] = np.unique(
-                self._clusters[seed_idx[distances <= cutoff]]
-            )
-            shifting[i] = True
+        distances = np.linalg.norm(car_xy[seed] - centers[owner], axis=1)
+        nearest = np.full(n, np.inf)
+        np.minimum.at(nearest, owner, distances)
+        adopted = distances <= np.maximum(0.7, nearest + 0.25)[owner]
+        member = np.zeros((n, int(self._clusters.max()) + 1), dtype=bool)
+        member[owner[adopted], self._clusters[seed[adopted]]] = True
+        seeded = np.zeros(n, dtype=bool)
+        seeded[owner] = True
+        if not seeded.any():
+            return fits
         # Mean-shift with a sub-car radius: converge onto the local density
         # mode (one vehicle's own point mass) instead of the centroid of
         # whatever the proposal radius happens to cover.  Essential on
         # merged clouds, where two viewpoints can fuse a whole row of
         # parked cars into one connected cluster.
+        modes = centers.copy()
+        shifting = seeded.copy()
         for _ in range(spec.meanshift_iterations):
             live = np.flatnonzero(shifting)
             if not len(live):
                 break
-            near_lists = self._tree.query_ball_point(
-                modes[live], spec.meanshift_radius, return_sorted=True
+            near, owner = self._in_adopted(
+                spec.meanshift_radius, modes, live, member
             )
-            for j, i in enumerate(live):
-                near = np.asarray(near_lists[j], dtype=int)
-                near = near[_in_clusters(self._clusters[near], seed_clusters[i])]
-                if len(near) < spec.min_points:
-                    shifting[i] = False
-                    continue
-                new_mode = self._car_points[near, :2].mean(axis=0)
-                if new_mode[0] == modes[i, 0] and new_mode[1] == modes[i, 1]:
-                    # A fixed point: every further round would reproduce
-                    # this exact mode, so the remaining queries are pure
-                    # cost.
-                    shifting[i] = False
-                modes[i] = new_mode
-        seeded = [i for i in range(n) if seed_clusters[i] is not None]
-        if not seeded:
-            return fits
-        gather_lists = self._tree.query_ball_point(
-            modes[seeded], spec.gather_radius, return_sorted=True
+            counts = np.bincount(owner, minlength=n)
+            enough = counts[live] >= spec.min_points
+            shifting[live[~enough]] = False
+            movers = live[enough]
+            new_x = np.bincount(owner, weights=car_xy[near, 0], minlength=n)
+            new_y = np.bincount(owner, weights=car_xy[near, 1], minlength=n)
+            new_x = new_x[movers] / counts[movers]
+            new_y = new_y[movers] / counts[movers]
+            # A fixed point: every further round would reproduce this
+            # exact mode, so the remaining queries are pure cost.
+            fixed = (new_x == modes[movers, 0]) & (new_y == modes[movers, 1])
+            shifting[movers[fixed]] = False
+            modes[movers, 0] = new_x
+            modes[movers, 1] = new_y
+        idx, owner = self._in_adopted(
+            spec.gather_radius, modes, np.flatnonzero(seeded), member
         )
-        for j, i in enumerate(seeded):
-            idx = np.asarray(gather_lists[j], dtype=int)
-            idx = idx[_in_clusters(self._clusters[idx], seed_clusters[i])]
-            if len(idx) >= spec.min_points:
-                fits[i] = self._fit(self._car_points[idx])
+        counts = np.bincount(owner, minlength=n)
+        ends = np.cumsum(counts)
+        # Nearby proposals often mean-shift onto the same mode and gather
+        # the very same points; fit each distinct point set once.
+        fit_of = np.full(n, -1)
+        first = np.zeros(n, dtype=bool)
+        distinct: dict[bytes, int] = {}
+        for i in np.flatnonzero(counts >= max(spec.min_points, 1)).tolist():
+            key = idx[ends[i] - counts[i] : ends[i]].tobytes()
+            if key not in distinct:
+                distinct[key] = len(distinct)
+                first[i] = True
+            fit_of[i] = distinct[key]
+        if not distinct:
+            return fits
+        taken = first[owner]
+        made = self._fit_batch(idx[taken], fit_of[owner[taken]], len(distinct))
+        for i in np.flatnonzero(fit_of >= 0):
+            fits[i] = made[fit_of[i]]
         return fits
 
-    def _fit(self, local: np.ndarray) -> Fit:
-        """Fit a template box to the gathered local points of one proposal."""
+    def _in_adopted(
+        self,
+        radius: float,
+        modes: np.ndarray,
+        live: np.ndarray,
+        member: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Car-band points within ``radius`` of each live mode that lie in
+        a cluster its proposal adopted: indices grouped by owner, each
+        group in ascending index order (the order the mode and fit sums
+        add in), and their owners."""
+        idx, slot = _flat_lists(
+            self._tree.query_ball_point(modes[live], radius, return_sorted=False)
+        )
+        owner = live[slot]
+        keep = member[owner, self._clusters[idx]]
+        # One sort of the flat (owner, index) keys costs less than the
+        # tree's sort of every result list (half as much on a merged
+        # 64-beam cloud).
+        size = len(self._car_points)
+        owner, idx = np.divmod(np.sort(owner[keep] * size + idx[keep]), size)
+        return idx, owner
+
+    def _fit_batch(self, idx: np.ndarray, owner: np.ndarray, m: int) -> list[Fit]:
+        """Fit a template box to each of ``m`` gathered point sets.
+
+        ``idx`` holds car-band point indices grouped by fit (``owner``,
+        ascending), each group in ascending index order.
+        """
         spec = self.spec
-        local_xy = local[:, :2]
+        local = self._car_points[idx]
+        counts = np.bincount(owner, minlength=m)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        segments = list(zip(starts.tolist(), ends.tolist()))
+        centroid = np.column_stack(
+            [
+                np.bincount(owner, weights=local[:, 0], minlength=m),
+                np.bincount(owner, weights=local[:, 1], minlength=m),
+            ]
+        ) / counts[:, None]
+        centered = local[:, :2] - centroid[owner]
         # Extents (classification) and yaw share one principal-axis
-        # analysis: both need the same centred covariance and its
-        # eigendecomposition, so compute it once per proposal.
-        centroid = local_xy.mean(axis=0)
-        if len(local_xy) >= 2:
-            centered = local_xy - centroid
-            cov = centered.T @ centered / len(local_xy)
-            eigenvalues, eigenvectors = np.linalg.eigh(cov)
-            projected = centered @ eigenvectors
-            spans = projected.max(axis=0) - projected.min(axis=0)
-            major, minor = float(spans[1]), float(spans[0])
-        else:
-            major = minor = 0.0
-        object_class = CAR
+        # analysis of the centred points.
+        major = np.zeros(m)
+        minor = np.zeros(m)
+        base_yaw = np.zeros(m)
+        spread = np.flatnonzero(counts >= 2)
+        if len(spread):
+            covariance = np.empty((len(spread), 2, 2))
+            for row, k in enumerate(spread):
+                c = centered[slice(*segments[k])]
+                covariance[row] = c.T @ c / counts[k]
+            eigenvalues, eigenvectors = np.linalg.eigh(covariance)
+            projected = np.zeros_like(centered)
+            for row, k in enumerate(spread):
+                part = slice(*segments[k])
+                np.matmul(centered[part], eigenvectors[row], out=projected[part])
+            spans = np.maximum.reduceat(projected, starts, axis=0) - (
+                np.minimum.reduceat(projected, starts, axis=0)
+            )
+            major[spread] = spans[spread, 1]
+            minor[spread] = spans[spread, 0]
+            principal = np.argmax(eigenvalues, axis=1)
+            rows = np.arange(len(spread))
+            yaw = np.arctan2(
+                eigenvectors[rows, 1, principal], eigenvectors[rows, 0, principal]
+            )
+            base_yaw[spread] = np.where(counts[spread] >= 3, yaw, 0.0)
         if spec.multi_class:
-            height_span = float(local[:, 2].max() - self.ground_z)
-            object_class = classify_cluster(major, minor, height_span)
-            length, width, height = object_class.template
+            height_span = np.maximum.reduceat(local[:, 2], starts) - self.ground_z
+            classes = [
+                classify_cluster(a, b, h)
+                for a, b, h in zip(major.tolist(), minor.tolist(), height_span.tolist())
+            ]
+            template = np.array([c.template for c in classes], dtype=float)
         else:
-            length, width, height = spec.template_size
-        if len(local_xy) >= 3:
-            axis = eigenvectors[:, int(np.argmax(eigenvalues))]
-            base_yaw = float(np.arctan2(axis[1], axis[0]))
-        else:
-            base_yaw = 0.0
+            classes = [CAR] * m
+            template = np.tile(np.asarray(spec.template_size, dtype=float), (m, 1))
+        length, width, height = template.T
+        center_z = self.ground_z + height / 2.0
         # PCA orientation is ambiguous on merged clouds: a row of parked
         # cars fused into one cluster has its principal axis along the
         # *row*, perpendicular to every car in it.  Fit both orientations
@@ -234,129 +307,145 @@ class BoxRefiner:
         # a *cooperator* (the receiver-frame origin is not their sensor):
         # both slide directions are tried, tie-broken by the ground-shadow
         # test — the real vehicle sits where the ground shows no returns.
-        yaw_candidates = [
-            (yaw, _l_shape_centers(local_xy, yaw, length, width, centroid=centroid))
-            for yaw in (base_yaw, base_yaw + np.pi / 2.0)
-        ]
-        ground = self._ground_neighborhood(yaw_candidates, length, width)
-        best: tuple[float, float, float, Box3D] | None = None
-        for yaw, candidates in yaw_candidates:
-            boxes = [
-                Box3D(
-                    np.array([c[0], c[1], self.ground_z + height / 2.0]),
-                    length,
-                    width,
-                    height,
-                    yaw,
-                )
-                for c in candidates
-            ]
-            chosen = boxes[0]
-            flipped = 0.0
-            shadow = _ground_points_under(ground, chosen)
-            if len(boxes) == 2:
-                # Override the receiver-as-sensor slide only on decisive
-                # ground evidence: many returns under the default placement
-                # and clearly fewer under the mirrored one.  Doubly-shadowed
-                # ground (occluders on both sides) must not flip the box.
-                shadow_mirrored = _ground_points_under(ground, boxes[1])
-                if shadow >= 8 and shadow_mirrored * 2 <= shadow:
-                    chosen = boxes[1]
-                    shadow = shadow_mirrored
-                    flipped = 1.0
-            inside = int(points_in_box(local, chosen, margin=0.1).sum())
-            fitness = inside - 2 * (len(local) - inside)
-            # Orientation choice: best point fit first; then the placement
-            # whose footprint shadows the ground (a box sticking out over
-            # visible ground has the wrong yaw for this cluster); finally,
-            # prefer an unflipped candidate — where ground sampling is too
-            # sparse to decide, the receiver-as-sensor slide is the prior.
-            key = (fitness, -float(shadow), -flipped)
-            if best is None or key > best[:3]:
-                best = (fitness, -float(shadow), -flipped, chosen)
-        return Fit(best[3], local, object_class)
+        yaws = np.column_stack([base_yaw, base_yaw + np.pi / 2.0])
+        # The yaws a Box3D stores; the footprint tests rotate by these.
+        wrapped = np.array([normalize_angle(a) for a in yaws.ravel().tolist()])
+        wrapped = wrapped.reshape(m, 2)
+        # candidates[k, j, s]: fit k, orientation j, slide s (0 = away from
+        # the receiver, 1 = mirrored); ``two`` marks distinct slides.
+        candidates = np.empty((m, 2, 2, 2))
+        two = np.empty((m, 2), dtype=bool)
+        for j in range(2):
+            candidates[:, j], two[:, j] = _l_shape_centers(
+                local[:, :2], owner, starts, centroid, yaws[:, j], length, width
+            )
+        shadows = self._ground_shadows(
+            candidates.reshape(m, 4, 2), np.repeat(wrapped, 2, axis=1), length, width
+        ).reshape(m, 2, 2)
+        # Override the receiver-as-sensor slide only on decisive ground
+        # evidence: many returns under the default placement and clearly
+        # fewer under the mirrored one.  Doubly-shadowed ground (occluders
+        # on both sides) must not flip the box.
+        primary, mirrored = shadows[..., 0], shadows[..., 1]
+        flipped = two & (primary >= 8) & (mirrored * 2 <= primary)
+        shadow = np.where(flipped, mirrored, primary)
+        chosen = np.where(flipped[..., None], candidates[:, :, 1], candidates[:, :, 0])
+        # Points inside each orientation's chosen box (0.1 m margin).  The
+        # rotation stays a per-fit BLAS product, as in points_in_box.
+        within_z = np.abs(local[:, 2] - center_z[owner]) <= (height / 2 + 0.1)[owner]
+        half_l = (length / 2 + 0.1)[owner]
+        half_w = (width / 2 + 0.1)[owner]
+        inside = np.empty((m, 2), dtype=np.intp)
+        for j in range(2):
+            cos_y, sin_y = np.cos(-wrapped[:, j]), np.sin(-wrapped[:, j])
+            rotation = np.stack(
+                [np.stack([cos_y, -sin_y], axis=1), np.stack([sin_y, cos_y], axis=1)],
+                axis=1,
+            )
+            offset = local[:, :2] - chosen[owner, j]
+            rotated = np.empty_like(offset)
+            for k, part in enumerate(segments):
+                part = slice(*part)
+                np.matmul(offset[part], rotation[k].T, out=rotated[part])
+            hit = (
+                (np.abs(rotated[:, 0]) <= half_l)
+                & (np.abs(rotated[:, 1]) <= half_w)
+                & within_z
+            )
+            inside[:, j] = np.bincount(owner[hit], minlength=m)
+        # Orientation choice: best point fit first; then the placement
+        # whose footprint shadows the ground (a box sticking out over
+        # visible ground has the wrong yaw for this cluster); finally,
+        # prefer an unflipped candidate — where ground sampling is too
+        # sparse to decide, the receiver-as-sensor slide is the prior.
+        fitness = inside - 2 * (counts[:, None] - inside)
+        second = (fitness[:, 1] > fitness[:, 0]) | (
+            (fitness[:, 1] == fitness[:, 0])
+            & (
+                (shadow[:, 1] < shadow[:, 0])
+                | ((shadow[:, 1] == shadow[:, 0]) & (flipped[:, 1] < flipped[:, 0]))
+            )
+        )
+        fits = []
+        for k, j in enumerate(second.astype(int).tolist()):
+            box = Box3D(
+                np.array([chosen[k, j, 0], chosen[k, j, 1], center_z[k]]),
+                length[k],
+                width[k],
+                height[k],
+                yaws[k, j],
+            )
+            fits.append(Fit(box, local[slice(*segments[k])], classes[k]))
+        return fits
 
-    def _ground_neighborhood(
+    def _ground_shadows(
         self,
-        yaw_candidates: list,
-        length: float,
-        width: float,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Ground returns ``(x, y)`` covering every candidate footprint of one fit.
+        centers: np.ndarray,
+        yaws: np.ndarray,
+        length: np.ndarray,
+        width: np.ndarray,
+    ) -> np.ndarray:
+        """Ground returns under each candidate footprint, counted per fit.
 
-        Returns the ground inside the axis-aligned rectangle that holds
-        each candidate centre's footprint circumcircle: a superset of
-        every footprint, so :func:`_ground_points_under` counts exactly
-        what it would over the whole ground set.  The rectangle's x-range
-        is a slice of the sorted ground; its y-range filters that slab.
+        ``centers`` is ``(m, k, 2)``: k candidate box centres for each of m
+        fits; ``yaws`` ``(m, k)`` their wrapped yaws; ``length`` and
+        ``width`` ``(m,)`` the fits' templates.  Returns ``(m, k)`` counts.
+
+        Each fit reads the ground inside the axis-aligned rectangle that
+        holds every candidate's footprint circumcircle: an x-slab of the
+        sorted ground, filtered by y.  That is a superset of every
+        footprint, so the counts equal counts over the whole ground set.
+        Interior only (negative margin): returns hugging the box *edges*
+        are object-face points grazing the ground band, not open ground.
+        The test is purely planar — the z comparison is vacuous for ground
+        returns.
         """
-        if self._ground_x is None:
-            return None
-        reach = float(np.hypot(length, width)) / 2.0
-        xs = [float(c[0]) for _yaw, candidates in yaw_candidates for c in candidates]
-        ys = [float(c[1]) for _yaw, candidates in yaw_candidates for c in candidates]
-        lo = int(np.searchsorted(self._ground_x, min(xs) - reach, side="left"))
-        hi = int(np.searchsorted(self._ground_x, max(xs) + reach, side="right"))
-        x = self._ground_x[lo:hi]
-        y = self._ground_y[lo:hi]
-        keep = (y >= min(ys) - reach) & (y <= max(ys) + reach)
-        return x[keep], y[keep]
-
-
-def _ground_points_under(
-    ground: tuple[np.ndarray, np.ndarray] | None, box: Box3D
-) -> int:
-    """Ground returns inside the box footprint.
-
-    ``ground`` holds the x and y of a superset of the footprint's ground
-    returns (see :meth:`BoxRefiner._ground_neighborhood`); None means no
-    ground data.  Interior only (negative margin): returns hugging the box
-    *edges* are object-face points grazing the ground band, not open
-    ground.  The test is purely planar — the z comparison is vacuous for
-    ground returns — so only the footprint rotation is computed.
-    """
-    if ground is None:
-        return 0
-    ground_x, ground_y = ground
-    cx, cy = float(box.center[0]), float(box.center[1])
-    rx = ground_x - cx
-    ry = ground_y - cy
-    cos_y, sin_y = np.cos(-box.yaw), np.sin(-box.yaw)
-    u = rx * cos_y - ry * sin_y
-    v = rx * sin_y + ry * cos_y
-    return int(
-        (
-            (np.abs(u) <= box.length / 2 - 0.4)
-            & (np.abs(v) <= box.width / 2 - 0.4)
-        ).sum()
-    )
-
-
-def _in_clusters(labels: np.ndarray, seed_clusters: np.ndarray) -> np.ndarray:
-    """Membership mask of ``labels`` in ``seed_clusters``.
-
-    Equivalent to ``np.isin`` but skips its sort-based machinery for the
-    common few-seed-cluster cases (a proposal usually sits on one or two
-    structures), which profile hot inside refine.
-    """
-    if len(seed_clusters) == 1:
-        return labels == seed_clusters[0]
-    if len(seed_clusters) <= 4:
-        mask = labels == seed_clusters[0]
-        for cluster in seed_clusters[1:]:
-            mask |= labels == cluster
-        return mask
-    return np.isin(labels, seed_clusters)
+        m, k = yaws.shape
+        shadows = np.zeros((m, k), dtype=np.intp)
+        if self._ground_x is None or m == 0:
+            return shadows
+        reach = np.hypot(length, width) / 2.0
+        lo = np.searchsorted(self._ground_x, centers[..., 0].min(axis=1) - reach)
+        hi = np.searchsorted(
+            self._ground_x, centers[..., 0].max(axis=1) + reach, side="right"
+        )
+        y_lo = (centers[..., 1].min(axis=1) - reach).tolist()
+        y_hi = (centers[..., 1].max(axis=1) + reach).tolist()
+        # The y filter runs on each fit's slab as a view: slabs span the
+        # whole cloud in y, so gathering them first would cost more.
+        rows = []
+        for fit, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
+            slab_y = self._ground_y[start:stop]
+            near = (slab_y >= y_lo[fit]) & (slab_y <= y_hi[fit])
+            rows.append(np.flatnonzero(near) + start)
+        owner = np.repeat(np.arange(m), [len(r) for r in rows])
+        rows = np.concatenate(rows)
+        ground_x = self._ground_x[rows]
+        ground_y = self._ground_y[rows]
+        half_l = (length / 2 - 0.4)[owner]
+        half_w = (width / 2 - 0.4)[owner]
+        for j in range(k):
+            cos_y = np.cos(-yaws[:, j])[owner]
+            sin_y = np.sin(-yaws[:, j])[owner]
+            rx = ground_x - centers[owner, j, 0]
+            ry = ground_y - centers[owner, j, 1]
+            u = rx * cos_y - ry * sin_y
+            v = rx * sin_y + ry * cos_y
+            under = (np.abs(u) <= half_l) & (np.abs(v) <= half_w)
+            shadows[:, j] = np.bincount(owner[under], minlength=m)
+        return shadows
 
 
 def _l_shape_centers(
     xy: np.ndarray,
-    yaw: float,
-    length: float,
-    width: float,
-    centroid: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Candidate box centres for a partial view: both slide directions.
+    owner: np.ndarray,
+    starts: np.ndarray,
+    centroid: np.ndarray,
+    yaw: np.ndarray,
+    length: np.ndarray,
+    width: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate box centres for partial views: both slide directions.
 
     A LiDAR sees only the faces turned towards it, so the raw centroid sits
     *on* those faces rather than at the vehicle centre.  In the box's yaw
@@ -366,47 +455,43 @@ def _l_shape_centers(
     receiver-as-sensor assumption), scaled by the sensor direction's unit
     component so that a face-on view does not flip a half-car shift.  The
     second moves the opposite way (correct when the points came from a
-    cooperator on the far side).  Identical candidates (full views, no
-    deficit) are deduplicated.
+    cooperator on the far side).
 
-    Both candidates share every intermediate (centroid, yaw frame,
-    observed extents); only the final slide direction differs.  The maths
-    is kept in scalars — this runs twice per proposal and array-op
-    overhead on 2-vectors dominated its profile.
+    ``xy`` holds every fit's points grouped by ``owner`` (groups begin at
+    ``starts``); ``centroid``, ``yaw``, ``length`` and ``width`` have one
+    row per fit.  Returns ``(m, 2, 2)`` centres (fit, slide, xy) and a
+    mask of the fits whose two slides differ: identical candidates (full
+    views, no deficit) count as one.
     """
-    if centroid is None:
-        centroid = xy.mean(axis=0)
-    c0, c1 = float(centroid[0]), float(centroid[1])
-    cos_y, sin_y = float(np.cos(yaw)), float(np.sin(yaw))
-    dx = xy[:, 0] - c0
-    dy = xy[:, 1] - c1
-    u = dx * cos_y + dy * sin_y
-    v = dy * cos_y - dx * sin_y
+    c0, c1 = centroid[:, 0], centroid[:, 1]
+    cos_y, sin_y = np.cos(yaw), np.sin(yaw)
+    dx = xy[:, 0] - c0[owner]
+    dy = xy[:, 1] - c1[owner]
+    u = dx * cos_y[owner] + dy * sin_y[owner]
+    v = dy * cos_y[owner] - dx * sin_y[owner]
     # The sensor sits at the frame origin; project it into the yaw frame.
     sensor_u = -c0 * cos_y - c1 * sin_y
     sensor_v = c0 * sin_y - c1 * cos_y
-    norm = float(np.sqrt(sensor_u * sensor_u + sensor_v * sensor_v))
-    if norm > 1e-9:
-        unit_u, unit_v = sensor_u / norm, sensor_v / norm
-    else:
-        unit_u = unit_v = 0.0
-    primary_uv = [0.0, 0.0]
-    mirrored_uv = [0.0, 0.0]
-    for axis, dim, unit, proj in (
-        (0, length, unit_u, u),
-        (1, width, unit_v, v),
-    ):
-        lo, hi = float(proj.min()), float(proj.max())
+    norm = np.sqrt(sensor_u * sensor_u + sensor_v * sensor_v)
+    far = norm > 1e-9
+    norm = np.where(far, norm, 1.0)
+    slides = []
+    for dim, sensor, proj in ((length, sensor_u, u), (width, sensor_v, v)):
+        unit = np.where(far, sensor / norm, 0.0)
+        lo = np.minimum.reduceat(proj, starts)
+        hi = np.maximum.reduceat(proj, starts)
         observed_mid = (lo + hi) / 2.0
-        deficit = max(0.0, (dim - (hi - lo)) / 2.0)
-        primary_uv[axis] = observed_mid - deficit * unit
-        mirrored_uv[axis] = observed_mid + deficit * unit
-    px = c0 + primary_uv[0] * cos_y - primary_uv[1] * sin_y
-    py = c1 + primary_uv[0] * sin_y + primary_uv[1] * cos_y
-    mx = c0 + mirrored_uv[0] * cos_y - mirrored_uv[1] * sin_y
-    my = c1 + mirrored_uv[0] * sin_y + mirrored_uv[1] * cos_y
-    # Same tolerance semantics as np.allclose(primary, mirrored, atol=1e-9)
-    # without its (measurably slow) broadcasting machinery.
-    if abs(px - mx) <= 1e-9 + 1e-5 * abs(mx) and abs(py - my) <= 1e-9 + 1e-5 * abs(my):
-        return [np.array([px, py])]
-    return [np.array([px, py]), np.array([mx, my])]
+        deficit = (dim - (hi - lo)) / 2.0
+        deficit = np.where(deficit > 0.0, deficit, 0.0)
+        slides.append((observed_mid - deficit * unit, observed_mid + deficit * unit))
+    (primary_u, mirrored_u), (primary_v, mirrored_v) = slides
+    px = c0 + primary_u * cos_y - primary_v * sin_y
+    py = c1 + primary_u * sin_y + primary_v * cos_y
+    mx = c0 + mirrored_u * cos_y - mirrored_v * sin_y
+    my = c1 + mirrored_u * sin_y + mirrored_v * cos_y
+    # The tolerance of np.allclose(primary, mirrored, atol=1e-9).
+    same = (np.abs(px - mx) <= 1e-9 + 1e-5 * np.abs(mx)) & (
+        np.abs(py - my) <= 1e-9 + 1e-5 * np.abs(my)
+    )
+    centers = np.stack([np.column_stack([px, py]), np.column_stack([mx, my])], axis=1)
+    return centers, ~same

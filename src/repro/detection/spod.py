@@ -10,6 +10,7 @@ Cooper, runs unchanged on merged multi-vehicle clouds.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -31,6 +32,16 @@ from repro.pointcloud.voxel import VoxelGridSpec, voxelize
 from repro.profiling import PROFILER
 
 __all__ = ["SPODConfig", "SPOD"]
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_coordinates(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of every cell of a ``shape`` grid, flattened
+    in C order, as float bincount weights (read-only: callers share them)."""
+    rows, cols = np.indices(shape, dtype=float).reshape(2, -1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def _suppress_contained(detections: list[Detection]) -> list[Detection]:
@@ -344,11 +355,11 @@ class SPOD:
         labeled, count = ndimage.label(mask)
         if count == 0:
             return np.zeros((0, 2), dtype=int)
-        # Plateau centroids via label-indexed sums — the coordinate sums
-        # are exact integer arithmetic, so this matches what
-        # ndimage.center_of_mass produced at a fraction of the cost.
-        rows, cols = np.nonzero(mask)
-        labels = labeled[rows, cols]
+        # Plateau centroids via label-indexed sums over the whole grid —
+        # the coordinate sums are exact integer arithmetic, so this matches
+        # what ndimage.center_of_mass produced at a fraction of the cost.
+        labels = labeled.ravel()
+        rows, cols = _cell_coordinates(labeled.shape)
         sizes = np.bincount(labels, minlength=count + 1)[1:]
         row_c = np.bincount(labels, weights=rows, minlength=count + 1)[1:] / sizes
         col_c = np.bincount(labels, weights=cols, minlength=count + 1)[1:] / sizes
@@ -389,32 +400,20 @@ class SPOD:
         centers = self.anchors.cell_centers()
         with PROFILER.stage("spod.decode.refine"):
             fits = refiner.refine_batch([centers[ix, iy] for ix, iy in cells])
-        detections: list[Detection] = []
-        # Nearby proposals frequently mean-shift onto the same density mode
-        # and produce bit-identical boxes; the calibrator is a pure
-        # function of the box, so score each distinct box once.
-        scored: dict[tuple, float] = {}
         with PROFILER.stage("spod.decode.calibrate"):
-            for fit in fits:
-                if fit is None:
-                    continue
-                key = (
-                    fit.box.center.tobytes(),
-                    fit.box.length,
-                    fit.box.width,
-                    fit.box.height,
-                    fit.box.yaw,
-                    fit.object_class.name,
-                )
-                score = scored.get(key)
-                if score is None:
-                    score = calibrator.score(fit.box, fit.object_class)
-                    scored[key] = score
-                if score < 0.05:
-                    continue
-                detections.append(
-                    Detection(fit.box, score, label=fit.object_class.name)
-                )
+            # Nearby proposals frequently mean-shift onto the same density
+            # mode and share one fit; score each distinct fit once, all in
+            # one calibrator pass.
+            distinct = list({id(fit): fit for fit in fits if fit is not None}.values())
+            scores = calibrator.score_batch(
+                [fit.box for fit in distinct], [fit.object_class for fit in distinct]
+            )
+            score_of = dict(zip(map(id, distinct), scores.tolist()))
+            detections = [
+                Detection(fit.box, score_of[id(fit)], label=fit.object_class.name)
+                for fit in fits
+                if fit is not None and score_of[id(fit)] >= 0.05
+            ]
         with PROFILER.stage("spod.decode.suppress"):
             return _suppress_contained(detections)
 

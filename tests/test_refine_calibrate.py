@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import repro.detection.spod as spod_module
+from repro.datasets.synthetic_kitti import kitti_cases
+from repro.datasets.tj import tj_cases
 from repro.detection.calibrate import (
     FOOTPRINT_PAD,
     BoxEvidence,
@@ -11,33 +13,20 @@ from repro.detection.calibrate import (
     ConfidenceCalibrator,
 )
 from repro.detection.classes import CAR, CYCLIST, PEDESTRIAN
-from repro.detection.refine import BoxRefiner, RefinementSpec, _ground_points_under
+from repro.detection.refine import BoxRefiner, RefinementSpec
+from repro.detection.spod import SPOD, SPODConfig
 from repro.fusion.align import merge_packages
 from repro.geometry.boxes import Box3D
 from repro.scenario import FAMILIES, build_case, compile_scenario, scenario_seed
+from tests.decode_reference import (
+    ReferenceCalibrator,
+    ReferenceRefiner,
+    ground_points_under,
+    reference_score,
+)
 from tests.test_temporal import FAMILY_INDICES
 
 GROUND = -1.73
-
-
-class BruteForceRefiner(BoxRefiner):
-    """Reference refiner: every ground-shadow lookup sees the whole ground."""
-
-    def __init__(self, *args, ground_xy=None, **kwargs):
-        super().__init__(*args, ground_xy=ground_xy, **kwargs)
-        self._all_ground = None
-        if ground_xy is not None and len(ground_xy):
-            self._all_ground = tuple(np.asarray(ground_xy, dtype=float).T)
-
-    def _ground_neighborhood(self, yaw_candidates, length, width):
-        return self._all_ground
-
-
-class BruteForceCalibrator(ConfidenceCalibrator):
-    """Reference calibrator: every box reads evidence from all points."""
-
-    def _footprint_neighbors(self, box):
-        return np.arange(len(self.points))
 
 
 def car_surface_points(
@@ -244,7 +233,7 @@ TEMPLATES = (CAR, CYCLIST, PEDESTRIAN)
 
 
 class TestGroundLookup:
-    """The sorted ground index against a count over the whole ground set."""
+    """The batched ground-shadow counts against counts over the whole ground set."""
 
     @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
     def test_counts_match_whole_ground_set(self, template):
@@ -254,16 +243,18 @@ class TestGroundLookup:
         interior_counted = 0
         for yaw in np.linspace(-np.pi, np.pi, 48, endpoint=False):
             centroid = rng.uniform(-30.0, 30.0, 2)
-            # The candidate layout of BoxRefiner._fit: the principal yaw and
-            # its perpendicular, each with one or two slid centres.
-            yaw_candidates = [
-                (yaw, [centroid + rng.uniform(-1.0, 1.0, 2) for _ in range(2)]),
-                (yaw + np.pi / 2.0, [centroid + rng.uniform(-1.0, 1.0, 2)]),
-            ]
+            # The candidate layout of one fit: the principal yaw and its
+            # perpendicular, each with two slid centres.
             boxes = [
-                Box3D(np.array([*c, GROUND + height / 2]), length, width, height, y)
-                for y, centers in yaw_candidates
-                for c in centers
+                Box3D(
+                    np.array([*(centroid + offset), GROUND + height / 2]),
+                    length,
+                    width,
+                    height,
+                    y,
+                )
+                for y in (yaw, yaw, yaw + np.pi / 2.0, yaw + np.pi / 2.0)
+                for offset in [rng.uniform(-1.0, 1.0, 2)]
             ]
             # Points on the interior footprint's edges (where the shadow
             # test's margin puts them), on the full footprint's edges and
@@ -279,24 +270,34 @@ class TestGroundLookup:
                 ]
             )
             refiner = BoxRefiner(np.zeros((0, 3)), GROUND, ground_xy=ground)
-            near = refiner._ground_neighborhood(yaw_candidates, length, width)
-            for box in boxes:
-                expected = _ground_points_under((ground[:, 0], ground[:, 1]), box)
-                assert _ground_points_under(near, box) == expected
-                interior_counted += expected
+            # The fit under test plus a far-away one sharing the batch.
+            centers = np.array(
+                [[b.center[:2] for b in boxes], [b.center[:2] + 55.0 for b in boxes]]
+            )
+            yaws = np.array([[b.yaw for b in boxes]] * 2)
+            counts = refiner._ground_shadows(
+                centers, yaws, np.full(2, length), np.full(2, width)
+            )
+            whole = (ground[:, 0], ground[:, 1])
+            expected = [ground_points_under(whole, b) for b in boxes]
+            assert counts[0].tolist() == expected
+            interior_counted += sum(expected)
         # The car footprint has an interior; the smaller templates' margin
         # leaves none, so they never count ground.
         assert (interior_counted > 0) == (template is CAR)
 
-    def test_empty_ground_returns_none(self):
+    def test_empty_ground_counts_nothing(self):
         refiner = BoxRefiner(
             car_surface_points(10.0, 0.0), GROUND, ground_xy=np.zeros((0, 2))
         )
-        assert refiner._ground_neighborhood([(0.0, [np.zeros(2)])], 4.2, 1.8) is None
+        counts = refiner._ground_shadows(
+            np.zeros((1, 4, 2)), np.zeros((1, 4)), np.array([4.2]), np.array([1.8])
+        )
+        assert counts.tolist() == [[0, 0, 0, 0]]
 
 
 class TestCalibratorLookup:
-    """Footprint-bounded neighbour queries against evidence over all points."""
+    """One batched neighbour query against evidence over all points."""
 
     @pytest.mark.parametrize("template", TEMPLATES, ids=lambda t: t.name)
     def test_evidence_matches_all_points(self, template):
@@ -316,21 +317,30 @@ class TestCalibratorLookup:
                 ),
             ]
         )
-        nonempty = 0
+        boxes = []
+        edge_points = []
         for yaw in np.linspace(-np.pi, np.pi, 24, endpoint=False):
             xy = rng.uniform([5.0, -2.0], [18.0, 7.0])
             center = np.array([*xy, GROUND + height / 2])
-            box = Box3D(center, length, width, height, yaw)
+            boxes.append(Box3D(center, length, width, height, yaw))
             edges = _edge_points(
                 center, yaw, length / 2 + FOOTPRINT_PAD, width / 2 + FOOTPRINT_PAD
             )
             z = rng.uniform(GROUND + 0.2, GROUND + 4.0, len(edges))
-            points = np.vstack([scene, np.column_stack([edges, z])])
-            fast = ConfidenceCalibrator(points, GROUND).evidence(box)
-            brute = BruteForceCalibrator(points, GROUND).evidence(box)
-            assert fast == brute
-            nonempty += fast.num_points > 0
-        assert nonempty > 0
+            edge_points.append(np.column_stack([edges, z]))
+        # Every box's padded footprint edges in one cloud, so one batched
+        # pass reads each box's edges next to the others'.
+        points = np.vstack([scene, *edge_points])
+        fast = ConfidenceCalibrator(points, GROUND)
+        reference = ReferenceCalibrator(points, GROUND)
+        expected = [reference.reference_evidence(box) for box in boxes]
+        assert [fast.evidence(box) for box in boxes] == expected
+        classes = [template, None] * 12
+        scores = fast.score_batch(boxes, classes)
+        assert scores.tolist() == [
+            reference_score(fast.weights, ev, c) for ev, c in zip(expected, classes)
+        ]
+        assert sum(ev.num_points > 0 for ev in expected) > 0
 
 
 def _detection_bytes(detections):
@@ -340,8 +350,31 @@ def _detection_bytes(detections):
     ]
 
 
+def _reference_detections(detector, clouds, monkeypatch):
+    """``detect_all`` per cloud with the per-proposal reference decode."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spod_module, "BoxRefiner", ReferenceRefiner)
+        patch.setattr(spod_module, "ConfidenceCalibrator", ReferenceCalibrator)
+        patch.setattr(ReferenceRefiner, "lookups", 0)
+        patch.setattr(ReferenceCalibrator, "lookups", 0)
+        detections = [_detection_bytes(detector.detect_all(c)) for c in clouds]
+        # The reference really ran: it counted its brute-force lookups.
+        assert ReferenceRefiner.lookups > 0
+        assert ReferenceCalibrator.lookups > 0
+    return detections
+
+
+def _single_and_merged(case):
+    """A case's receiver cloud and its merged cooperative cloud."""
+    own = case.cloud_of(case.receiver)
+    merged = merge_packages(
+        own, case.packages_for_receiver(), case.receiver_measured_pose()
+    )
+    return [own, merged]
+
+
 class TestDecodeFamilySweep:
-    """Decode stays bit-identical to the brute-force lookups on one seeded
+    """Decode stays bit-identical to the per-proposal reference on one seeded
     scenario of every ``repro.scenario`` family: each observer's own cloud
     and the receiver's merged cloud."""
 
@@ -356,16 +389,77 @@ class TestDecodeFamilySweep:
         )
         case = build_case(compiled)
         clouds = [case.cloud_of(name) for name in case.observer_names]
-        clouds.append(
-            merge_packages(
-                case.cloud_of(case.receiver),
-                case.packages_for_receiver(),
-                case.receiver_measured_pose(),
-            )
-        )
+        clouds.append(_single_and_merged(case)[1])
         fast = [_detection_bytes(detector.detect_all(c)) for c in clouds]
-        monkeypatch.setattr(spod_module, "BoxRefiner", BruteForceRefiner)
-        monkeypatch.setattr(spod_module, "ConfidenceCalibrator", BruteForceCalibrator)
-        brute = [_detection_bytes(detector.detect_all(c)) for c in clouds]
-        assert fast == brute
+        assert fast == _reference_detections(detector, clouds, monkeypatch)
         assert any(fast)
+
+
+class TestDecodeReferenceCases:
+    """Decode stays bit-identical to the per-proposal reference on the four
+    KITTI and fifteen T&J cases, single shot and merged."""
+
+    @pytest.mark.parametrize("dataset", ["kitti", "tj"])
+    def test_detect_all_matches_reference(self, dataset, detector, monkeypatch):
+        cases = kitti_cases() if dataset == "kitti" else tj_cases()
+        clouds = [cloud for case in cases for cloud in _single_and_merged(case)]
+        fast = [_detection_bytes(detector.detect_all(c)) for c in clouds]
+        assert fast == _reference_detections(detector, clouds, monkeypatch)
+        assert all(fast)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [RefinementSpec(), RefinementSpec(min_points=1)],
+        ids=["default", "min_points_1"],
+    )
+    def test_refine_batch_matches_reference_on_float64_points(self, spec):
+        """Full-precision coordinates, where summation order shows in the
+        last bit (cloud coordinates are float32, whose float64 sums are
+        exact in any order)."""
+        rng = np.random.default_rng(29)
+        objects = [
+            car_surface_points(12.0, y, yaw=np.pi / 2, faces=faces)
+            for y, faces in ((-3.0, "all"), (0.2, ("left", "rear")), (3.4, ("rear",)))
+        ] + [
+            car_surface_points(20.0, -6.0, yaw=0.3, density=4.0),
+            car_surface_points(6.0, 8.0, length=0.6, width=0.6, height=1.7),
+            wall_points(0.0, 12.0, 25.0, 12.0, height=1.8),
+        ]
+        obstacles = np.vstack(objects)
+        obstacles[:, :2] += rng.normal(0.0, 0.02, size=(len(obstacles), 2))
+        ground = rng.uniform([-5.0, -15.0], [30.0, 15.0], size=(6000, 2))
+        proposals = [
+            o[:, :2].mean(axis=0) + rng.normal(0.0, 0.6, 2)
+            for o in objects
+            for _ in range(3)
+        ] + list(rng.uniform([-5.0, -15.0], [30.0, 15.0], size=(10, 2)))
+        proposals += proposals[:4]
+        fast = BoxRefiner(obstacles, GROUND, spec, ground_xy=ground).refine_batch(
+            proposals
+        )
+        reference = ReferenceRefiner(
+            obstacles, GROUND, spec, ground_xy=ground
+        ).refine_batch(proposals)
+        assert [f is None for f in fast] == [f is None for f in reference]
+        pairs = [(f, r) for f, r in zip(fast, reference) if f is not None]
+        assert len(pairs) >= 18
+        for f, r in pairs:
+            assert f.box.as_vector().tobytes() == r.box.as_vector().tobytes()
+            assert f.object_class == r.object_class
+            assert np.array_equal(f.points, r.points)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [RefinementSpec(min_points=1), RefinementSpec(multi_class=False)],
+        ids=["min_points_1", "single_class"],
+    )
+    def test_refinement_variants_match_reference(self, spec, monkeypatch):
+        detector = SPOD.pretrained(SPODConfig(refinement=spec))
+        clouds = [
+            cloud
+            for case in (kitti_cases()[0], tj_cases()[0])
+            for cloud in _single_and_merged(case)
+        ]
+        fast = [_detection_bytes(detector.detect_all(c)) for c in clouds]
+        assert fast == _reference_detections(detector, clouds, monkeypatch)
+        assert all(fast)
