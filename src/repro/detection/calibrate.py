@@ -19,6 +19,10 @@ The score is deliberately *monotone in evidence*, which is why Cooper's
 merged clouds raise it: merging adds points (count term) and new viewing
 angles (coverage term).
 
+The structural clusters come from a grid labelling (``_grid_labels``) that
+the box refiner shares; only the calibrator measures cluster extents
+(``_label_clusters``).
+
 A cloud's distinct boxes are scored in one pass
 (:meth:`ConfidenceCalibrator.score_batch`): one KD-tree query with
 per-box radii gathers every box's footprint neighbourhood, and each
@@ -267,32 +271,42 @@ def _flat_lists(lists) -> tuple[np.ndarray, np.ndarray]:
     return flat, np.repeat(np.arange(len(lists)), lengths)
 
 
+def _grid_labels(xy: np.ndarray) -> np.ndarray:
+    """Per-point ids of the 8-connected components of the occupied
+    ``CLUSTER_CELL`` grid cells under non-empty BEV points ``xy``.
+
+    The grid's origin and shape are reduced one column at a time, which
+    costs a fraction of ``min``/``max`` along axis 0 of the ``(N, 2)``
+    array and gives the same values.
+    """
+    from scipy import ndimage
+
+    origin = np.array([xy[:, 0].min(), xy[:, 1].min()])
+    cells = np.floor((xy - origin) / CLUSTER_CELL).astype(int)
+    cx, cy = cells[:, 0], cells[:, 1]
+    occupancy = np.zeros((cx.max() + 2, cy.max() + 2), dtype=bool)
+    occupancy[cx, cy] = True
+    labels, _count = ndimage.label(occupancy, structure=np.ones((3, 3), dtype=int))
+    return labels[cx, cy]
+
+
 def _label_clusters(
     xy: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cluster BEV points by grid connected components.
 
-    Returns per-point cluster ids plus, per cluster, the extent along the
-    principal axis (how *long* the structure is) and along the secondary
-    axis (how *deep* it is — thin means wall-like).
+    Returns per-point cluster ids (:func:`_grid_labels`) plus, per
+    cluster, the extent along the principal axis (how *long* the
+    structure is) and along the secondary axis (how *deep* it is — thin
+    means wall-like).
     """
-    from scipy import ndimage
-
     if len(xy) == 0:
         return np.zeros(0, dtype=int), np.zeros(1), np.zeros(1)
-    origin = xy.min(axis=0)
-    cells = np.floor((xy - origin) / CLUSTER_CELL).astype(int)
-    shape = cells.max(axis=0) + 1
-    occupancy = np.zeros(shape + 1, dtype=bool)
-    occupancy[cells[:, 0], cells[:, 1]] = True
-    labels, _count = ndimage.label(occupancy, structure=np.ones((3, 3), dtype=int))
-    point_labels = labels[cells[:, 0], cells[:, 1]]
+    point_labels = _grid_labels(xy)
     num = int(point_labels.max()) + 1
     # All clusters at once: per-cluster 2x2 covariances from label-indexed
     # sums, principal axes in closed form (a 2x2 symmetric eigenproblem is
-    # a single rotation angle), spans via per-label extrema.  Replaces a
-    # per-cluster Python loop over np.linalg.eigh that ran twice per
-    # detect (refiner + calibrator) and dominated decode profiles.
+    # a single rotation angle), spans via per-label extrema.
     counts = np.bincount(point_labels, minlength=num)
     safe = np.maximum(counts, 1)
     mean_x = np.bincount(point_labels, weights=xy[:, 0], minlength=num) / safe

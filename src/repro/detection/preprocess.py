@@ -4,7 +4,8 @@ The paper projects clouds onto a sphere (the [27] representation) "to
 obtain a more compact representation" before voxelisation.  We expose that
 projection as an optional densification step and always perform the two
 steps every LiDAR detector needs: cropping to the detection range and
-separating ground returns from obstacle returns.
+separating ground returns from obstacle returns.  A range crop that keeps
+every point returns the input cloud rather than a copy.
 """
 
 from __future__ import annotations
@@ -71,9 +72,12 @@ def preprocess(
     spherical projection of [27]: points collapse onto a regular (beam,
     azimuth) grid, deduplicating returns and normalising clouds from
     different beam counts onto one representation.
+
+    When every point is within ``max_range`` (and densify is off),
+    ``full`` is ``cloud`` itself, not a copy: consumers only read it.
     """
-    r = cloud.ranges
-    cropped = cloud.select(r <= max_range)
+    keep = cloud.ranges <= max_range
+    cropped = cloud if keep.all() else cloud.select(keep)
     if densify and not cropped.is_empty():
         projection = spherical_project(
             cropped, height=densify_shape[0], width=densify_shape[1]

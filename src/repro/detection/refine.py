@@ -8,10 +8,11 @@ regression head when SPOD runs with analytic weights (the learned head is
 used when the network has been trained).
 
 Refinement is *cluster-scoped*: points are first grouped into contiguous
-structures (same grid clustering the calibrator uses), and a proposal only
-fits to the cluster(s) directly under it.  Without this, a dense neighbour
-two metres away drags the centroid off the actual object — visible as
-detections "migrating" between adjacent parked cars on merged clouds.
+structures (the calibrator's grid labelling, without the cluster extents
+the refiner never reads), and a proposal only fits to the cluster(s)
+directly under it.  Without this, a dense neighbour two metres away
+drags the centroid off the actual object — visible as detections
+"migrating" between adjacent parked cars on merged clouds.
 
 A cloud's proposals are refined together, in flat array passes rather
 than a loop per proposal: each KD-tree round (seed, mean-shift, gather)
@@ -34,10 +35,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.detection.anchors import CAR_ANCHOR_SIZE
-from repro.detection.calibrate import _flat_lists, _label_clusters
+from repro.detection.calibrate import _flat_lists, _grid_labels
 from repro.detection.classes import CAR, ObjectClass, classify_cluster
 from repro.geometry.boxes import Box3D
-from repro.geometry.rotations import normalize_angle
+from repro.geometry.rotations import normalize_angles
 
 __all__ = ["BoxRefiner", "RefinementSpec", "Fit"]
 
@@ -117,10 +118,10 @@ class BoxRefiner:
         # Cars live below ~2.3 m above ground; taller returns (walls, trees)
         # must not drag the fit.
         car_band = self.points[:, 2] <= self.ground_z + 2.3
-        self._car_points = self.points[car_band]
+        self._car_points = np.compress(car_band, self.points, axis=0)
         if len(self._car_points):
             self._tree = cKDTree(self._car_points[:, :2])
-            self._clusters, _majors, _minors = _label_clusters(self._car_points[:, :2])
+            self._clusters = _grid_labels(self._car_points[:, :2])
         else:
             self._tree = None
             self._clusters = np.zeros(0, dtype=int)
@@ -309,8 +310,7 @@ class BoxRefiner:
         # test — the real vehicle sits where the ground shows no returns.
         yaws = np.column_stack([base_yaw, base_yaw + np.pi / 2.0])
         # The yaws a Box3D stores; the footprint tests rotate by these.
-        wrapped = np.array([normalize_angle(a) for a in yaws.ravel().tolist()])
-        wrapped = wrapped.reshape(m, 2)
+        wrapped = normalize_angles(yaws)
         # candidates[k, j, s]: fit k, orientation j, slide s (0 = away from
         # the receiver, 1 = mirrored); ``two`` marks distinct slides.
         candidates = np.empty((m, 2, 2, 2))

@@ -70,7 +70,8 @@ def package_intrinsically_sane(
     non-finite points, or points far outside any LiDAR's physical range
     was corrupted in flight (or fabricated) and must never reach the
     Eq. (2) merge — a single NaN poisons voxelisation, and absurd
-    coordinates blow up the detector's crop window.
+    coordinates blow up the detector's crop window.  The point checks read
+    only the cloud's per-column bounds.
     """
     pose = package.pose
     if not (
@@ -80,13 +81,15 @@ def package_intrinsically_sane(
         and np.isfinite(pose.roll)
     ):
         return False
-    data = package.cloud.data
-    if len(data) == 0:
+    if package.cloud.is_empty():
         return True
-    xyz = data[:, :3]
-    if not np.all(np.isfinite(xyz)):
+    # The per-column extremes decide both point checks: a NaN propagates
+    # into its column's min and max, an infinity is an extreme, and the
+    # largest |coordinate| is the larger of -min and max.
+    lo, hi = package.cloud.bounds()
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         return False
-    return bool(np.abs(xyz).max() <= max_point_range_m)
+    return bool(max(-lo.min(), hi.max()) <= max_point_range_m)
 
 
 def pose_delta_plausible(

@@ -15,6 +15,7 @@ from repro.geometry.rotations import (
     matrix_to_euler,
     is_rotation_matrix,
     normalize_angle,
+    normalize_angles,
     angle_difference,
     yaw_matrix_2d,
 )
@@ -24,6 +25,7 @@ from repro.geometry.boxes import (
     box_corners_bev,
     box_corners_3d,
     points_in_box,
+    points_in_any_box,
     iou_bev,
     iou_3d,
     pairwise_iou_bev,
@@ -44,6 +46,7 @@ __all__ = [
     "matrix_to_euler",
     "is_rotation_matrix",
     "normalize_angle",
+    "normalize_angles",
     "angle_difference",
     "yaw_matrix_2d",
     "RigidTransform",
@@ -52,6 +55,7 @@ __all__ = [
     "box_corners_bev",
     "box_corners_3d",
     "points_in_box",
+    "points_in_any_box",
     "iou_bev",
     "iou_3d",
     "pairwise_iou_bev",

@@ -3,11 +3,13 @@
 Vehicles in the scene substrate, anchors in the RPN, and detections in the
 evaluation harness are all oriented boxes: ``(cx, cy, cz)`` centre,
 ``(length, width, height)`` size and a yaw about the z-axis.  ``length``
-runs along the heading direction.
+runs along the heading direction.  :func:`points_in_any_box` tests many
+boxes against one cloud, each on the rows inside its axis-aligned window.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +22,7 @@ __all__ = [
     "box_corners_bev",
     "box_corners_3d",
     "points_in_box",
+    "points_in_any_box",
     "iou_bev",
     "iou_bev_from_corners",
     "iou_3d",
@@ -143,6 +146,46 @@ def points_in_box(points: np.ndarray, box: Box3D, margin: float = 0.0) -> np.nda
         & (np.abs(xy[:, 1]) <= half_w)
         & (np.abs(pts[:, 2]) <= half_h)
     )
+
+
+#: Widening (m) of :func:`points_in_any_box`'s windows, far above the
+#: float64 rounding of the rotation in :func:`points_in_box`.
+WINDOW_SLACK = 1e-3
+
+
+def points_in_any_box(
+    points: np.ndarray, boxes, margin: float = 0.0
+) -> np.ndarray:
+    """Boolean mask of the points inside at least one (grown) box.
+
+    Equals OR-ing :func:`points_in_box` over ``boxes``, but each box tests
+    only the rows in its axis-aligned window: the square of half-side
+    ``hypot(l/2 + margin, w/2 + margin) + WINDOW_SLACK`` about its centre,
+    which holds the grown footprint.  The window compares the points' own
+    columns against bounds rounded to their dtype; rounding to nearest can
+    only widen a window over values of that dtype.  :func:`points_in_box`
+    gives a row the same answer whatever other rows it runs with, so the
+    mask is exact.
+    """
+    points = np.asarray(points)
+    union = np.zeros(len(points), dtype=bool)
+    if len(points) == 0:
+        return union
+    x, y = points[:, 0], points[:, 1]
+    for box in boxes:
+        reach = (
+            math.hypot(box.length / 2 + margin, box.width / 2 + margin)
+            + WINDOW_SLACK
+        )
+        cx, cy = float(box.center[0]), float(box.center[1])
+        x_lo, x_hi, y_lo, y_hi = np.array(
+            [cx - reach, cx + reach, cy - reach, cy + reach], dtype=points.dtype
+        )
+        rows = np.flatnonzero((x >= x_lo) & (x <= x_hi) & (y >= y_lo) & (y <= y_hi))
+        if len(rows):
+            inside = points_in_box(points.take(rows, axis=0), box, margin=margin)
+            union[rows[inside]] = True
+    return union
 
 
 def _polygon_area(poly: np.ndarray) -> float:

@@ -4,7 +4,8 @@ The Cooper paper builds the alignment rotation ``R = Rz(alpha) @ Ry(beta) @
 Rx(gamma)`` from the yaw, pitch and roll differences reported by the IMUs of
 the transmitting and receiving vehicles.  This module provides those basic
 rotations plus the conversions and angle utilities used throughout the
-reproduction.
+reproduction; :func:`normalize_angles` wraps whole arrays bit-identically
+to :func:`normalize_angle`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "matrix_to_euler",
     "is_rotation_matrix",
     "normalize_angle",
+    "normalize_angles",
     "angle_difference",
     "yaw_matrix_2d",
 ]
@@ -123,6 +125,20 @@ def normalize_angle(angle: float) -> float:
     elif wrapped <= -math.pi:
         wrapped += _TWO_PI
     return wrapped
+
+
+def normalize_angles(angles: np.ndarray) -> np.ndarray:
+    """Wrap every angle into ``(-pi, pi]``: :func:`normalize_angle` on arrays.
+
+    The same float64 ``fmod`` and the same two conditional shifts, so each
+    element equals ``normalize_angle`` of it bit for bit.
+    """
+    wrapped = np.fmod(np.asarray(angles, dtype=float), _TWO_PI)
+    return np.where(
+        wrapped > math.pi,
+        wrapped - _TWO_PI,
+        np.where(wrapped <= -math.pi, wrapped + _TWO_PI, wrapped),
+    )
 
 
 def angle_difference(a: float, b: float) -> float:

@@ -5,7 +5,9 @@ detection happened on this area" — instead of shipping whole frames, a
 vehicle identifies *where its own perception is weak* (sub-threshold
 candidates, blind sectors behind occluders) and requests only those regions
 from cooperators.  The cooperator answers with the matching crop of its own
-cloud, typically a small fraction of a full frame.
+cloud, typically a small fraction of a full frame: each region tests only
+the rows inside its axis-aligned window
+(:func:`repro.geometry.boxes.points_in_any_box`).
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.detection.detections import Detection
-from repro.geometry.boxes import Box3D, points_in_box
+from repro.geometry.boxes import Box3D, points_in_any_box
 from repro.geometry.transforms import Pose
 from repro.pointcloud.cloud import PointCloud, merge_clouds
 
@@ -84,10 +84,8 @@ def answer_request(
     if request.num_regions == 0 or cooperator_cloud.is_empty():
         return PointCloud.empty(frame_id="roi-reply")
     to_cooperator = request.requester_pose.relative_to(cooperator_pose)
-    keep = np.zeros(len(cooperator_cloud), dtype=bool)
-    for region in request.regions:
-        local_region = region.transformed(to_cooperator)
-        keep |= points_in_box(cooperator_cloud.data, local_region, margin=margin)
+    regions = [region.transformed(to_cooperator) for region in request.regions]
+    keep = points_in_any_box(cooperator_cloud.data, regions, margin=margin)
     return cooperator_cloud.select(keep, frame_id="roi-reply")
 
 

@@ -5,6 +5,11 @@ cooperator actually needs: a full frame (ROI 1), a 120-degree front sector
 (ROI 2), or a forward corridor along the driving path (ROI 3).  Background
 structures (buildings, trees) that each vehicle can map for itself are
 subtracted before transmission.
+
+Both run once per frame over every point of a scan, so each box tests only
+the rows inside its axis-aligned window
+(:func:`repro.geometry.boxes.points_in_any_box`), and the sector crop wraps
+azimuths with the array form of ``normalize_angle``.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.geometry.boxes import Box3D, points_in_box
-from repro.geometry.rotations import normalize_angle
+from repro.geometry.boxes import Box3D, points_in_any_box, points_in_box
+from repro.geometry.rotations import normalize_angles
 from repro.pointcloud.cloud import PointCloud
 
 __all__ = [
@@ -50,9 +55,7 @@ def crop_sector(
     azimuth = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
     center = np.deg2rad(center_azimuth_deg)
     half = np.deg2rad(fov_deg) / 2.0
-    delta = np.abs(
-        np.vectorize(normalize_angle)(azimuth - center) if len(azimuth) else azimuth
-    )
+    delta = np.abs(normalize_angles(azimuth - center))
     mask = delta <= half + 1e-6  # tolerance: float32 points on the boundary
     if max_range is not None:
         mask &= cloud.ranges <= max_range
@@ -100,7 +103,4 @@ def subtract_background(
     """
     if cloud.is_empty() or not background_boxes:
         return cloud
-    keep = np.ones(len(cloud), dtype=bool)
-    for box in background_boxes:
-        keep &= ~points_in_box(cloud.data, box, margin=margin)
-    return cloud.select(keep)
+    return cloud.select(~points_in_any_box(cloud.data, background_boxes, margin))

@@ -4,6 +4,7 @@ SPOD's first stage groups the (sparse, irregular) points into a regular 3D
 voxel grid; only non-empty voxels are materialised, each holding at most
 ``max_points_per_voxel`` points.  The output feeds the voxel feature
 encoder and, through coordinates, the sparse convolutional middle layers.
+The range crop tests one column at a time and copies the kept rows once.
 """
 
 from __future__ import annotations
@@ -132,19 +133,24 @@ def voxelize(
 def _assign_voxels(
     data: np.ndarray, spec: VoxelGridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row voxel assignment: ``(inside_mask, linear_of_inside_rows)``.
+    """Crop and voxel assignment: ``(inside_rows, linear_of_inside_rows)``.
 
     The crop and the floor run in float32 against float32 bounds, so a
     point's voxel is the same whatever storage ``dtype`` the grid uses.
+    The crop tests one column at a time, which costs a fraction of
+    ``np.all(..., axis=1)`` over the ``(N, 3)`` block.
     """
     origin = np.array(spec.point_range[:3], dtype=np.float32)
     size = np.array(spec.voxel_size, dtype=np.float32)
     upper = np.array(spec.point_range[3:], dtype=np.float32)
 
-    inside = np.all((data[:, :3] >= origin) & (data[:, :3] < upper), axis=1)
-    pts = data[inside]
+    inside = np.ones(len(data), dtype=bool)
+    for axis in range(3):
+        column = data[:, axis]
+        inside &= (column >= origin[axis]) & (column < upper[axis])
+    pts = np.compress(inside, data, axis=0)
     if len(pts) == 0:
-        return inside, np.zeros(0, dtype=np.int64)
+        return pts, np.zeros(0, dtype=np.int64)
     coords_all = np.floor((pts[:, :3] - origin) / size).astype(np.int32)
     grid_shape = spec.grid_shape
     np.clip(coords_all, 0, np.array(grid_shape) - 1, out=coords_all)
@@ -153,7 +159,7 @@ def _assign_voxels(
         + coords_all[:, 1] * grid_shape[2]
         + coords_all[:, 2]
     )
-    return inside, linear
+    return pts, linear
 
 
 def _overflow_positions(
@@ -189,8 +195,7 @@ def _voxelize(
     dtype: np.dtype | None = None,
 ) -> VoxelGrid:
     out_dtype = np.dtype(dtype) if dtype is not None else np.float32
-    inside, linear = _assign_voxels(data, spec)
-    data_in = data[inside]
+    data_in, linear = _assign_voxels(data, spec)
     t_max = spec.max_points_per_voxel
     if len(data_in) == 0:
         return VoxelGrid(
@@ -202,8 +207,8 @@ def _voxelize(
 
     # Group points by voxel using a stable (radix) sort of linear indices.
     order = np.argsort(linear, kind="stable")
-    linear_sorted = linear[order]
-    data_sorted = data_in[order]
+    linear_sorted = linear.take(order)
+    data_sorted = data_in.take(order, axis=0)
 
     unique_linear, start_idx, group_counts = np.unique(
         linear_sorted, return_index=True, return_counts=True

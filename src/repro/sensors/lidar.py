@@ -10,7 +10,10 @@ KITTI contrast.
 
 Rays from one scan share an origin, so occlusion tests vectorise per actor:
 each box rotates the whole direction table into its own frame and runs the
-slab test on all rays at once.
+slab test on all rays at once.  Across frames from one pose, a
+:class:`ScanGeometryCache` keeps each actor's hit row and the per-ray
+nearest hit, so a static scene skips both the slab tests and the search
+for the nearest actor.
 """
 
 from __future__ import annotations
@@ -189,13 +192,13 @@ class LidarModel:
         if actors:
             boxes = [a.box for a in actors]
             if cache is None:
-                t_hits = _ray_boxes_batch(origin, directions, boxes)
+                best_label, best_t = _nearest_hits(
+                    _ray_boxes_batch(origin, directions, boxes)
+                )
             else:
-                t_hits = cache.rows(
+                best_label, best_t = cache.nearest_hits(
                     self.pattern, pose, origin, directions, boxes
                 )
-            best_label = t_hits.argmin(axis=0)
-            best_t = t_hits[best_label, np.arange(num_rays)]
         else:
             best_t = np.full(num_rays, np.inf)
             best_label = np.zeros(num_rays, dtype=np.int64)
@@ -309,6 +312,8 @@ class _ScanCacheEntry:
     key_text: str
     actor_keys: tuple[bytes, ...]
     t_rows: np.ndarray  # (A, N) hit distances, one row per actor
+    # _nearest_hits(t_rows), dropped whenever a row is re-raycast.
+    nearest: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class ScanGeometryCache:
@@ -329,6 +334,10 @@ class ScanGeometryCache:
     bit-exact regardless of how the actor batch is split, the assembled
     matrix — and every downstream product, including the seeded noise
     streams drawn after it — is bit-identical to a cold scan.
+
+    Each entry also memoises the matrix's per-ray nearest hit (actor index
+    and distance, :func:`_nearest_hits`), the argmin a hit would otherwise
+    repeat over every ray and actor.  Patching any row drops the memo.
 
     Hit/miss/recast totals are kept on the cache and mirrored into the
     ``temporal.scan_*`` profiler counters when profiling is enabled.
@@ -367,18 +376,18 @@ class ScanGeometryCache:
             "entries": len(self._entries),
         }
 
-    def rows(
+    def nearest_hits(
         self,
         pattern: BeamPattern,
         pose: Pose,
         origin: np.ndarray,
         directions: np.ndarray,
         boxes: list,
-    ) -> np.ndarray:
-        """The ``(A, N)`` hit matrix for ``boxes``, reusing cached rows.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-ray nearest actor hit against ``boxes``, reusing cached rows.
 
-        The returned array is owned by the cache and must be treated as
-        read-only by callers (the scan pipeline only reads it).
+        Returns :func:`_nearest_hits` of the ``(A, N)`` hit matrix: the
+        read-only arrays held by the cache entry.
         """
         key_text = _scan_pose_key(pattern, pose)
         key = (stable_hash(key_text), len(key_text))
@@ -402,18 +411,35 @@ class ScanGeometryCache:
                     origin, directions, [boxes[i] for i in changed]
                 )
                 entry.actor_keys = actor_keys
+                entry.nearest = None
                 self.actors_recast += len(changed)
                 PROFILER.count("temporal.scan_actors_recast", len(changed))
             self.hits += 1
             PROFILER.count("temporal.scan_hits")
-            return entry.t_rows
-        self.misses += 1
-        PROFILER.count("temporal.scan_misses")
-        t_rows = _ray_boxes_batch(origin, directions, boxes)
-        self._entries[key] = _ScanCacheEntry(key_text, actor_keys, t_rows)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return t_rows
+        else:
+            self.misses += 1
+            PROFILER.count("temporal.scan_misses")
+            entry = _ScanCacheEntry(
+                key_text, actor_keys, _ray_boxes_batch(origin, directions, boxes)
+            )
+            self._entries[key] = entry
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+        if entry.nearest is None:
+            entry.nearest = _nearest_hits(entry.t_rows)
+        return entry.nearest
+
+
+def _nearest_hits(t_hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per ray, the nearest actor's index and hit distance (read-only).
+
+    ``t_hits`` is an ``(A, N)`` hit matrix; ties go to the lowest index.
+    """
+    best_label = t_hits.argmin(axis=0)
+    best_t = t_hits[best_label, np.arange(t_hits.shape[1])]
+    best_label.setflags(write=False)
+    best_t.setflags(write=False)
+    return best_label, best_t
 
 
 def _ray_boxes_batch(

@@ -11,6 +11,30 @@ def cloud_of(*points) -> PointCloud:
     return PointCloud(np.array(points, dtype=np.float32))
 
 
+def reference_clouds() -> list:
+    """Random clouds built from float32 and float64 arrays, 1-point clouds,
+    and rows holding NaN, +/-inf and -0.0."""
+    rng = np.random.default_rng(18)
+    params = []
+    for dtype in (np.float32, np.float64):
+        name = np.dtype(dtype).name
+        for n in (1, 2, 9, 20000):
+            cloud = PointCloud((rng.normal(size=(n, 4)) * 40).astype(dtype))
+            params.append(pytest.param(cloud, id=f"{name}-random-{n}"))
+        special = (rng.normal(size=(16, 4)) * 40).astype(dtype)
+        special[3, :3] = [np.nan, 1.0, -2.0]
+        special[5, :3] = [np.inf, -np.inf, 0.0]
+        special[7, :3] = [-0.0, -0.0, -0.0]
+        special[9, :3] = [0.0, -0.0, np.nan]
+        signed_zeros = np.array([[-0.0, 0.0, -0.0, 0.0]], dtype=dtype)
+        params += [
+            pytest.param(PointCloud(special), id=f"{name}-nan-inf-zeros"),
+            pytest.param(PointCloud(special[7:8]), id=f"{name}-negative-zero"),
+            pytest.param(PointCloud(signed_zeros), id=f"{name}-signed-zeros"),
+        ]
+    return params
+
+
 class TestConstruction:
     def test_xyz_only_gets_zero_reflectance(self):
         c = PointCloud(np.zeros((5, 3)))
@@ -51,6 +75,22 @@ class TestAccessors:
         with pytest.raises(ValueError):
             PointCloud.empty().bounds()
 
+    # Exact equality, NaN matching NaN.  Ranges are never -0.0, so for them
+    # this is bit equality on every other row; a zero bound may take either
+    # sign, as min and max of equal zeros may in any order.
+    @pytest.mark.parametrize("cloud", reference_clouds())
+    def test_bounds_equal_axis_reductions(self, cloud):
+        lo, hi = cloud.bounds()
+        assert lo.dtype == hi.dtype == np.float32
+        np.testing.assert_array_equal(lo, cloud.xyz.min(axis=0))
+        np.testing.assert_array_equal(hi, cloud.xyz.max(axis=0))
+
+    @pytest.mark.parametrize("cloud", reference_clouds())
+    def test_ranges_equal_linalg_norm(self, cloud):
+        ranges = cloud.ranges
+        assert ranges.dtype == np.float32
+        np.testing.assert_array_equal(ranges, np.linalg.norm(cloud.xyz, axis=1))
+
     def test_size_bytes(self):
         assert cloud_of([0, 0, 0, 0]).size_bytes() == 16
 
@@ -76,6 +116,33 @@ class TestOperations:
         c = cloud_of([1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0])
         picked = c.select(c.xyz[:, 0] > 1.5)
         assert len(picked) == 2
+
+    @pytest.mark.parametrize("share", [0.0, 0.1, 0.9, 1.0])
+    def test_select_mask_equals_boolean_indexing(self, share):
+        rng = np.random.default_rng(7)
+        c = PointCloud(rng.normal(size=(5000, 4)))
+        mask = rng.random(len(c)) < share
+        picked, expected = c.select(mask).data, c.data[mask]
+        assert picked.dtype == expected.dtype
+        assert picked.shape == expected.shape
+        assert picked.flags.c_contiguous
+        assert picked.tobytes() == expected.tobytes()
+
+    def test_select_index_array_equals_fancy_indexing(self):
+        rng = np.random.default_rng(8)
+        c = PointCloud(rng.normal(size=(5000, 4)))
+        idx = rng.integers(-len(c), len(c), size=3000)  # repeats, negatives
+        picked, expected = c.select(idx).data, c.data[idx]
+        assert picked.dtype == expected.dtype
+        assert picked.shape == expected.shape
+        assert picked.flags.c_contiguous
+        assert picked.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_select_mask_of_wrong_length_raises(self, length):
+        c = cloud_of([1, 0, 0, 0], [2, 0, 0, 0])
+        with pytest.raises(IndexError):
+            c.select(np.ones(length, dtype=bool))
 
     def test_subsample_deterministic(self):
         c = PointCloud(np.random.default_rng(0).normal(size=(100, 4)))

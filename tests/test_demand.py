@@ -13,6 +13,7 @@ from repro.network.demand import (
     weak_regions,
 )
 from repro.pointcloud.cloud import PointCloud
+from tests.test_roi import face_cloud, random_boxes, whole_cloud_union
 
 
 def det(x, y, score) -> Detection:
@@ -65,6 +66,29 @@ class TestAnswerRequest:
         cloud = PointCloud.from_xyz(np.array([[10.0, 0.0, 0.0]]))
         reply = answer_request(request, cloud, cooperator)
         assert len(reply) == 1
+
+    @pytest.mark.parametrize("margin", [0.0, 0.25, 1.5])
+    def test_reply_equals_whole_cloud_loop(self, margin):
+        """Each region is mapped into the cooperator's frame and tested only
+        on the rows of its window; the reply equals testing every point
+        against every mapped region."""
+        rng = np.random.default_rng(int(margin * 100) + 1)
+        requester = Pose(np.array([0.0, 0.0, 1.7]), yaw=0.3)
+        cooperator = Pose(np.array([6.0, -4.0, 1.7]), yaw=-1.1)
+        regions = tuple(random_boxes(rng, 5))
+        mapped = [
+            r.transformed(requester.relative_to(cooperator)) for r in regions
+        ]
+        cloud = face_cloud(rng, mapped, margin)
+        expected = whole_cloud_union(cloud.data, mapped, margin)
+        assert 0 < expected.sum() < len(cloud)
+        reply = answer_request(
+            RoiRequest(regions=regions, requester_pose=requester),
+            cloud,
+            cooperator,
+            margin=margin,
+        )
+        assert reply.data.tobytes() == cloud.data[expected].tobytes()
 
     def test_empty_request(self):
         pose = Pose(np.array([0.0, 0.0, 1.7]))

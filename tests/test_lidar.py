@@ -12,6 +12,7 @@ from repro.sensors.lidar import (
     VLP_16,
     BeamPattern,
     LidarModel,
+    ScanGeometryCache,
 )
 
 
@@ -178,3 +179,54 @@ class TestScan:
         distances = np.linalg.norm(scan.cloud.xyz, axis=1)
         assert distances.max() <= pattern.max_range + 1e-3
         assert distances.min() >= lidar.min_range - 1e-3
+
+
+class TestScanCacheMemo:
+    """The scan cache memoises each entry's per-ray nearest hit; a cached
+    scan must stay byte-identical to a cold one as actors move and stay."""
+
+    @staticmethod
+    def _frames():
+        static = (
+            make_car(12.0, 3.0, name="parked-a"),
+            make_car(-9.0, -4.0, yaw=0.7, name="parked-b"),
+            make_building(0.0, 25.0, name="wall"),
+        )
+        mover_x = (8.0, 8.0, 9.5, 9.5, 11.0, 8.0)
+        return [
+            World((make_car(x, -2.0, name="mover"), *static)) for x in mover_x
+        ]
+
+    def test_cached_scans_equal_cold_scans_as_one_actor_moves(self, fast_lidar):
+        lidar = LidarModel(pattern=fast_lidar.pattern)  # noise and dropout on
+        pose = pose_at(yaw=0.2)
+        cache = ScanGeometryCache()
+        for seed, world in enumerate(self._frames()):
+            cold = lidar.scan(world, pose, seed=seed)
+            warm = lidar.scan(world, pose, seed=seed, cache=cache)
+            assert warm.cloud.data.tobytes() == cold.cloud.data.tobytes()
+            assert warm.labels.tobytes() == cold.labels.tobytes()
+        assert (cache.misses, cache.hits, cache.actors_recast) == (1, 5, 3)
+
+    def test_memo_reused_until_a_row_is_recast(self, fast_lidar):
+        pose = pose_at(yaw=0.2)
+        directions = fast_lidar.ray_directions() @ pose.to_world().rotation.T
+        cache = ScanGeometryCache()
+
+        def nearest(world):
+            return cache.nearest_hits(
+                fast_lidar.pattern,
+                pose,
+                pose.position,
+                directions,
+                [a.box for a in world.actors],
+            )
+
+        first, same, moved, *_ = self._frames()
+        memo = nearest(first)
+        assert nearest(same) is memo  # static frame: memo reused
+        recast = nearest(moved)  # the mover's row is re-raycast
+        assert recast is not memo
+        assert nearest(moved) is recast
+        assert not recast[0].flags.writeable and not recast[1].flags.writeable
+        assert not np.array_equal(recast[1], memo[1])

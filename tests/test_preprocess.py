@@ -63,6 +63,17 @@ class TestPreprocess:
         result = preprocess(cloud, max_range=100.0)
         assert len(result.full) == len(cloud) - 1
 
+    def test_all_in_range_cloud_is_not_copied(self):
+        cloud = cloud_with_ground()
+        assert preprocess(cloud, max_range=100.0).full is cloud
+
+    @pytest.mark.parametrize("bad", [[500.0, 0.0, 0.0], [np.nan, 1.0, 0.0]])
+    def test_out_of_range_or_nan_points_still_cropped(self, bad):
+        cloud = cloud_with_ground().concat(PointCloud.from_xyz(np.array([bad])))
+        result = preprocess(cloud, max_range=100.0)
+        assert result.full is not cloud
+        assert result.full.data.tobytes() == cloud.data[:-1].tobytes()
+
     def test_densify_path_runs(self):
         result = preprocess(cloud_with_ground(), densify=True)
         # Densification collapses multi-return cells; output stays non-empty.

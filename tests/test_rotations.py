@@ -13,6 +13,7 @@ from repro.geometry.rotations import (
     is_rotation_matrix,
     matrix_to_euler,
     normalize_angle,
+    normalize_angles,
     rotation_x,
     rotation_y,
     rotation_z,
@@ -151,6 +152,23 @@ class TestAngles:
     def test_angle_difference_bounded(self, a, b):
         diff = angle_difference(a, b)
         assert -math.pi < diff <= math.pi
+
+    def test_normalize_angles_equals_scalar_bitwise(self):
+        pi = math.pi
+        edges = [
+            pi, -pi, 2 * pi, -2 * pi, 3 * pi, -3 * pi, 0.0, -0.0,
+            math.nextafter(pi, 4.0), math.nextafter(pi, 0.0),
+            math.nextafter(-pi, -4.0), math.nextafter(-pi, 0.0),
+        ]
+        rng = np.random.default_rng(18)
+        raw = np.concatenate([edges, rng.uniform(-40.0, 40.0, 200_000)])
+        expected = np.array([normalize_angle(a) for a in raw.tolist()])
+        assert normalize_angles(raw).tobytes() == expected.tobytes()
+        # float32 input wraps its exact float64 value, as the scalar does.
+        raw32 = raw.astype(np.float32)
+        expected32 = np.array([normalize_angle(a) for a in raw32.tolist()])
+        assert normalize_angles(raw32).tobytes() == expected32.tobytes()
+        assert normalize_angles(raw.reshape(-1, 4)).shape == (len(raw) // 4, 4)
 
     def test_angle_difference_wraps(self):
         assert angle_difference(math.pi - 0.1, -math.pi + 0.1) == pytest.approx(-0.2)

@@ -159,3 +159,28 @@ class TestVoxelize:
     def test_boundary_point_on_upper_edge_excluded(self):
         grid = voxelize(cloud_of([8.0, 0.0, 0.0, 0.0]), SPEC)
         assert grid.num_voxels == 0
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_points_on_range_faces(self, axis):
+        """The crop is [min, max) per axis: points on a lower face or one ulp
+        inside an upper face are kept; points on an upper face or one ulp
+        outside either face are dropped."""
+        lower = np.float32(SPEC.point_range[axis])
+        upper = np.float32(SPEC.point_range[axis + 3])
+        down, up = np.float32(-np.inf), np.float32(np.inf)
+        inner = np.array([4.5, 0.5, 0.5], dtype=np.float32)
+        rows = []
+        for value in (
+            lower,
+            np.nextafter(upper, down),
+            upper,
+            np.nextafter(lower, down),
+            np.nextafter(upper, up),
+        ):
+            row = inner.copy()
+            row[axis] = value
+            rows.append([*row, 0.0])
+        grid = voxelize(cloud_of(*rows), SPEC)
+        assert grid.num_voxels == 2
+        assert grid.coords[:, axis].tolist() == [0, SPEC.grid_shape[axis] - 1]
+        assert grid.points[:, 0, axis].tolist() == [lower, np.nextafter(upper, down)]
