@@ -52,7 +52,6 @@ from repro.scene.layouts import parking_lot
 from repro.scene.trajectories import StationaryTrajectory, StraightTrajectory
 from repro.sensors.lidar import BeamPattern, LidarModel
 from repro.sensors.rig import SensorRig
-from repro.temporal import TemporalState
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 REPORT_NAME = "BENCH_pipeline.json"
@@ -354,63 +353,6 @@ def _detection_key(detections: list) -> list:
     ]
 
 
-def _run_frame_sequence(
-    detector: SPOD, frames: list, temporal: bool
-) -> tuple[list[float], list, TemporalState | None]:
-    """Detect ``frames`` in order; per-frame seconds, result keys, state."""
-    state = TemporalState() if temporal else None
-    per_frame: list[float] = []
-    results = []
-    for cloud in frames:
-        start = time.perf_counter()
-        detections = detector.detect_all(cloud, temporal=state)
-        per_frame.append(time.perf_counter() - start)
-        results.append(_detection_key(detections))
-    return per_frame, results, state
-
-
-def _time_regime(detector: SPOD, frames: list, repeats: int) -> dict:
-    """Cold-vs-warm timing of one frame sequence, bit-identity verified.
-
-    Both passes start from a cleared rulebook cache and *exclude the
-    first frame* from their means: the warm path's frame 0 is a cold
-    frame by construction (there is no previous frame to reuse), and the
-    cold path's frame 0 pays the same one-off rulebook build.  What
-    remains is the steady-state comparison the regime is after.
-    """
-    cold_best = float("inf")
-    warm_best = float("inf")
-    state = None
-    bit_identical = True
-    for _ in range(max(1, repeats)):
-        RULEBOOK_CACHE.clear()
-        cold_times, cold_results, _ = _run_frame_sequence(
-            detector, frames, temporal=False
-        )
-        RULEBOOK_CACHE.clear()
-        warm_times, warm_results, state = _run_frame_sequence(
-            detector, frames, temporal=True
-        )
-        bit_identical = bit_identical and cold_results == warm_results
-        cold_best = min(cold_best, float(np.mean(cold_times[1:])))
-        warm_best = min(warm_best, float(np.mean(warm_times[1:])))
-    RULEBOOK_CACHE.clear()
-    entry = {
-        "frames": len(frames),
-        "cold_ms": round(cold_best * 1e3, 3),
-        "warm_ms": round(warm_best * 1e3, 3),
-        "speedup": round(cold_best / warm_best, 3) if warm_best else 0.0,
-        "bit_identical": bit_identical,
-        "temporal": state.stats() if state is not None else {},
-    }
-    return entry
-
-
-def _steady_frames(clouds: list, k: int = 10) -> list:
-    """The same merged cloud re-detected ``k`` times (Fig. 9 steady state)."""
-    return [clouds[-1]] * k
-
-
 def _session_incremental_stats(duration_seconds: float) -> dict:
     """Warm-vs-cold session comparison: step time plus log identity."""
 
@@ -441,78 +383,50 @@ def _session_incremental_stats(duration_seconds: float) -> dict:
         "step_cold_ms": round(cold_mean * 1e3, 3),
         "step_warm_ms": round(warm_mean * 1e3, 3),
         "bit_identical": cold_proj == warm_proj,
-        "temporal_invalidations": warm_session.degradation.get(
-            "temporal_invalidations", 0
-        ),
-        "temporal": {
-            name: state.stats()
+        "scan": {
+            name: state.scan.stats()
             for name, state in warm_session.temporal_states().items()
         },
     }
 
 
-def run_incremental_bench(
-    duration_seconds: float = 4.0, repeats: int = 3
-) -> dict:
+def run_incremental_bench(duration_seconds: float = 4.0) -> dict:
     """Benchmark the frame-delta layer; return the ``"incremental"`` section.
 
-    One frame-sequence regime over the bench session's merged clouds —
-    ``steady_state`` (identical frames: the detect memo carries) — plus a
-    warm-vs-cold session run.  Both assert warm results bit-identical to
-    cold and record the temporal cache counters, so the JSON shows *why*
-    a warm run is fast, not just that it is.
+    A warm-vs-cold run of the bench session: it records whether the warm
+    logs are bit-identical to the cold ones and each agent's scan cache
+    counters, so the JSON shows *why* a warm step is fast, not just that
+    it is.
     """
-    clouds = collect_detect_workload(duration_seconds)
-    detector = SPOD.pretrained(SPODConfig(dtype="float32"))
-    report = {
-        "workload": (
-            f"bench session merged clouds ({len(clouds)} clouds, "
-            f"{duration_seconds:g}s session)"
-        ),
-        "repeats": repeats,
-        "steady_state": _time_regime(
-            detector, _steady_frames(clouds), repeats
-        ),
+    return {
+        "workload": f"bench session ({duration_seconds:g}s, stationary beta)",
         "session": _session_incremental_stats(duration_seconds),
     }
-    return report
 
 
 def check_incremental_guards(incremental: dict) -> None:
     """Regression guards over an ``"incremental"`` section.
 
-    Bit-identity is absolute.  The steady-state timing guard — a warm
-    frame must be at least twice as cheap as a cold one — is a
-    same-process ratio that holds with enormous margin (memo vs full
-    pipeline) on any hardware.
+    Bit-identity is absolute, and the stationary agent must reuse its
+    scan geometry at least once.
     """
-    for regime in ("steady_state", "session"):
-        assert incremental[regime]["bit_identical"], (
-            f"temporal layer changed results in the {regime} regime"
-        )
-    steady = incremental["steady_state"]
-    assert steady["warm_ms"] <= steady["cold_ms"] * 0.5, (
-        "steady-state warm path regressed: "
-        f"{steady['warm_ms']}ms vs cold {steady['cold_ms']}ms"
-    )
-    assert steady["temporal"]["detect"]["hits"] > 0, (
-        "steady-state regime never hit the detect memo"
+    session = incremental["session"]
+    assert session["bit_identical"], "temporal layer changed session results"
+    assert session["scan"]["beta"]["hits"] > 0, (
+        "the stationary agent never hit its scan cache"
     )
 
 
 def render_incremental_table(incremental: dict) -> str:
     """Human-readable summary of a :func:`run_incremental_bench` section."""
-    steady = incremental["steady_state"]
     session = incremental["session"]
+    scan = session["scan"]["beta"]
     return "\n".join(
         [
             f"workload: {incremental['workload']}",
-            f"{'regime':>14s} {'cold ms':>9s} {'warm ms':>9s} {'speedup':>8s}  mechanism",
-            f"{'steady_state':>14s} {steady['cold_ms']:9.2f} "
-            f"{steady['warm_ms']:9.2f} {steady['speedup']:7.2f}x  detect memo",
             f"session step: warm {session['step_warm_ms']:.2f} ms vs cold "
             f"{session['step_cold_ms']:.2f} ms "
-            f"({session['temporal_invalidations']} invalidations)",
+            f"(beta scan cache: {scan['hits']} hits, {scan['misses']} misses)",
         ]
     )
 
@@ -589,9 +503,7 @@ def test_bench_pipeline_hotpath(benchmark, detector, results_dir):
     check_detect_guards(report["detect"])
     # Frame-delta layer at CI size; bit-identity is asserted, speedups
     # recorded.
-    report["incremental"] = run_incremental_bench(
-        duration_seconds=2.0, repeats=1
-    )
+    report["incremental"] = run_incremental_bench(duration_seconds=2.0)
     check_incremental_guards(report["incremental"])
     path = write_report(report)
     print(f"\n=== {REPORT_NAME} ===\n{stage_table}\n")
@@ -685,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
             json.loads(report_path.read_text()) if report_path.exists() else {}
         )
         report["incremental"] = run_incremental_bench(
-            duration_seconds=detect_duration, repeats=detect_repeats
+            duration_seconds=detect_duration
         )
         check_incremental_guards(report["incremental"])
         path = write_report(report)
@@ -702,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     check_detect_guards(report["detect"])
     report["incremental"] = run_incremental_bench(
-        duration_seconds=detect_duration, repeats=detect_repeats
+        duration_seconds=detect_duration
     )
     check_incremental_guards(report["incremental"])
     report["parallel"] = run_parallel_bench(

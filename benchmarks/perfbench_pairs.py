@@ -24,8 +24,13 @@ verdict against the metric's ``bound``:
 
 A last line says whether every run of both sides printed the same digest.
 
-The script only invokes ``perfbench/run.py``; it changes nothing in either
-checkout beyond what that runner writes to its own ``perfbench/out/``.
+``perfbench/run.py`` never writes bytecode, so a fresh process reads
+whatever ``__pycache__`` its checkout holds, and ``setup_s`` would depend
+on that state rather than on the code.  Before the first pair the script
+therefore compiles ``src`` and ``perfbench`` in both checkouts with
+``python -m compileall -q``.  Beyond that bytecode it changes nothing in
+either checkout except what the runner writes to its own
+``perfbench/out/``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,18 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Share of pairs the change must win for a claimed gain.
 WIN_SHARE = 0.9
+
+#: The trees a perfbench run imports, compiled in both checkouts first.
+COMPILED_DIRS = ("src", "perfbench")
+
+
+def compile_checkout(checkout: pathlib.Path) -> None:
+    """Write the bytecode of :data:`COMPILED_DIRS` in one checkout."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", *COMPILED_DIRS],
+        cwd=checkout,
+        check=True,
+    )
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
@@ -147,6 +164,8 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for checkout in sides.values():
+        compile_checkout(checkout)
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:

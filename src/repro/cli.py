@@ -464,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--temporal",
         action="store_true",
-        help="carry frame-delta temporal state across steps (repro.temporal); "
-        "results are bit-identical, steady-state frames run faster",
+        help="carry each agent's scan geometry cache across steps "
+        "(repro.temporal); results are bit-identical, and a stationary "
+        "agent reuses its raycast geometry",
     )
     chaos.add_argument(
         "--seconds",

@@ -277,31 +277,17 @@ class SPOD:
         return tensors
 
     # -- detection ----------------------------------------------------------
-    def detect(self, cloud: PointCloud, temporal=None) -> list[Detection]:
+    def detect(self, cloud: PointCloud) -> list[Detection]:
         """Detect cars, reporting only scores >= ``detection_threshold``."""
         return [
             d
-            for d in self.detect_all(cloud, temporal=temporal)
+            for d in self.detect_all(cloud)
             if d.score >= self.config.detection_threshold
         ]
 
-    def detect_all(self, cloud: PointCloud, temporal=None) -> list[Detection]:
-        """Detect cars including sub-threshold candidates (post-NMS).
-
-        ``temporal`` (a :class:`repro.temporal.TemporalState`) carries the
-        whole-frame detect memo: when the exact cloud recurs, the previous
-        frame's post-NMS detections are returned outright (the memo
-        verifies the cloud bit-for-bit, so results never differ from a
-        cold run).  A changed frame runs the full pipeline.
-        """
-        if temporal is None or len(cloud) == 0:
-            return self._detect_cloud(cloud)
-        cached = temporal.detect_recall(cloud)
-        if cached is not None:
-            return list(cached)
-        result = self._detect_cloud(cloud)
-        temporal.detect_store(cloud, result)
-        return result
+    def detect_all(self, cloud: PointCloud) -> list[Detection]:
+        """Detect cars including sub-threshold candidates (post-NMS)."""
+        return self._detect_cloud(cloud)
 
     def detect_batch(self, clouds) -> list[list[Detection]]:
         """Detect over several clouds, one per-cloud pipeline run each.

@@ -20,10 +20,10 @@ count:
 * **sense** — one task per agent observes, then serialises its raw
   exchange package or, in the feature modes, taps its own detector;
 * **exchange** — the parent builds the feature-mode wire, runs the shared
-  channel and the fault/resilience machinery, assembles every receiver's
-  inbox and decides every temporal-state invalidation;
-* **perceive** — one task per agent decodes its inbox, fuses it with its
-  own data and runs its own detector (as each Cooper vehicle does).
+  channel and the fault/resilience machinery, decodes each delivered
+  package once and assembles every receiver's inbox from those packages;
+* **perceive** — one task per agent fuses its inbox with its own data and
+  runs its own detector (as each Cooper vehicle does).
 
 The tasks run on a :class:`repro.runtime.WorkerPool`; with one worker it
 runs them inline, on the session's own objects.
@@ -68,7 +68,6 @@ from repro.fusion.package import ExchangePackage
 from repro.fusion.temporal import StalePackageCache
 from repro.network.comm import CommRecorder
 from repro.network.dsrc import DsrcChannel
-from repro.network.messages import MessageFramer
 from repro.network.roi_policy import RoiPolicy, extract_roi
 from repro.network.scheduler import Demand, SharedChannelScheduler
 from repro.profiling import PROFILER
@@ -76,7 +75,7 @@ from repro.runtime import WorkerPool, resolve_workers, stable_hash
 from repro.scene.trajectories import Trajectory
 from repro.scene.world import World
 from repro.sensors.rig import RigObservation, SensorRig
-from repro.temporal import POSE_JUMP_M, TemporalState
+from repro.temporal import TemporalState
 
 __all__ = [
     "AgentStep",
@@ -118,8 +117,10 @@ class AgentStep:
         observation: the agent's own sensing this period.
         sent_bits: size of the package it broadcast.
         received_packages: decoded packages that reached the merge (fresh
-            deliveries plus any stale-cache fallbacks).  In the feature
-            fusion modes these are :class:`FeaturePackage` instances.
+            deliveries plus any stale-cache fallbacks).  They are the
+            parent's decoded packages, shared with every other receiver and
+            with the fallback cache.  In the feature fusion modes these are
+            :class:`FeaturePackage` instances.
         delivered: per-peer channel outcome for this period's broadcasts
             (False covers loss, deadline drops, blackouts and circuit-
             breaker skips — the fresh package did not arrive).
@@ -215,19 +216,14 @@ class _Broadcast:
 
     Attributes:
         delivered: did the fresh package clear the channel?
-        payload: reassembled wire bytes (None unless delivered).
-        package: decoded package for gating (None unless delivered).
+        package: the decoded package every receiver merges (None unless
+            delivered).
         intrinsically_sane: receiver-independent sanity verdict.
-        breaker_skipped: the circuit breaker skipped this sender (a
-            distinct degradation from channel loss — receivers invalidate
-            fusion-side temporal state on it).
     """
 
     delivered: bool
-    payload: bytes | None = None
     package: "ExchangePackage | FeaturePackage | None" = None
     intrinsically_sane: bool = True
-    breaker_skipped: bool = False
 
 
 @dataclass
@@ -289,17 +285,11 @@ class CooperAgent:
             )
 
     def perceive(
-        self,
-        observation: RigObservation,
-        packages: list[ExchangePackage],
-        temporal: TemporalState | None = None,
+        self, observation: RigObservation, packages: list[ExchangePackage]
     ) -> list[Detection]:
         """Fuse received packages with the native scan and detect."""
         result = self.cooper.perceive(
-            observation.scan.cloud,
-            observation.measured_pose,
-            packages,
-            temporal=temporal,
+            observation.scan.cloud, observation.measured_pose, packages
         )
         return result.detections
 
@@ -312,18 +302,14 @@ class CooperSession:
         world: the shared environment.
         agents: the participating vehicles.
         channel: the (shared) DSRC link model.
-        framer: link-layer fragmentation.
         faults: optional seeded fault schedule injected into the channel
             and every rig (None — the clean-world behaviour).
         resilience: the graceful-degradation knobs (defaults are inert in
             a fault-free run: nothing is ever stale, insane or dark).
-        temporal: carry per-agent frame-delta state (``repro.temporal``)
-            across steps — the scan geometry cache and the detect memo.
-            Warm-path logs are bit-identical to a cold run at any worker
-            count; the state is invalidated on LiDAR blackout frames,
-            measured-pose jumps and circuit-breaker/stale-fallback events,
-            each decided and counted parent-side and applied by the
-            agent's next task.
+        temporal: carry each agent's scan geometry cache
+            (``repro.temporal``) across steps, in every fusion mode.  The
+            cache verifies its keys exactly, so logs are bit-identical to a
+            cold run at any worker count.
         fusion_mode: what crosses the wire each period — ``"raw"``
             (exchange packages of points; an agent's :class:`RoiPolicy`
             decides how much cloud), ``"feature"`` (F-Cooper style
@@ -331,9 +317,7 @@ class CooperSession:
             maxout on the receiver grid), or ``"gated"`` (Where2comm
             style: every agent additionally broadcasts a small
             :class:`ConfidenceRequest` and senders ship only foreground
-            features some requester is missing).  The feature modes are
-            incompatible with ``temporal`` (the frame-delta caches track
-            raw merged clouds).
+            features some requester is missing).
         feature_config: gating thresholds for the feature modes.
         scheduler: optional :class:`SharedChannelScheduler` admitting
             every period's broadcasts against one shared channel budget
@@ -352,7 +336,6 @@ class CooperSession:
     world: World
     agents: list[CooperAgent]
     channel: DsrcChannel = field(default_factory=DsrcChannel)
-    framer: MessageFramer = field(default_factory=MessageFramer)
     faults: FaultPlan | None = None
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     temporal: bool = False
@@ -372,9 +355,6 @@ class CooperSession:
         default_factory=StalePackageCache, init=False, repr=False
     )
     _temporal: dict[str, TemporalState] = field(
-        default_factory=dict, init=False, repr=False
-    )
-    _last_measured: dict[str, np.ndarray] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -402,11 +382,6 @@ class CooperSession:
                 f"fusion_mode must be one of {FUSION_MODES}, "
                 f"got {self.fusion_mode!r}"
             )
-        if self.temporal and self.fusion_mode != "raw":
-            raise ValueError(
-                "temporal frame-delta state requires fusion_mode='raw' "
-                "(the caches track raw merged clouds)"
-            )
         self.comm = CommRecorder()
         self.degradation = {}
         self._health = {}
@@ -417,7 +392,6 @@ class CooperSession:
             self._temporal = {agent.name: TemporalState() for agent in self.agents}
         else:
             self._temporal = {}
-        self._last_measured = {}
         logs: dict[str, list[AgentStep]] = {a.name: [] for a in self.agents}
         times = np.arange(0.0, duration_seconds, period_seconds)
         # One pool for the whole session: workers warm up once and serve
@@ -462,7 +436,7 @@ class CooperSession:
             self._count("gps_bias_steps")
         return faults if faults.any else None
 
-    # -- temporal invalidation (decided and counted parent-side) -----------
+    # -- temporal state ---------------------------------------------------
     def temporal_states(self) -> dict[str, TemporalState]:
         """The per-agent temporal states of the last run.
 
@@ -471,90 +445,6 @@ class CooperSession:
         being exactly verified — can only change speed.
         """
         return dict(self._temporal)
-
-    def _invalidations(
-        self, name: str, reasons: tuple[str, ...] | list[str], scope: str
-    ) -> tuple[tuple[str, str], ...]:
-        """Count one agent's invalidation decisions as ``(reason, scope)``.
-
-        The agent's next task applies them to whichever copy of its
-        temporal state it runs on; without temporal state nothing is
-        decided.
-        """
-        if name not in self._temporal:
-            return ()
-        for _reason in reasons:
-            self._count("temporal_invalidations")
-        return tuple((reason, scope) for reason in reasons)
-
-    def _blackout_invalidations(
-        self, faults_by_agent: dict[str, SensorFaults | None]
-    ) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Sense-phase decisions: a LiDAR blackout frame drops the agent's
-        whole temporal state, scan cache included."""
-        return {
-            name: self._invalidations(
-                name,
-                ("lidar_blackout",)
-                if faults is not None and faults.lidar_blackout
-                else (),
-                "all",
-            )
-            for name, faults in faults_by_agent.items()
-        }
-
-    def _pose_jump_invalidations(
-        self, observations: dict[str, RigObservation]
-    ) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Invalidate on physically implausible measured-pose motion.
-
-        A GPS dropout/teleport makes the merged geometry jump wholesale;
-        the temporal caches would all miss anyway (they verify content),
-        so this is hygiene plus an observability signal.  The perceive
-        task applies it with ``scope="all"``, so the scan cache is gone
-        before the agent's next observation too.
-        """
-        decided: dict[str, tuple[tuple[str, str], ...]] = {}
-        for agent in self.agents:
-            name = agent.name
-            position = observations[name].measured_pose.position
-            prev = self._last_measured.get(name)
-            self._last_measured[name] = position
-            jumped = (
-                prev is not None
-                and float(np.hypot(*(position[:2] - prev[:2]))) > POSE_JUMP_M
-            )
-            decided[name] = self._invalidations(
-                name, ("pose_jump",) if jumped else (), "all"
-            )
-        return decided
-
-    def _fuse_invalidations(
-        self,
-        outcomes: dict[str, _Broadcast],
-        inboxes: dict[str, tuple],
-    ) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Fuse-scope invalidation decisions for each receiver this step.
-
-        A circuit-breaker skip among the receiver's peers or a
-        stale-cache fallback in its inbox changes the merged cloud's
-        provenance discontinuously; the fusion-side detect memo is
-        dropped, the scan cache — pure ego geometry — survives.
-        """
-        decided: dict[str, tuple[tuple[str, str], ...]] = {}
-        for agent in self.agents:
-            name = agent.name
-            reasons = []
-            if any(
-                outcomes[peer.name].breaker_skipped
-                for peer in self.agents
-                if peer.name != name
-            ):
-                reasons.append("breaker_skip")
-            if inboxes[name][2] > 0:
-                reasons.append("stale_fallback")
-            decided[name] = self._invalidations(name, reasons, "fuse")
-        return decided
 
     # -- exchange (phase 2, parent-side) -----------------------------------
     def _deserialize_package(self, data: bytes):
@@ -613,10 +503,10 @@ class CooperSession:
         the fault plan's per-link conditions and the circuit breaker all
         act here, in the parent, in agent order, which is what keeps
         fault schedules and health state identical at any worker count.
-        Delivered
-        packages are decoded once for the receiver-independent sanity
-        checks and cached for fallback.  Every transmission that reaches
-        the air is entered into the :attr:`comm` ledger.
+        Each delivered package is decoded once: that package feeds the
+        sanity gate, the fallback cache and every receiver's merge.  Every
+        transmission that reaches the air is entered into the :attr:`comm`
+        ledger.
         """
         resilience = self.resilience
         self.comm.note_frame(step_index)
@@ -634,9 +524,7 @@ class CooperSession:
             )
             if resilience.breaker_threshold > 0 and health.is_open(step_index):
                 self._count("breaker_skips")
-                outcomes[sender] = _Broadcast(
-                    delivered=False, breaker_skipped=True
-                )
+                outcomes[sender] = _Broadcast(delivered=False)
                 continue
             if admitted is not None and sender not in admitted:
                 # Deferred by the shared-channel scheduler: never reached
@@ -680,9 +568,7 @@ class CooperSession:
                 outcomes[sender] = _Broadcast(delivered=False)
                 continue
             health.record_success()
-            frames = self.framer.fragment(payload)
-            data = MessageFramer.reassemble(frames)
-            package = self._deserialize_package(data)
+            package = self._deserialize_package(payload)
             sane = (
                 not resilience.sanity_gate
                 or self._package_intrinsically_sane(package)
@@ -701,14 +587,11 @@ class CooperSession:
                     )
                     sane = bool(jump <= limit)
             if sane:
-                self._stale_cache.store(sender, data, package, step_index)
+                self._stale_cache.store(sender, package, step_index)
             else:
                 self._count("sanity_rejects")
             outcomes[sender] = _Broadcast(
-                delivered=True,
-                payload=data,
-                package=package,
-                intrinsically_sane=sane,
+                delivered=True, package=package, intrinsically_sane=sane
             )
         return outcomes
 
@@ -718,17 +601,16 @@ class CooperSession:
         receiver_pose,
         outcomes: dict[str, _Broadcast],
         step_index: int,
-    ) -> tuple[list[bytes], list[bool], int]:
+    ) -> tuple[list[ExchangePackage | FeaturePackage], list[bool], int]:
         """Assemble one receiver's merge inbox from the broadcast fates.
 
-        Returns ``(payloads, delivered_flags, stale_count)``: the wire
-        payloads to decode and merge (fresh deliveries that passed the
-        sanity gate, then stale-cache fallbacks for peers that went
-        dark), the per-peer channel outcome flags, and how many payloads
-        came from the cache.
+        Returns ``(packages, delivered_flags, stale_count)``: the decoded
+        packages to merge (fresh deliveries that passed the sanity gate,
+        then stale-cache fallbacks for peers that went dark), the per-peer
+        channel outcome flags, and how many packages came from the cache.
         """
         resilience = self.resilience
-        payloads: list[bytes] = []
+        packages: list[ExchangePackage | FeaturePackage] = []
         flags: list[bool] = []
         stale = 0
         for agent in self.agents:
@@ -750,7 +632,7 @@ class CooperSession:
                 self._count("sanity_rejects")
                 usable = False
             if usable:
-                payloads.append(outcome.payload)
+                packages.append(outcome.package)
                 continue
             if not resilience.stale_fallback:
                 continue
@@ -769,12 +651,12 @@ class CooperSession:
                     )
                 )
             ):
-                payloads.append(entry.payload)
+                packages.append(entry.package)
                 stale += 1
                 self._count("stale_fallbacks")
-        if flags and not payloads:
+        if flags and not packages:
             self._count("ego_only_steps")
-        return payloads, flags, stale
+        return packages, flags, stale
 
     # -- the step pipeline ------------------------------------------------
     def _step(
@@ -790,18 +672,12 @@ class CooperSession:
         Phase 1 (one task per agent): observe, then serialise the raw
         package or tap the agent's features.  Phase 2 (parent): the
         feature wire, the shared channel, the fault plan and the
-        resilience state decide each receiver's inbox, and every
-        temporal-state invalidation is decided and counted.  Phase 3 (one
-        task per agent): decode, fuse and detect.  A task's result is a
-        pure function of its payload (seeds, faults and inbox included;
-        temporal caches change only speed), so logs are bit-identical at
-        any worker count.
+        resilience state decide each receiver's inbox of decoded
+        packages.  Phase 3 (one task per agent): fuse and detect.  A
+        task's result is a pure function of its payload (seeds, faults
+        and inbox included; the scan cache changes only speed), so logs
+        are bit-identical at any worker count.
         """
-        faults_by_agent = {
-            agent.name: self._resolve_sensor_faults(step_index, agent.name)
-            for agent in self.agents
-        }
-        blackouts = self._blackout_invalidations(faults_by_agent)
         sensed = pool.map(
             _sense_task,
             [
@@ -809,8 +685,7 @@ class CooperSession:
                     i,
                     t,
                     _observe_seed(seed, step_index, i),
-                    faults_by_agent[agent.name],
-                    blackouts[agent.name],
+                    self._resolve_sensor_faults(step_index, agent.name),
                 )
                 for i, agent in enumerate(self.agents)
             ],
@@ -821,7 +696,6 @@ class CooperSession:
         for agent, (observation, out) in zip(self.agents, sensed):
             observations[agent.name] = observation
             prepared[agent.name] = out
-        jumps = self._pose_jump_invalidations(observations)
 
         raw = self.fusion_mode == "raw"
         if raw:
@@ -834,7 +708,9 @@ class CooperSession:
                 observations, prepared, t, step_index
             )
         outcomes = self._broadcast_outcomes(wire, step_index, seed)
-        inboxes: dict[str, tuple[list[bytes], list[bool], int]] = {
+        inboxes: dict[
+            str, tuple[list[ExchangePackage | FeaturePackage], list[bool], int]
+        ] = {
             agent.name: self._receiver_inbox(
                 agent.name,
                 observations[agent.name].measured_pose,
@@ -843,7 +719,6 @@ class CooperSession:
             )
             for agent in self.agents
         }
-        fuse_invalidations = self._fuse_invalidations(outcomes, inboxes)
 
         perceived = pool.map(
             _perceive_task,
@@ -853,13 +728,12 @@ class CooperSession:
                     observations[agent.name],
                     None if raw else prepared[agent.name],
                     inboxes[agent.name][0],
-                    jumps[agent.name] + fuse_invalidations[agent.name],
                 )
                 for i, agent in enumerate(self.agents)
             ],
         )
-        for agent, (received, detections) in zip(self.agents, perceived):
-            _payloads, delivered_flags, stale = inboxes[agent.name]
+        for agent, detections in zip(self.agents, perceived):
+            received, delivered_flags, stale = inboxes[agent.name]
             fresh = len(received) - stale
             PROFILER.count("session.packages_received", fresh)
             PROFILER.count(
@@ -967,30 +841,17 @@ def _session_worker_init(
     _WORKER_MODE = fusion_mode
 
 
-def _task_agent(
-    agent_index: int, invalidations: tuple[tuple[str, str], ...]
-) -> tuple[CooperAgent, TemporalState | None]:
-    """One task's agent and temporal state, with the parent's
-    invalidation decisions applied."""
-    state = _WORKER_STATES[agent_index]
-    if state is not None:
-        for reason, scope in invalidations:
-            state.invalidate(reason, scope=scope)
-    return _WORKER_AGENTS[agent_index], state
-
-
 def _sense_task(
-    payload: tuple[
-        int, float, int, SensorFaults | None, tuple[tuple[str, str], ...]
-    ],
+    payload: tuple[int, float, int, SensorFaults | None],
 ) -> tuple[RigObservation, bytes | FeatureTap]:
     """Phase-1 task: one agent senses and prepares its broadcast.
 
     Returns the observation plus, in raw mode, the serialised exchange
     package or, in the feature modes, the agent's :class:`FeatureTap`.
     """
-    agent_index, t, obs_seed, faults, invalidations = payload
-    agent, state = _task_agent(agent_index, invalidations)
+    agent_index, t, obs_seed, faults = payload
+    agent = _WORKER_AGENTS[agent_index]
+    state = _WORKER_STATES[agent_index]
     observation = agent.observe(
         _WORKER_WORLD,
         t,
@@ -1013,17 +874,14 @@ def _perceive_task(
         int,
         RigObservation,
         FeatureTap | None,
-        list[bytes],
-        tuple[tuple[str, str], ...],
+        list[ExchangePackage] | list[FeaturePackage],
     ],
-) -> tuple[list[ExchangePackage] | list[FeaturePackage], list[Detection]]:
-    """Phase-3 task: one agent decodes its inbox, fuses and detects."""
-    agent_index, observation, tap, package_payloads, invalidations = payload
-    agent, state = _task_agent(agent_index, invalidations)
+) -> list[Detection]:
+    """Phase-3 task: one agent fuses its decoded inbox and detects."""
+    agent_index, observation, tap, packages = payload
+    agent = _WORKER_AGENTS[agent_index]
     if _WORKER_MODE == "raw":
-        received = [ExchangePackage.deserialize(p) for p in package_payloads]
-        return received, agent.perceive(observation, received, temporal=state)
-    received = [FeaturePackage.deserialize(p) for p in package_payloads]
-    return received, perceive_tap(
-        agent.cooper.detector, observation.measured_pose, tap, received
+        return agent.perceive(observation, packages)
+    return perceive_tap(
+        agent.cooper.detector, observation.measured_pose, tap, packages
     )

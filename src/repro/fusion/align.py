@@ -23,7 +23,6 @@ __all__ = [
     "merge_packages",
     "package_intrinsically_sane",
     "pose_delta_plausible",
-    "package_sane",
 ]
 
 
@@ -106,14 +105,3 @@ def pose_delta_plausible(
     delta = package.pose.position - receiver_pose.position
     return bool(np.hypot(delta[0], delta[1]) <= max_peer_distance_m)
 
-
-def package_sane(
-    package: ExchangePackage,
-    receiver_pose: Pose,
-    max_peer_distance_m: float = 500.0,
-    max_point_range_m: float = 300.0,
-) -> bool:
-    """The full pre-merge sanity gate: intrinsic checks + pose delta."""
-    return package_intrinsically_sane(
-        package, max_point_range_m
-    ) and pose_delta_plausible(package, receiver_pose, max_peer_distance_m)

@@ -108,23 +108,20 @@ class Cooper:
         native_cloud: PointCloud,
         receiver_pose: Pose,
         packages: Sequence[ExchangePackage] = (),
-        temporal=None,
     ) -> CooperResult:
         """Run one perception cycle.
 
         With no packages this degrades gracefully to single-shot detection
         (the baseline the paper compares against).  With
         ``reject_misaligned`` set, inconsistent packages are dropped and
-        counted in :attr:`CooperResult.rejected_packages`.  ``temporal``
-        (per-agent :class:`repro.temporal.TemporalState`) enables the
-        detect memo; results are bit-identical either way.
+        counted in :attr:`CooperResult.rejected_packages`.
         """
         merged, num_accepted, rejected, fuse_seconds = self.fuse(
             native_cloud, receiver_pose, packages
         )
 
         detect_start = time.perf_counter()
-        detections = self.detector.detect(merged, temporal=temporal)
+        detections = self.detector.detect(merged)
         detect_seconds = time.perf_counter() - detect_start
         # Mirror the externally observable CooperResult times into the
         # profiler so its totals reconcile with total_seconds exactly
@@ -139,12 +136,10 @@ class Cooper:
             rejected_packages=rejected,
         )
 
-    def perceive_single(
-        self, native_cloud: PointCloud, temporal=None
-    ) -> CooperResult:
+    def perceive_single(self, native_cloud: PointCloud) -> CooperResult:
         """Single-shot perception (no cooperation) with the same detector."""
         detect_start = time.perf_counter()
-        detections = self.detector.detect(native_cloud, temporal=temporal)
+        detections = self.detector.detect(native_cloud)
         detect_seconds = time.perf_counter() - detect_start
         PROFILER.record("cooper.detect", detect_seconds)
         return CooperResult(

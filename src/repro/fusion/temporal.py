@@ -57,16 +57,14 @@ def merge_timeline(
 
 @dataclass(frozen=True)
 class StaleEntry:
-    """One cached delivery: the wire payload, its decoded form, its age.
+    """One cached delivery: the decoded package and its age.
 
     Attributes:
-        payload: the reassembled wire bytes (what a worker re-decodes, so
-            fallback packages take the exact path a fresh delivery does).
-        package: the decoded package (pose checks without re-decoding).
+        package: the decoded package, the very object the receivers of
+            its step merged (so a fallback takes the fresh path).
         step: the session step the package was delivered at.
     """
 
-    payload: bytes
     package: ExchangePackage
     step: int
 
@@ -91,10 +89,9 @@ class StalePackageCache:
     max_age_steps: int = 3
     _entries: dict[str, StaleEntry] = field(default_factory=dict)
 
-    def store(self, sender: str, payload: bytes, package: ExchangePackage,
-              step: int) -> None:
+    def store(self, sender: str, package: ExchangePackage, step: int) -> None:
         """Remember the latest delivered package of one peer."""
-        self._entries[sender] = StaleEntry(payload, package, step)
+        self._entries[sender] = StaleEntry(package, step)
 
     def last(self, sender: str) -> StaleEntry | None:
         """The peer's most recent delivery, regardless of age.
@@ -111,12 +108,3 @@ class StalePackageCache:
         if entry is None or step - entry.step > self.max_age_steps:
             return None
         return entry
-
-    def age(self, sender: str, step: int) -> int | None:
-        """Steps since the peer's last delivery (None if never seen)."""
-        entry = self._entries.get(sender)
-        return step - entry.step if entry is not None else None
-
-    def clear(self) -> None:
-        """Drop every entry (a session calls this at run start)."""
-        self._entries.clear()

@@ -357,16 +357,6 @@ class ScanGeometryCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop every entry (counters are preserved; see :meth:`reset_stats`)."""
-        self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/recast counters without dropping entries."""
-        self.hits = 0
-        self.misses = 0
-        self.actors_recast = 0
-
     def stats(self) -> dict:
         """Counter snapshot for benchmark reports."""
         return {

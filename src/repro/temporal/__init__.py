@@ -1,120 +1,51 @@
-"""Frame-delta (temporal) inference state — warm paths, cold-path bits.
+"""Frame-delta (temporal) state — a warm scan path with cold-path bits.
 
 Cooper's OBU loop runs at sensor frame rate, and consecutive frames of a
-static scene repeat work.  This package carries the per-agent state that
-skips the two repeats that measure as worth skipping:
+static scene repeat work.  The one repeat that measures as worth skipping
+is the LiDAR raycast: :class:`TemporalState` carries each agent's
+:class:`repro.sensors.lidar.ScanGeometryCache`, which reuses the
+per-actor raycast matrix across frames for a repeated pose and
+re-raycasts only actors whose geometry changed.  Everything after the
+scan runs cold every frame.
 
-* **scan** — a :class:`repro.sensors.lidar.ScanGeometryCache`: the
-  per-actor raycast matrix is reused across frames for a repeated pose,
-  re-raycasting only actors whose geometry changed.
-* **detect memo** — the previous frame's post-NMS detections, returned
-  outright when the exact cloud recurs (the steady state of a stationary
-  scene re-detecting the same frame).
+**Determinism contract.**  The cache is keyed by the true pose and the
+beam pattern, and every hit is verified against the stored key text and
+actor geometry, so every warm output (scans, detections, logs) is
+bit-identical to a cold run at any worker count.  The state can only
+change *when* work is done, never *what* is computed, so nothing ever
+needs to invalidate it.
 
-A changed frame runs voxelisation and the sparse convolutions cold.
-
-**Determinism contract.**  Both caches are content-keyed and verified
-exactly (stored keys/arrays compared element-for-element), so every
-warm-path output (detections, scores, logs) is bit-identical to a cold
-run, at any worker count, under any invalidation schedule.  Temporal
-state can only change *when* work is done, never *what* is computed.
-
-**Invalidation rules.**  The session invalidates an agent's state on
-LiDAR blackout frames and measured-pose jumps above :data:`POSE_JUMP_M`
-(``scope="all"``: the scan cache is geometry-bound) and on
-circuit-breaker skips or stale-package fallbacks among its peers
-(``scope="fuse"``: only the detect memo sees the inbox).  Because hits
-are verified exactly, invalidation is pure hygiene: skipping one can
-never corrupt a result, it only wastes a lookup.
-
-Profiler surfaces: ``temporal.scan_*`` and ``temporal.detect_*``
-counters, mirrored from the per-state totals in
-:meth:`TemporalState.stats`.
+Profiler surfaces: ``temporal.scan_*`` counters, mirrored from the
+per-state totals in :meth:`TemporalState.stats`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.profiling import PROFILER
 from repro.sensors.lidar import ScanGeometryCache
 
-__all__ = ["POSE_JUMP_M", "SCAN_CACHE_ENTRIES", "TemporalState"]
+__all__ = ["SCAN_CACHE_ENTRIES", "TemporalState"]
 
 #: Pose cells each agent's scan geometry cache retains.
 SCAN_CACHE_ENTRIES = 4
 
-#: Measured-pose displacement per step (metres) above which the session
-#: invalidates an agent's state: a GPS glitch or teleport, not
-#: frame-to-frame motion.
-POSE_JUMP_M = 5.0
-
 
 class TemporalState:
-    """Per-agent frame-delta state threaded through scan → detect.
+    """Per-agent frame-delta state: the scan geometry cache.
 
-    One instance belongs to one (agent, detector) stream of frames; the
-    session keeps one per agent and hands it to ``observe`` and
-    ``perceive``/``detect``.  All members are caches in the strict sense:
-    dropping the whole object (or calling :meth:`invalidate`) at any
-    moment changes nothing but speed.
+    One instance belongs to one agent's stream of frames; the session
+    keeps one per agent and hands its :attr:`scan` cache to ``observe``.
+    Dropping the object at any moment changes nothing but speed.
     """
 
     def __init__(self) -> None:
         self.scan = ScanGeometryCache(maxsize=SCAN_CACHE_ENTRIES)
-        self._detect_data: np.ndarray | None = None
-        self._detect_result: list | None = None
-        self.detect_hits = 0
-        self.detect_misses = 0
-        self.invalidations: dict[str, int] = {}
 
-    # -- detect memo -------------------------------------------------------
-    def detect_recall(self, cloud) -> list | None:
-        """The previous frame's detections iff ``cloud`` recurs bit-exactly."""
-        if self._detect_result is None:
-            return None
-        data = cloud.data
-        prev = self._detect_data
-        if data.shape == prev.shape and (
-            data is prev or np.array_equal(data, prev)
-        ):
-            self.detect_hits += 1
-            PROFILER.count("temporal.detect_hits")
-            return self._detect_result
-        self.detect_misses += 1
-        PROFILER.count("temporal.detect_misses")
-        return None
-
-    def detect_store(self, cloud, detections: list) -> None:
-        """Install this frame's (cloud, post-NMS detections) as the memo."""
-        self._detect_data = cloud.data
-        self._detect_result = list(detections)
-
-    # -- invalidation ------------------------------------------------------
-    def invalidate(self, reason: str, scope: str = "all") -> None:
-        """Drop cached state; ``scope="fuse"`` keeps the scan cache.
-
-        Purely hygienic — every cache verifies its key exactly, so a
-        skipped (or spurious) invalidation can never change a result.
-        ``reason`` is tallied in :attr:`invalidations`; the *session*
-        counts its parent-side invalidation decisions separately so
-        log-relevant totals stay exact at any worker count.
-        """
-        if scope not in ("all", "fuse"):
-            raise ValueError("scope must be 'all' or 'fuse'")
-        if scope == "all":
-            self.scan.clear()
-        self._detect_data = None
-        self._detect_result = None
-        self.invalidations[reason] = self.invalidations.get(reason, 0) + 1
-
-    # -- reporting ---------------------------------------------------------
     def stats(self) -> dict:
-        """Counter snapshot across every cache surface (for benchmarks)."""
+        """Counter snapshot of the scan cache (for benchmarks)."""
         return {
             "scan": self.scan.stats(),
-            # Constant zeros: perfbench/run.py still reads this block.
+            # Constant: perfbench/run.py reads these three blocks.
             "voxel": {"hits": 0, "rescatters": 0, "patched": 0, "misses": 0},
-            "detect": {"hits": self.detect_hits, "misses": self.detect_misses},
-            "invalidations": dict(self.invalidations),
+            "detect": {"hits": 0, "misses": 0},
+            "invalidations": {},
         }

@@ -351,12 +351,6 @@ class TestSessionModes:
         with pytest.raises(ValueError, match="fusion_mode"):
             session.run(duration_seconds=1.0, seed=0)
 
-    def test_temporal_requires_raw(self, detector):
-        session = _session(detector, "feature")
-        session.temporal = True
-        with pytest.raises(ValueError, match="raw"):
-            session.run(duration_seconds=1.0, seed=0)
-
     def test_ledger_populated_per_mode(self, detector):
         for mode, kinds in (
             ("raw", {"cloud"}),

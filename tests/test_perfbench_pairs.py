@@ -1,9 +1,12 @@
-"""Tests for the claim rule and the no-regression verdict of
-benchmarks/perfbench_pairs.py."""
+"""Tests for the claim rule, the no-regression verdict and the bytecode
+step of benchmarks/perfbench_pairs.py."""
+
+import importlib.util
+import pathlib
 
 import pytest
 
-from benchmarks.perfbench_pairs import judge, quartiles, regression
+from benchmarks.perfbench_pairs import compile_checkout, judge, quartiles, regression
 
 
 def test_quartiles_interpolate_linearly():
@@ -71,3 +74,18 @@ def test_regression_ok_when_every_change_run_beats_every_parent_run():
 def test_regression_of_zero_medians():
     assert regression([0.0] * 4, [0.0] * 4, "lower", 0.1) == "ok"
     assert regression([0.0] * 4, [1.0] * 4, "lower", 0.1) == "worse"
+
+
+def test_compile_checkout_writes_bytecode_of_src_and_perfbench(tmp_path):
+    sources = [
+        tmp_path / "src" / "pkg" / "mod.py",
+        tmp_path / "perfbench" / "run.py",
+    ]
+    other = tmp_path / "benchmarks" / "bench.py"
+    for path in [*sources, other]:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("VALUE = 1\n")
+    compile_checkout(tmp_path)
+    for path in sources:
+        assert pathlib.Path(importlib.util.cache_from_source(str(path))).exists()
+    assert not pathlib.Path(importlib.util.cache_from_source(str(other))).exists()

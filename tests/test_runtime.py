@@ -19,6 +19,7 @@ from repro.faults import FaultPlan
 from repro.fusion.agent import CooperAgent, CooperSession, _channel_seed
 from repro.fusion.cooper import Cooper
 from repro.fusion.feature import FeaturePackage
+from repro.fusion.package import ExchangePackage
 from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.profiling import PROFILER, Profiler
 from repro.runtime import (
@@ -417,11 +418,18 @@ class TestParallelSession:
 
     # The single step pipeline serves every fusion mode at every worker
     # layout: two workers run three tasks per phase, four get one each.
+    # A temporal run must also equal the cold run of its mode.
     @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
     @pytest.mark.parametrize(
         "mode,temporal",
-        [("raw", False), ("raw", True), ("feature", False), ("gated", False)],
-        ids=["raw", "raw-temporal", "feature", "gated"],
+        [
+            ("raw", False),
+            ("raw", True),
+            ("feature", False),
+            ("gated", False),
+            ("gated", True),
+        ],
+        ids=["raw", "raw-temporal", "feature", "gated", "gated-temporal"],
     )
     def test_three_agents_identical_across_worker_counts(
         self, detector, mode, temporal, chaos
@@ -434,6 +442,8 @@ class TestParallelSession:
             )
             assert parallel == serial, workers
         assert bool(serial[1]) == chaos  # degradation only under faults
+        if temporal:
+            assert serial == _session_outcome(detector, 3, 1, mode, False, faults)
 
     def test_one_agent_on_four_workers(self, detector):
         serial = _session_outcome(detector, 1, 1)
@@ -450,3 +460,44 @@ def _session_outcome(
     session.faults = faults
     logs = session.run(duration_seconds=3.0, seed=5, workers=workers)
     return _canonical_logs(logs), session.degradation, session.comm.summary()
+
+
+class TestSessionDecode:
+    """The parent decodes each delivered package once; no receiver, fresh
+    or stale-fallback, decodes it again."""
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    @pytest.mark.parametrize("mode", ["raw", "gated"])
+    def test_one_decode_per_delivered_broadcast(
+        self, detector, monkeypatch, mode, chaos
+    ):
+        decodes = []
+        for cls in (ExchangePackage, FeaturePackage):
+            original = cls.deserialize
+
+            def spy(payload, _original=original):
+                decodes.append(len(payload))
+                return _original(payload)
+
+            monkeypatch.setattr(cls, "deserialize", staticmethod(spy))
+        session = _toy_session(detector, 3)
+        session.fusion_mode = mode
+        session.faults = FaultPlan.chaos(1) if chaos else None
+        logs = session.run(duration_seconds=3.0, seed=5, workers=1)
+        delivered = [
+            r.payload_bytes
+            for r in session.comm.records
+            if r.kind != "request" and r.delivered
+        ]
+        assert delivered and decodes == delivered
+        if chaos:
+            # Fallbacks merge cached packages without decoding them again.
+            assert session.degradation.get("stale_fallbacks", 0) > 0
+        else:
+            # Every delivery reaches both other receivers undecoded.
+            merged = sum(
+                len(step.received_packages)
+                for steps in logs.values()
+                for step in steps
+            )
+            assert merged == 2 * len(delivered)
