@@ -8,12 +8,19 @@ with range and shrinks with beam count.  The 16-beam VLP-16 produces a
 cloud ~4x sparser than the 64-beam HDL-64E, matching the paper's T&J vs
 KITTI contrast.
 
-Rays from one scan share an origin, so occlusion tests vectorise per actor:
-each box rotates the whole direction table into its own frame and runs the
-slab test on all rays at once.  Across frames from one pose, a
-:class:`ScanGeometryCache` keeps each actor's hit row and the per-ray
-nearest hit, so a static scene skips both the slab tests and the search
-for the nearest actor.
+Rays from one scan share an origin, and every beam's elevation lies in
+[-90, 90] degrees, so a return shares its ray's azimuth in the sensor
+frame.  An actor's box therefore only meets the rays inside its azimuth
+wedge: the arc its corners span around the sensor's vertical axis.  Each
+scan maps every actor's corners into the sensor frame in one pass, turns
+each wedge into a padded, wrapped range of the direction table's azimuth
+columns, and slab-tests each actor only on those rays, every actor's
+window in one stacked pass.  An actor that surrounds or nearly touches
+the vertical axis, or spans about half a turn, takes every ray.  Each ray
+keeps the nearest of its windowed hits; ties go to the lower actor
+index.  Across frames from one pose, a :class:`ScanGeometryCache` keeps
+each actor's hits, so a static scene skips the slab tests and re-casts
+only moved actors.
 """
 
 from __future__ import annotations
@@ -64,8 +71,13 @@ class BeamPattern:
     def __post_init__(self) -> None:
         if not self.elevations_deg:
             raise ValueError("beam pattern needs at least one beam")
-        if self.azimuth_resolution_deg <= 0:
-            raise ValueError("azimuth resolution must be positive")
+        # A beam past +/-90 degrees points back over the sensor, against
+        # the azimuth of its own column.
+        if not all(-90.0 <= e <= 90.0 for e in self.elevations_deg):
+            raise ValueError("beam elevations must lie in [-90, 90] degrees")
+        # From 720 degrees up a revolution would round to zero columns.
+        if not 0.0 < self.azimuth_resolution_deg <= 360.0:
+            raise ValueError("azimuth resolution must be in (0, 360] degrees")
 
     @property
     def num_beams(self) -> int:
@@ -73,9 +85,14 @@ class BeamPattern:
         return len(self.elevations_deg)
 
     @property
+    def azimuth_steps(self) -> int:
+        """Azimuth columns per 360-degree revolution."""
+        return int(round(360.0 / self.azimuth_resolution_deg))
+
+    @property
     def rays_per_scan(self) -> int:
         """Total rays fired per 360-degree revolution."""
-        return self.num_beams * int(round(360.0 / self.azimuth_resolution_deg))
+        return self.num_beams * self.azimuth_steps
 
 
 def _uniform_elevations(low: float, high: float, count: int) -> tuple[float, ...]:
@@ -193,7 +210,7 @@ class LidarModel:
             boxes = [a.box for a in actors]
             if cache is None:
                 best_label, best_t = _nearest_hits(
-                    _ray_boxes_batch(origin, directions, boxes)
+                    self.pattern, pose, origin, directions, boxes
                 )
             else:
                 best_label, best_t = cache.nearest_hits(
@@ -307,37 +324,61 @@ def _actor_geometry_key(box) -> bytes:
     ).tobytes()
 
 
+#: Azimuth columns added on each side of an actor's wedge.  The wedge
+#: comes from the box corners and the hits from the slab test; the pad
+#: absorbs the rounding between the two.
+_WEDGE_PAD_COLUMNS = 1
+
+#: An actor takes every ray when its corners span within this many
+#: radians of half a turn around the sensor's vertical axis, or when a
+#: corner lies within this many metres of the axis.  Past either bound the
+#: sensor may sit inside the box's footprint, or the footprint may pass so
+#: close to the axis that a hit's azimuth no longer follows its corners'.
+_WEDGE_SPAN_MARGIN = 0.1
+_WEDGE_AXIS_CLEARANCE = 0.05
+
+#: The eight corners of a unit box, as signs of its half extents.
+_CORNER_SIGNS = np.array(
+    [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+)
+
+#: Per actor, the indices of the rays that hit it and their distances.
+_ActorHits = tuple[np.ndarray, np.ndarray]
+
+
 @dataclass
 class _ScanCacheEntry:
     key_text: str
     actor_keys: tuple[bytes, ...]
-    t_rows: np.ndarray  # (A, N) hit distances, one row per actor
-    # _nearest_hits(t_rows), dropped whenever a row is re-raycast.
+    hits: list[_ActorHits]  # one entry per actor, from _windowed_hits
+    # _merge_hits(hits), dropped whenever an actor is re-cast.
     nearest: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class ScanGeometryCache:
     """Static-geometry raycast memo for :meth:`LidarModel.scan`.
 
-    The expensive part of a scan is the per-actor slab test — an
-    ``(A, N)`` hit-distance matrix whose row *i* depends only on the pose,
-    the beam pattern and actor *i*'s box (every operation in
-    :func:`_ray_boxes_batch` is elementwise per box row).  Consecutive
-    frames of a (near-)static scene therefore recompute identical rows.
+    The expensive part of a scan is the windowed slab test, and actor
+    *i*'s hits (the rays inside its wedge that meet its box, and their
+    distances) depend only on the pose, the beam pattern and actor *i*'s
+    box: every operation in :func:`_windowed_hits` is elementwise per
+    (actor, ray) pair, and the wedge is computed per actor.  Consecutive
+    frames of a (near-)static scene therefore recompute identical hits.
 
-    This cache stores the hit matrix per ``(pattern, pose)`` cell — keyed
-    with :func:`repro.runtime.stable_hash` over an exact text key, so keys
-    are PYTHONHASHSEED/process-independent, and verified against the
-    stored key text on every hit.  On a hit, only actors whose box
-    geometry changed since the cached frame are re-raycast and their rows
-    patched in place; static geometry is reused.  Because rows are
-    bit-exact regardless of how the actor batch is split, the assembled
-    matrix — and every downstream product, including the seeded noise
-    streams drawn after it — is bit-identical to a cold scan.
+    This cache stores each actor's hits per ``(pattern, pose)`` cell —
+    keyed with :func:`repro.runtime.stable_hash` over an exact text key,
+    so keys are PYTHONHASHSEED/process-independent, and verified against
+    the stored key text on every hit.  On a hit, only actors whose box
+    geometry changed since the cached frame are re-cast over their own
+    wedge; static geometry is reused.  Cold scans run the same two
+    helpers, so every downstream product, including the seeded noise
+    streams drawn after the geometry, is bit-identical to a cold scan.
 
-    Each entry also memoises the matrix's per-ray nearest hit (actor index
-    and distance, :func:`_nearest_hits`), the argmin a hit would otherwise
-    repeat over every ray and actor.  Patching any row drops the memo.
+    Each entry also memoises the per-ray nearest hit (actor index and
+    distance, :func:`_merge_hits`), the merge a hit would otherwise
+    repeat.  Re-casting any actor drops the memo.  An entry holds one
+    index and one distance per actor hit plus 16 bytes per ray for the
+    memo (~0.9 MB for HDL-64E).
 
     Hit/miss/recast totals are kept on the cache and mirrored into the
     ``temporal.scan_*`` profiler counters when profiling is enabled.
@@ -374,10 +415,10 @@ class ScanGeometryCache:
         directions: np.ndarray,
         boxes: list,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-ray nearest actor hit against ``boxes``, reusing cached rows.
+        """Per-ray nearest actor hit against ``boxes``, reusing cached hits.
 
-        Returns :func:`_nearest_hits` of the ``(A, N)`` hit matrix: the
-        read-only arrays held by the cache entry.
+        Returns what :func:`_nearest_hits` returns for the same arguments:
+        the read-only arrays held by the cache entry.
         """
         key_text = _scan_pose_key(pattern, pose)
         key = (stable_hash(key_text), len(key_text))
@@ -397,9 +438,11 @@ class ScanGeometryCache:
                 if old != new
             ]
             if changed:
-                entry.t_rows[changed] = _ray_boxes_batch(
-                    origin, directions, [boxes[i] for i in changed]
+                recast = _windowed_hits(
+                    pattern, pose, origin, directions, [boxes[i] for i in changed]
                 )
+                for i, actor_hits in zip(changed, recast):
+                    entry.hits[i] = actor_hits
                 entry.actor_keys = actor_keys
                 entry.nearest = None
                 self.actors_recast += len(changed)
@@ -410,39 +453,75 @@ class ScanGeometryCache:
             self.misses += 1
             PROFILER.count("temporal.scan_misses")
             entry = _ScanCacheEntry(
-                key_text, actor_keys, _ray_boxes_batch(origin, directions, boxes)
+                key_text,
+                actor_keys,
+                _windowed_hits(pattern, pose, origin, directions, boxes),
             )
             self._entries[key] = entry
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         if entry.nearest is None:
-            entry.nearest = _nearest_hits(entry.t_rows)
+            entry.nearest = _merge_hits(entry.hits, len(directions))
         return entry.nearest
 
 
-def _nearest_hits(t_hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_hits(
+    pattern: BeamPattern,
+    pose: Pose,
+    origin: np.ndarray,
+    directions: np.ndarray,
+    boxes: list,
+) -> tuple[np.ndarray, np.ndarray]:
     """Per ray, the nearest actor's index and hit distance (read-only).
 
-    ``t_hits`` is an ``(A, N)`` hit matrix; ties go to the lowest index.
+    ``directions`` is the pattern's direction table rotated into the world
+    frame by ``pose``.  A ray that meets no box gets index 0 and +inf;
+    ties go to the lowest index.
     """
-    best_label = t_hits.argmin(axis=0)
-    best_t = t_hits[best_label, np.arange(t_hits.shape[1])]
+    return _merge_hits(
+        _windowed_hits(pattern, pose, origin, directions, boxes),
+        len(directions),
+    )
+
+
+def _merge_hits(
+    hits: list[_ActorHits], num_rays: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge per-actor hits into each ray's nearest (read-only arrays).
+
+    Actors merge in index order and a hit replaces the ray's best only
+    when strictly nearer, so ties go to the lowest index.
+    """
+    best_label = np.zeros(num_rays, dtype=np.int64)
+    best_t = np.full(num_rays, np.inf)
+    for index, (rays, t) in enumerate(hits):
+        nearer = t < best_t[rays]
+        rays = rays[nearer]
+        best_t[rays] = t[nearer]
+        best_label[rays] = index
     best_label.setflags(write=False)
     best_t.setflags(write=False)
     return best_label, best_t
 
 
-def _ray_boxes_batch(
-    origin: np.ndarray, directions: np.ndarray, boxes: list
-) -> np.ndarray:
-    """Nearest-hit distances of shared-origin rays against many boxes.
+def _windowed_hits(
+    pattern: BeamPattern,
+    pose: Pose,
+    origin: np.ndarray,
+    directions: np.ndarray,
+    boxes: list,
+) -> list[_ActorHits]:
+    """Per box, the rays inside its azimuth wedge that hit it, with distances.
 
-    One slab test over all ``(box, ray)`` pairs at once, axis by axis so no
-    temporary grows beyond ``(A, N)``.  Boxes are yaw-only rotated, so each
-    box's frame is a 2D rotation of x/y with z passed through.  Returns an
-    ``(A, N)`` array with +inf for misses and hits behind the origin.
+    The boxes' windows stack into one ``(W, B)`` array of (window column,
+    beam) pairs, ``W`` their total width, and the slab test runs on it in
+    one pass, axis by axis, with each pair's operations in the order a
+    per-box test over all rays runs them; a ray outside a box's wedge
+    cannot hit it.  Boxes are yaw-only rotated, so each box's frame is a 2D
+    rotation of x/y with z passed through.  Hits behind the origin are
+    dropped, and a ray starting inside a box hits where it exits.
     """
-    num_boxes = len(boxes)
+    steps = pattern.azimuth_steps
     origin = np.asarray(origin, dtype=float)
     yaws = np.array([b.yaw for b in boxes])
     centers = np.array([b.center for b in boxes], dtype=float)
@@ -451,17 +530,31 @@ def _ray_boxes_batch(
         / 2.0
     )
     cos_y, sin_y = np.cos(yaws), np.sin(yaws)
+    first, width = _azimuth_windows(
+        pattern, pose, origin, centers, halves, cos_y, sin_y
+    )
+    # Window row r of box i is azimuth column first[i] + r - starts[i].
+    starts = np.cumsum(width) - width
+    owner = np.repeat(np.arange(len(boxes)), width)
+    columns = (np.repeat(first - starts, width) + np.arange(len(owner))) % steps
+
+    def per_box(values: np.ndarray) -> np.ndarray:
+        return values.take(owner)[:, None]
+
+    def windowed(axis: int) -> np.ndarray:
+        return directions[:, axis].reshape(-1, steps).T[columns]
 
     rel = origin[None, :] - centers  # (A, 3)
     local_origin_x = cos_y * rel[:, 0] + sin_y * rel[:, 1]
     local_origin_y = -sin_y * rel[:, 0] + cos_y * rel[:, 1]
-    dx, dy, dz = directions[:, 0], directions[:, 1], directions[:, 2]
-    local_dirs_x = cos_y[:, None] * dx[None, :] + sin_y[:, None] * dy[None, :]
-    local_dirs_y = -sin_y[:, None] * dx[None, :] + cos_y[:, None] * dy[None, :]
-    local_dirs_z = np.broadcast_to(dz[None, :], local_dirs_x.shape)
+    dx, dy = windowed(0), windowed(1)
+    cos_w, sin_w = per_box(cos_y), per_box(sin_y)
+    local_dirs_x = cos_w * dx + sin_w * dy
+    local_dirs_y = per_box(-sin_y) * dx + cos_w * dy
+    local_dirs_z = windowed(2)
 
-    t_near = np.full(local_dirs_x.shape, -np.inf)
-    t_far = np.full(local_dirs_x.shape, np.inf)
+    t_near = np.full(dx.shape, -np.inf)
+    t_far = np.full(dx.shape, np.inf)
     slabs = (
         (local_dirs_x, local_origin_x, halves[:, 0]),
         (local_dirs_y, local_origin_y, halves[:, 1]),
@@ -470,14 +563,67 @@ def _ray_boxes_batch(
     for local_dir, local_orig, half in slabs:
         d = np.where(np.abs(local_dir) < 1e-12, 1e-12, local_dir)
         inv = 1.0 / d
-        t_a = (-half[:, None] - local_orig[:, None]) * inv
-        t_b = (half[:, None] - local_orig[:, None]) * inv
+        t_a = per_box(-half - local_orig) * inv
+        t_b = per_box(half - local_orig) * inv
         np.maximum(t_near, np.minimum(t_a, t_b), out=t_near)
         np.minimum(t_far, np.maximum(t_a, t_b), out=t_far)
 
-    hit = (t_near <= t_far) & (t_far >= 0)
+    rows, beams = np.nonzero((t_near <= t_far) & (t_far >= 0))
+    t_near, t_far = t_near[rows, beams], t_far[rows, beams]
     t = np.where(t_near >= 0, t_near, t_far)  # inside-box rays exit forward
-    return np.where(hit, t, np.inf)
+    rays = beams * steps + columns.take(rows)
+    bounds = np.searchsorted(rows, np.append(starts, len(columns)))
+    return [
+        (rays[lo:hi], t[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _azimuth_windows(
+    pattern: BeamPattern,
+    pose: Pose,
+    origin: np.ndarray,
+    centers: np.ndarray,
+    halves: np.ndarray,
+    cos_y: np.ndarray,
+    sin_y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per box, the first azimuth column of its padded wedge and its width.
+
+    The columns are those of the pattern's direction table (step
+    ``2 pi / azimuth_steps`` from -pi) and wrap around; a box whose wedge
+    cannot be bounded gets all of them.  A convex box lies inside a wedge
+    narrower than pi exactly when its corners do.  Corner azimuths are
+    taken relative to the centre's, which lies inside any such wedge, so
+    corners spreading pi or more from it fit no narrower one.
+    """
+    steps = pattern.azimuth_steps
+    offsets = _CORNER_SIGNS[None, :, :] * halves[:, None, :]  # (A, 8, 3)
+    c, s = cos_y[:, None], sin_y[:, None]
+    points = np.empty((len(centers), 9, 3))
+    points[:, 0] = centers
+    ox, oy, oz = offsets[..., 0], offsets[..., 1], offsets[..., 2]
+    points[:, 1:, 0] = centers[:, None, 0] + c * ox - s * oy
+    points[:, 1:, 1] = centers[:, None, 1] + s * ox + c * oy
+    points[:, 1:, 2] = centers[:, None, 2] + oz
+    # Sensor-frame x/y of the centre and the corners.
+    local = (points - origin) @ pose.to_world().rotation[:, :2]
+    x, y = local[..., 0], local[..., 1]
+    azimuth = np.arctan2(y, x)
+    centre_az = azimuth[:, 0]
+    relative = azimuth[:, 1:] - centre_az[:, None]
+    relative = np.mod(relative + np.pi, 2 * np.pi) - np.pi
+    low, high = relative.min(axis=1), relative.max(axis=1)
+    bounded = (high - low < np.pi - _WEDGE_SPAN_MARGIN) & (
+        np.hypot(x[:, 1:], y[:, 1:]).min(axis=1) > _WEDGE_AXIS_CLEARANCE
+    )
+    column = steps / (2 * np.pi)
+    first = np.floor((centre_az + low + np.pi) * column).astype(np.int64)
+    last = np.ceil((centre_az + high + np.pi) * column).astype(np.int64)
+    first -= _WEDGE_PAD_COLUMNS
+    last += _WEDGE_PAD_COLUMNS
+    width = last - first + 1
+    full = ~bounded | (width >= steps)
+    return np.where(full, 0, first % steps), np.where(full, steps, width)
 
 
 def _ray_box_batch(origin: np.ndarray, directions: np.ndarray, box) -> np.ndarray:

@@ -3,10 +3,10 @@
 Cooper's OBU loop runs at sensor frame rate, and consecutive frames of a
 static scene repeat work.  The one repeat that measures as worth skipping
 is the LiDAR raycast: :class:`TemporalState` carries each agent's
-:class:`repro.sensors.lidar.ScanGeometryCache`, which reuses the
-per-actor raycast matrix across frames for a repeated pose and
-re-raycasts only actors whose geometry changed.  Everything after the
-scan runs cold every frame.
+:class:`repro.sensors.lidar.ScanGeometryCache`, which reuses each
+actor's windowed hits across frames for a repeated pose and re-casts
+only actors whose geometry changed.  Everything after the scan runs
+cold every frame.
 
 **Determinism contract.**  The cache is keyed by the true pose and the
 beam pattern, and every hit is verified against the stored key text and

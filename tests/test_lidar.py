@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sensors.lidar as lidar_module
+from repro.geometry.boxes import Box3D
 from repro.geometry.transforms import Pose
+from repro.scenario import FAMILIES, compile_scenario, scenario_seed
 from repro.scene.objects import make_building, make_car
 from repro.scene.world import World
 from repro.sensors.lidar import (
@@ -13,7 +18,15 @@ from repro.sensors.lidar import (
     BeamPattern,
     LidarModel,
     ScanGeometryCache,
+    _nearest_hits,
+    _ray_direction_table,
 )
+from tests.lidar_reference import (
+    nearest_hits,
+    ray_boxes_batch,
+    reference_nearest_hits,
+)
+from tests.test_temporal import FAMILY_INDICES
 
 
 def pose_at(x=0.0, y=0.0, yaw=0.0) -> Pose:
@@ -36,6 +49,24 @@ class TestBeamPatterns:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             BeamPattern("bad", (0.0,), azimuth_resolution_deg=0.0)
+
+    @pytest.mark.parametrize("resolution", [360.5, 719.0, 720.0, 800.0])
+    def test_rejects_resolution_above_full_turn(self, resolution):
+        """From 720 degrees up a revolution rounded to zero rays."""
+        with pytest.raises(ValueError):
+            BeamPattern("bad", (0.0,), azimuth_resolution_deg=resolution)
+
+    def test_full_turn_resolution_fires_one_column(self):
+        assert BeamPattern("one", (0.0, 5.0), 360.0).rays_per_scan == 2
+
+    @pytest.mark.parametrize("elevation", [-90.5, 90.5, 135.0, float("nan")])
+    def test_rejects_elevation_past_vertical(self, elevation):
+        """A beam past +/-90 degrees would point back over the sensor."""
+        with pytest.raises(ValueError):
+            BeamPattern("bad", (0.0, elevation))
+
+    def test_accepts_vertical_beams(self):
+        assert BeamPattern("poles", (-90.0, 0.0, 90.0)).num_beams == 3
 
     def test_direction_table_is_unit(self, fast_lidar):
         directions = fast_lidar.ray_directions()
@@ -225,8 +256,181 @@ class TestScanCacheMemo:
         first, same, moved, *_ = self._frames()
         memo = nearest(first)
         assert nearest(same) is memo  # static frame: memo reused
-        recast = nearest(moved)  # the mover's row is re-raycast
+        recast = nearest(moved)  # the mover's window is re-cast
         assert recast is not memo
         assert nearest(moved) is recast
         assert not recast[0].flags.writeable and not recast[1].flags.writeable
         assert not np.array_equal(recast[1], memo[1])
+
+
+def _cast_both(pattern, pose, boxes):
+    """The windowed nearest hits and the dense reference's, as bytes."""
+    directions = _ray_direction_table(pattern) @ pose.to_world().rotation.T
+    origin = pose.position.astype(float)
+    label, t = _nearest_hits(pattern, pose, origin, directions, boxes)
+    ref_label, ref_t = nearest_hits(ray_boxes_batch(origin, directions, boxes))
+    assert label.dtype == ref_label.dtype and t.dtype == ref_t.dtype
+    windowed = (label.tobytes(), t.tobytes())
+    return windowed, (ref_label.tobytes(), ref_t.tobytes()), t
+
+
+def _box(x, y, z, length=4.2, width=1.8, height=1.5, yaw=0.0):
+    return Box3D(np.array([x, y, z]), length, width, height, yaw)
+
+
+ORIGIN = np.array([0.0, 0.0, 1.73])
+WIDE_16 = BeamPattern("wide-16", tuple(np.linspace(-60.0, 60.0, 16)), 1.0)
+
+#: Named geometries for the windowed cast: (pattern, pose, boxes).
+WINDOW_CASES = {
+    # Directly behind the sensor the box's wedge wraps from +pi to -pi.
+    "seam": (WIDE_16, Pose(ORIGIN), [_box(-9.0, 0.0, 0.75), _box(6.0, 1.0, 0.75)]),
+    "sensor_inside_box": (
+        WIDE_16,
+        Pose(ORIGIN),
+        [_box(0.3, -0.2, 1.5, 6.0, 4.0, 3.0, 0.4), _box(12.0, 3.0, 0.75)],
+    ),
+    "overhead_around_axis": (
+        WIDE_16,
+        Pose(ORIGIN),
+        [_box(0.4, -0.3, 7.0, 9.0, 8.0, 1.0, 0.3), _box(-7.0, 5.0, 0.75)],
+    ),
+    "pitched_and_rolled": (
+        WIDE_16,
+        Pose(ORIGIN, yaw=2.9, pitch=0.35, roll=-0.3),
+        [
+            _box(-8.0, 1.0, 0.75, yaw=0.3),
+            _box(3.0, -6.0, 0.75, yaw=-1.2),
+            _box(0.5, 2.5, 3.5, 2.0, 2.0, 1.0),
+            _box(-2.0, -2.0, -1.0, 3.0, 3.0, 1.0),
+        ],
+    ),
+    # 360 / 7.3 rounds to 49 columns of 7.35 degrees each.
+    "step_not_dividing_360": (
+        BeamPattern("odd", tuple(np.linspace(-30.0, 20.0, 9)), 7.3),
+        Pose(ORIGIN, yaw=0.7),
+        [_box(-6.0, -4.0, 0.75), _box(5.0, 0.2, 0.75, yaw=1.0)],
+    ),
+    "behind_and_beyond_max_range": (
+        BeamPattern("short", tuple(np.linspace(-10.0, 10.0, 8)), 1.5, 40.0),
+        Pose(ORIGIN, yaw=-1.0),
+        [_box(-20.0, 0.0, 0.75), _box(0.0, 90.0, 0.75), _box(150.0, -30.0, 5.0)],
+    ),
+    # Every ray that meets one copy meets the other at the same distance;
+    # the lower index must win.
+    "duplicate_boxes_tie": (
+        WIDE_16,
+        Pose(ORIGIN, yaw=0.3),
+        [_box(8.0, 1.0, 0.75), _box(-5.0, 4.0, 0.75), _box(8.0, 1.0, 0.75)],
+    ),
+    # A corner sits on the sensor's vertical axis, where the straight-down
+    # beam's slab test meets the box top at every azimuth.
+    "corner_on_vertical_axis": (
+        BeamPattern("down", (-90.0, -20.0, 0.0), 2.0),
+        Pose(ORIGIN),
+        [_box(2.1, 0.9, 0.75)],
+    ),
+    "vertical_beams": (
+        BeamPattern("poles", (-90.0, -30.0, 0.0, 45.0, 90.0), 3.0),
+        Pose(ORIGIN, pitch=0.05),
+        [_box(0.0, 0.0, 6.0, 3.0, 3.0, 1.0), _box(0.0, 0.0, -0.5, 3.0, 3.0, 1.0)],
+    ),
+}
+
+
+class TestWindowedCast:
+    """Each actor is slab-tested only on the rays inside its azimuth
+    wedge; the nearest hit must be bit-equal to the dense test's argmin."""
+
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_named_case_matches_dense_reference(self, case):
+        pattern, pose, boxes = WINDOW_CASES[case]
+        windowed, reference, t = _cast_both(pattern, pose, boxes)
+        assert windowed == reference
+        assert np.isfinite(t).any()
+
+    def test_seam_case_hits_both_ends_of_the_table(self):
+        pattern, pose, boxes = WINDOW_CASES["seam"]
+        _, _, t = _cast_both(pattern, pose, boxes)
+        columns = np.flatnonzero(np.isfinite(t)) % pattern.azimuth_steps
+        assert columns.min() == 0 and columns.max() == pattern.azimuth_steps - 1
+
+    def test_windows_cover_only_the_wedge(self):
+        """An ordinary box gets a narrow window, wrapped across the seam if
+        need be; a box around the sensor's vertical axis gets every ray."""
+
+        def windows(case):
+            pattern, pose, boxes = WINDOW_CASES[case]
+            yaws = np.array([b.yaw for b in boxes])
+            first, width = lidar_module._azimuth_windows(
+                pattern,
+                pose,
+                pose.position,
+                np.array([b.center for b in boxes]),
+                np.array([[b.length, b.width, b.height] for b in boxes]) / 2.0,
+                np.cos(yaws),
+                np.sin(yaws),
+            )
+            return first, width, pattern.azimuth_steps
+
+        first, width, steps = windows("seam")
+        assert (width < steps // 8).all()
+        assert first[0] + width[0] > steps  # wraps from +pi to -pi
+        for case in ("sensor_inside_box", "overhead_around_axis"):
+            _, width, steps = windows(case)
+            assert width[0] == steps
+
+    @given(
+        elevations=st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=4),
+        resolution=st.floats(0.5, 60.0),
+        attitude=st.tuples(
+            st.floats(-3.1, 3.1), st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)
+        ),
+        boxes=st.lists(
+            st.tuples(
+                st.tuples(*[st.floats(-25.0, 25.0)] * 3),
+                st.tuples(*[st.floats(0.2, 12.0)] * 3),
+                st.floats(-3.1, 3.1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_reference(self, elevations, resolution, attitude, boxes):
+        pattern = BeamPattern("any", tuple(elevations), resolution, 30.0)
+        pose = Pose(ORIGIN, *attitude)
+        actors = [Box3D(ORIGIN + np.array(c), *dims, yaw) for c, dims, yaw in boxes]
+        windowed, reference, _ = _cast_both(pattern, pose, actors)
+        assert windowed == reference
+
+
+class TestReferenceScans:
+    @pytest.mark.parametrize("family_name", sorted(FAMILY_INDICES))
+    def test_family_scans_match_dense_reference(self, family_name, monkeypatch):
+        """Every observer's scan of one seeded scenario per family is
+        byte-identical to a scan cast with the dense reference."""
+        assert set(FAMILY_INDICES) == set(FAMILIES)
+        compiled = compile_scenario(
+            FAMILIES[family_name],
+            scenario_seed(0, family_name, FAMILY_INDICES[family_name]),
+        )
+
+        def scans():
+            return [
+                LidarModel(pattern=compiled.rigs[name]).scan(
+                    compiled.world, pose, seed=11
+                )
+                for name, pose in compiled.viewpoints.items()
+            ]
+
+        windowed = scans()
+        calls = reference_nearest_hits.calls
+        with monkeypatch.context() as patch:
+            patch.setattr(lidar_module, "_nearest_hits", reference_nearest_hits)
+            reference = scans()
+        assert reference_nearest_hits.calls == calls + len(reference)
+        for fast, ref in zip(windowed, reference):
+            assert fast.cloud.data.tobytes() == ref.cloud.data.tobytes()
+            assert fast.labels.tobytes() == ref.labels.tobytes()
+        assert any(len(s.points_per_actor()) for s in windowed)
