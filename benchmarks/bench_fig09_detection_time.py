@@ -8,7 +8,10 @@ point count, because the network works on voxels, not raw points).
 
 Measured the perfbench way: per case one warm-up, then alternating timed
 rounds of single and merged; the table prints medians with their
-quartiles and the environment they were measured in.
+quartiles and the environment they were measured in.  After the timed
+rounds, one profiled pass per cloud splits the merged-only cost into the
+detector's ``spod.*`` stages; the ratios come only from the unprofiled
+rounds.
 """
 
 import os
@@ -22,6 +25,7 @@ import scipy
 from benchmarks.conftest import publish
 from repro.eval.experiments import timing_experiment
 from repro.fusion.align import merge_packages
+from repro.profiling import PROFILER
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -36,6 +40,42 @@ def _round_quartiles(cases, detector):
         )
         for kind in ("single", "cooper")
     }
+
+
+def _stage_means(clouds, detector) -> dict[str, float]:
+    """Mean ms per cloud of every ``spod.*`` stage over one profiled
+    detection of each cloud, in the order the stages first ran."""
+    PROFILER.reset()
+    PROFILER.enable()
+    try:
+        for cloud in clouds:
+            detector.detect(cloud)
+        return {
+            name: stats.total / len(clouds) * 1e3
+            for name, stats in PROFILER.stages.items()
+            if name.startswith("spod.")
+        }
+    finally:
+        PROFILER.disable()
+        PROFILER.reset()
+
+
+def _stage_gaps(label, cases, detector) -> list[str]:
+    """Per-stage single and merged means of ``cases`` and their gap."""
+    single = [case.cloud_of(case.receiver) for case in cases]
+    merged = [
+        merge_packages(
+            cloud, case.packages_for_receiver(), case.receiver_measured_pose()
+        )
+        for cloud, case in zip(single, cases)
+    ]
+    single_ms = _stage_means(single, detector)
+    merged_ms = _stage_means(merged, detector)
+    lines = [f"{label} stage means (ms per cloud): single, merged, gap"]
+    for name in dict.fromkeys([*merged_ms, *single_ms]):
+        one, both = single_ms.get(name, 0.0), merged_ms.get(name, 0.0)
+        lines.append(f"  {name:<22} {one:7.2f} {both:7.2f} {both - one:+7.2f}")
+    return lines
 
 
 def _environment() -> str:
@@ -71,6 +111,10 @@ def test_fig09_detection_time(
         "of the mean over cases)",
         _row("KITTI (64-beam)", kitti),
         _row("T&J   (16-beam)", tj),
+        "(one profiled pass per cloud after the timed rounds; nested stages "
+        "are part of their parent)",
+        *_stage_gaps("KITTI", kitti_case_list, detector),
+        *_stage_gaps("T&J", tj_case_list[:4], detector),
         _environment(),
     ]
     publish(results_dir, "fig09_detection_time.txt", "\n".join(lines))

@@ -35,9 +35,11 @@ def test_fig10_gps_drift(benchmark, detector, results_dir):
         iterations=1,
     )
 
+    # Ties on the baseline score (two misses, say) print by name, so the
+    # table does not depend on set order.
     cars = sorted(
         {car for scores in results.values() for car in scores},
-        key=lambda name: -results["baseline"].get(name, 0.0),
+        key=lambda name: (-results["baseline"].get(name, 0.0), name),
     )
     header = "car".ljust(12) + "".join(label.rjust(15) for label in SKEWS)
     lines = ["Fig. 10 analogue — cooperative scores under GPS skew", header]

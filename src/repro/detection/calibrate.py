@@ -20,22 +20,23 @@ merged clouds raise it: merging adds points (count term) and new viewing
 angles (coverage term).
 
 The structural clusters come from a grid labelling (``_grid_labels``) that
-the box refiner shares; only the calibrator measures cluster extents
-(``_label_clusters``).
+the box refiner shares; only the calibrator measures cluster shapes, and
+only those of the clusters under scored boxes (``_cluster_extents``).
 
-A cloud's distinct boxes are scored in one pass
-(:meth:`ConfidenceCalibrator.score_batch`): one KD-tree query with
-per-box radii gathers every box's footprint neighbourhood, and each
-evidence term is a segment operation over the flattened result.
+Every neighbour lookup of the analytic decode goes through one index type,
+``_CellIndex``: BEV points bucketed by square cell, read back as one flat
+``(index, owner)`` array per batch of query rectangles.  A cloud's
+distinct boxes are scored in one pass
+(:meth:`ConfidenceCalibrator.score_batch`): one lookup gathers the cells
+under every box's footprint, and each evidence term is a segment
+operation over the result.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.geometry.boxes import Box3D
 
@@ -47,9 +48,13 @@ CAR_MAX_HEIGHT = 2.0
 #: Padding (m) of the box footprint that every evidence term reads.
 FOOTPRINT_PAD = 0.1
 
-#: Widening (m) of the footprint's circumradius in the neighbour lookup, far
-#: above float64 rounding in the footprint test.
+#: Widening (m) of a footprint's bounding rectangle in the neighbour lookup,
+#: far above float64 rounding in the footprint test.
 LOOKUP_SLACK = 1e-3
+
+#: Cell size (m) of the obstacle-point indexes.  SPOD's preprocess keeps
+#: points within 108 m, at most 217 x 217 cells, so keys sort by radix.
+LOOKUP_CELL = 1.0
 
 #: Grid cell size for structural clustering.  With 8-connected labelling,
 #: sub-cell gaps merge (one physical object) while the >1 m spaces between
@@ -101,7 +106,7 @@ class BoxEvidence:
 class ConfidenceCalibrator:
     """Scores candidate boxes from the obstacle cloud around them.
 
-    Build once per cloud (it indexes the points in a KD-tree and labels
+    Build once per cloud (it buckets the points by BEV cell and labels
     structural clusters), then score the cloud's distinct boxes with one
     :meth:`score_batch` call.
     """
@@ -115,10 +120,9 @@ class ConfidenceCalibrator:
         self.points = np.asarray(obstacle_xyz, dtype=float).reshape(-1, 3)
         self.ground_z = float(ground_z)
         self.weights = weights or CalibratorWeights()
-        self._tree = cKDTree(self.points[:, :2]) if len(self.points) else None
-        self._cluster_ids, self._cluster_extents, self._cluster_minors = (
-            _label_clusters(self.points[:, :2])
-        )
+        x, y = self.points[:, 0], self.points[:, 1]
+        self._index = _CellIndex(x, y, LOOKUP_CELL)
+        self._cluster_ids = _grid_labels(self.points[:, :2]) if len(x) else None
 
     def evidence(self, box: Box3D) -> BoxEvidence:
         """Measure the point evidence supporting ``box``."""
@@ -154,50 +158,39 @@ class ConfidenceCalibrator:
         """Evidence arrays ``(num_points, coverage, tall_count, length_overrun)``
         of ``boxes``, one entry per box.
 
-        One neighbour query serves all boxes: the disk through each
-        footprint's corners, padded by ``FOOTPRINT_PAD`` and widened by
-        ``LOOKUP_SLACK``, holds every point an evidence term reads.  The
-        query's result lists become one index array with an owner array,
-        and every term is a segment operation over it.
+        One index lookup serves all boxes: it returns the points inside
+        each padded footprint, which every evidence term reads.  Every
+        term reduces them with counts, ``np.maximum.at`` or boolean bins,
+        so the lookup's order changes nothing.
         """
         m = len(boxes)
         num_points = np.zeros(m, dtype=np.intp)
         tall_count = np.zeros(m, dtype=np.intp)
         coverage = np.zeros(m)
         overrun = np.zeros(m)
-        if self._tree is None or m == 0:
+        if self._cluster_ids is None or m == 0:
             return num_points, coverage, tall_count, overrun
         w = self.weights
         center = np.array([box.center for box in boxes])
         length, width, height, yaw = np.array(
             [(box.length, box.width, box.height, box.yaw) for box in boxes]
         ).T
-        half_l = length / 2 + FOOTPRINT_PAD
-        half_w = width / 2 + FOOTPRINT_PAD
-        idx, owner = _flat_lists(
-            self._tree.query_ball_point(
-                center[:, :2],
-                np.hypot(half_l, half_w) + LOOKUP_SLACK,
-                return_sorted=False,
-            )
+        idx, owner, rel_x, rel_y = self._index.in_footprints(
+            center[:, 0],
+            center[:, 1],
+            length / 2 + FOOTPRINT_PAD,
+            width / 2 + FOOTPRINT_PAD,
+            np.cos(-yaw),
+            np.sin(-yaw),
         )
-        neighborhood = self.points[idx]
         # The box test and the column test (same footprint extruded in z,
-        # catching wall points above the box) share the yaw rotation and
-        # the xy bounds.
-        rel_x = neighborhood[:, 0] - center[owner, 0]
-        rel_y = neighborhood[:, 1] - center[owner, 1]
-        cos_y, sin_y = np.cos(-yaw)[owner], np.sin(-yaw)[owner]
-        u = rel_x * cos_y - rel_y * sin_y
-        v = rel_x * sin_y + rel_y * cos_y
-        in_footprint = (np.abs(u) <= half_l[owner]) & (np.abs(v) <= half_w[owner])
-        dz = neighborhood[:, 2] - center[owner, 2]
-        in_column = in_footprint & (
-            np.abs(dz - 2.0) <= ((height + 6.0) / 2 + 0.1)[owner]
-        )
-        tall = in_column & (neighborhood[:, 2] > self.ground_z + CAR_MAX_HEIGHT)
+        # catching wall points above the box) share the footprint.
+        z = self.points[idx, 2]
+        dz = z - center[owner, 2]
+        in_column = np.abs(dz - 2.0) <= ((height + 6.0) / 2 + 0.1)[owner]
+        tall = in_column & (z > self.ground_z + CAR_MAX_HEIGHT)
         tall_count = np.bincount(owner[tall], minlength=m)
-        inside = in_footprint & (np.abs(dz) <= (height / 2 + 0.1)[owner])
+        inside = np.abs(dz) <= (height / 2 + 0.1)[owner]
         box_of = owner[inside]
         num_points = np.bincount(box_of, minlength=m)
         # Extent of the contiguous structure through each box, over car
@@ -209,9 +202,12 @@ class ConfidenceCalibrator:
         # viewpoints fill in the gaps — is several metres deep and must not
         # be penalised.
         clusters = self._cluster_ids[idx[inside]]
-        thin = self._cluster_minors[clusters] < 1.0
+        extents, minors = _cluster_extents(
+            self.points[:, :2], self._cluster_ids, np.unique(clusters)
+        )
+        thin = minors[clusters] < 1.0
         longest = np.full(m, -np.inf)
-        np.maximum.at(longest, box_of[thin], self._cluster_extents[clusters[thin]])
+        np.maximum.at(longest, box_of[thin], extents[clusters[thin]])
         excess = longest - (np.hypot(length, width) + 0.6)
         overrun = np.where(excess > 0.0, excess, 0.0)
         # Angular coverage: occupied azimuth bins around each box centre.
@@ -258,17 +254,130 @@ class ConfidenceCalibrator:
         return 1.0 / (1.0 + np.exp(-np.clip(logit, -60, 60)))
 
 
-def _flat_lists(lists) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a vector KD-tree query's result lists.
+class _CellIndex:
+    """BEV points bucketed by square cell, for batched rectangle lookups.
 
-    Returns one index array (the lists concatenated in order) and the
-    owner array giving each entry's list position.
+    The points' integer ``(x, y)`` cells get row-major keys, and one stable
+    sort of those keys puts each cell's points in one contiguous run, in
+    ascending index order, with per-cell start offsets from a count of the
+    keys: the ``sphash`` / ``sphashquery`` / ``spcount`` pattern of
+    torchsparse on a dense grid.  Keys are uint16, which numpy sorts by
+    radix, when the grid has at most 65,536 cells.  A rectangle then covers
+    one run per cell row, and a batch of rectangles expands into one flat
+    ``(index, owner)`` pair of arrays in a single vectorised pass.
+
+    Points and query bounds map to cells through the same float64
+    arithmetic, so a rectangle's cells hold every point inside it.
     """
-    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    flat = np.fromiter(
-        itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lengths.sum())
-    )
-    return flat, np.repeat(np.arange(len(lists)), lengths)
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, cell: float) -> None:
+        self.x, self.y = x, y
+        self.cell = float(cell)
+        self.origin = (
+            (np.float64(x.min()), np.float64(y.min())) if len(x) else (0.0, 0.0)
+        )
+        col_x = self._cells(x, 0).astype(np.intp)
+        col_y = self._cells(y, 1).astype(np.intp)
+        self.rows = int(col_x.max()) + 1 if len(x) else 0
+        self.cols = int(col_y.max()) + 1 if len(x) else 0
+        key = col_x * self.cols + col_y
+        if self.rows * self.cols <= 1 << 16:
+            key = key.astype(np.uint16)
+        self.order = np.argsort(key, kind="stable")
+        self.starts = np.zeros(self.rows * self.cols + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(key, minlength=self.rows * self.cols), out=self.starts[1:]
+        )
+
+    def _cells(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Float cell coordinates of ``values`` along ``axis`` (0 = x)."""
+        return np.floor(
+            np.subtract(values, self.origin[axis], dtype=float) / self.cell
+        )
+
+    def rectangles(
+        self,
+        x_lo: np.ndarray,
+        x_hi: np.ndarray,
+        y_lo: np.ndarray,
+        y_hi: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points in the cells under each rectangle ``[x_lo, x_hi] x
+        [y_lo, y_hi]``: a superset of the points inside it.
+
+        Returns point indices and their owners (rectangle positions),
+        grouped by owner in ascending order.
+        """
+        first_x = np.clip(self._cells(x_lo, 0), 0, self.rows).astype(np.intp)
+        last_x = np.clip(self._cells(x_hi, 0), -1, self.rows - 1).astype(np.intp)
+        first_y = np.clip(self._cells(y_lo, 1), 0, self.cols).astype(np.intp)
+        last_y = np.clip(self._cells(y_hi, 1), -1, self.cols - 1).astype(np.intp)
+        # One run of sorted points per (rectangle, cell row).
+        rows_of = np.maximum(last_x - first_x + 1, 0)
+        run_owner = np.repeat(np.arange(len(rows_of)), rows_of)
+        row = _runs(first_x, rows_of)
+        begin = self.starts[row * self.cols + first_y[run_owner]]
+        end = self.starts[row * self.cols + last_y[run_owner] + 1]
+        length = np.maximum(end - begin, 0)
+        return self.order[_runs(begin, length)], np.repeat(run_owner, length)
+
+    def in_footprints(
+        self,
+        center_x: np.ndarray,
+        center_y: np.ndarray,
+        half_l: np.ndarray,
+        half_w: np.ndarray,
+        cos_y: np.ndarray,
+        sin_y: np.ndarray,
+    ) -> tuple[np.ndarray, ...]:
+        """Points inside each yawed footprint: ``|u| <= half_l`` and
+        ``|v| <= half_w`` in the footprint's frame, where ``cos_y`` and
+        ``sin_y`` rotate by minus its yaw.
+
+        Each footprint reads the cells under its rotated bounding
+        rectangle, widened by ``LOOKUP_SLACK`` for the rounding of the
+        test.  Returns indices and owners as :meth:`rectangles`, plus
+        each point's x and y offsets from its footprint's centre.
+        """
+        reach_x = np.abs(half_l * cos_y) + np.abs(half_w * sin_y) + LOOKUP_SLACK
+        reach_y = np.abs(half_l * sin_y) + np.abs(half_w * cos_y) + LOOKUP_SLACK
+        idx, owner = self.rectangles(
+            center_x - reach_x,
+            center_x + reach_x,
+            center_y - reach_y,
+            center_y + reach_y,
+        )
+        rel_x = self.x[idx] - center_x[owner]
+        rel_y = self.y[idx] - center_y[owner]
+        cos_y, sin_y = cos_y[owner], sin_y[owner]
+        u = rel_x * cos_y - rel_y * sin_y
+        v = rel_x * sin_y + rel_y * cos_y
+        inside = (np.abs(u) <= half_l[owner]) & (np.abs(v) <= half_w[owner])
+        return idx[inside], owner[inside], rel_x[inside], rel_y[inside]
+
+    def within(
+        self, centers: np.ndarray, radius: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points at BEV distance at most ``radius`` from each of the
+        ``(q, 2)`` ``centers``: indices and owners as :meth:`rectangles`.
+
+        Membership is ``dx*dx + dy*dy <= radius*radius`` in float64, the
+        test ``scipy.spatial.cKDTree.query_ball_point`` applies.
+        """
+        cx, cy = centers[:, 0], centers[:, 1]
+        idx, owner = self.rectangles(cx - radius, cx + radius, cy - radius, cy + radius)
+        dx = self.x[idx] - cx[owner]
+        dy = self.y[idx] - cy[owner]
+        near = dx * dx + dy * dy <= radius * radius
+        return idx[near], owner[near]
+
+
+def _runs(begin: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``begin[i], begin[i] + 1, ..., begin[i] + length[i] - 1`` for every
+    ``i``, concatenated."""
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(begin - ends + length, length)
 
 
 def _grid_labels(xy: np.ndarray) -> np.ndarray:
@@ -290,29 +399,33 @@ def _grid_labels(xy: np.ndarray) -> np.ndarray:
     return labels[cx, cy]
 
 
-def _label_clusters(
-    xy: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cluster BEV points by grid connected components.
+def _cluster_extents(
+    xy: np.ndarray, labels: np.ndarray, wanted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shape of the clusters ``wanted`` among the BEV points ``xy``
+    labelled ``labels`` (:func:`_grid_labels`).
 
-    Returns per-point cluster ids (:func:`_grid_labels`) plus, per
-    cluster, the extent along the principal axis (how *long* the
-    structure is) and along the secondary axis (how *deep* it is — thin
-    means wall-like).
+    Returns, indexed by cluster id, the extent along the principal axis
+    (how *long* the structure is) and along the secondary axis (how
+    *deep* it is — thin means wall-like); other clusters read 0.  Only
+    the wanted clusters' points are read, in ascending index order, so
+    every per-cluster sum adds in the order a pass over all points would.
     """
-    if len(xy) == 0:
-        return np.zeros(0, dtype=int), np.zeros(1), np.zeros(1)
-    point_labels = _grid_labels(xy)
-    num = int(point_labels.max()) + 1
+    num = int(labels.max()) + 1
+    selected = np.zeros(num, dtype=bool)
+    selected[wanted] = True
+    members = np.flatnonzero(selected[labels])
+    point_labels = labels[members]
+    x, y = xy[members, 0], xy[members, 1]
     # All clusters at once: per-cluster 2x2 covariances from label-indexed
     # sums, principal axes in closed form (a 2x2 symmetric eigenproblem is
     # a single rotation angle), spans via per-label extrema.
     counts = np.bincount(point_labels, minlength=num)
     safe = np.maximum(counts, 1)
-    mean_x = np.bincount(point_labels, weights=xy[:, 0], minlength=num) / safe
-    mean_y = np.bincount(point_labels, weights=xy[:, 1], minlength=num) / safe
-    cx = xy[:, 0] - mean_x[point_labels]
-    cy = xy[:, 1] - mean_y[point_labels]
+    mean_x = np.bincount(point_labels, weights=x, minlength=num) / safe
+    mean_y = np.bincount(point_labels, weights=y, minlength=num) / safe
+    cx = x - mean_x[point_labels]
+    cy = y - mean_y[point_labels]
     a = np.bincount(point_labels, weights=cx * cx, minlength=num) / safe
     b = np.bincount(point_labels, weights=cx * cy, minlength=num) / safe
     c = np.bincount(point_labels, weights=cy * cy, minlength=num) / safe
@@ -337,4 +450,4 @@ def _label_clusters(
         np.maximum.at(hi, point_labels, proj_minor)
         np.minimum.at(lo, point_labels, proj_minor)
         minors[multi] = (hi - lo)[multi]
-    return point_labels, majors, minors
+    return majors, minors

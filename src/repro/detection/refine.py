@@ -15,16 +15,19 @@ drags the centroid off the actual object — visible as detections
 "migrating" between adjacent parked cars on merged clouds.
 
 A cloud's proposals are refined together, in flat array passes rather
-than a loop per proposal: each KD-tree round (seed, mean-shift, gather)
-is one vector query whose result lists become one index array plus an
-owner array, and cutoffs, cluster membership and modes are segment
-operations over it.  Proposals that gather the same points share one
-fit, and every distinct fit runs in one pass: stacked 2x2
-eigendecompositions, the L-shape candidates and all ground-shadow counts
-at once.  Only the small BLAS products (covariance, principal-axis
-projection, box rotation) stay per fit, since an elementwise rewrite
-rounds them differently; segment sums use ``np.bincount``, which adds in
-index order exactly as ``.mean(axis=0)`` does.
+than a loop per proposal.  The car-band points and the ground returns
+are each bucketed once by BEV cell (the calibrator's ``_CellIndex``).
+Each radius round (seed, mean-shift, gather) is one index lookup that
+yields one index array plus an owner array, filtered to exact
+membership (``dx*dx + dy*dy <= r*r``), and cutoffs, cluster membership
+and modes are segment operations over it.  Proposals that gather the
+same points share one fit, and every distinct fit runs in one pass:
+stacked 2x2 eigendecompositions, the L-shape candidates and all
+ground-shadow counts at once.  Only the small BLAS products (covariance,
+principal-axis projection, box rotation) stay per fit, since an
+elementwise rewrite rounds them differently; segment sums use
+``np.bincount``, which adds in index order exactly as ``.mean(axis=0)``
+does.
 """
 
 from __future__ import annotations
@@ -32,15 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.detection.anchors import CAR_ANCHOR_SIZE
-from repro.detection.calibrate import _flat_lists, _grid_labels
+from repro.detection.calibrate import LOOKUP_CELL, _CellIndex, _grid_labels
 from repro.detection.classes import CAR, ObjectClass, classify_cluster
 from repro.geometry.boxes import Box3D
 from repro.geometry.rotations import normalize_angles
 
 __all__ = ["BoxRefiner", "RefinementSpec", "Fit"]
+
+#: Cell size (m) of the ground-return index.  The ground band holds most of
+#: a cloud's returns, so coarser cells keep its grid small.
+GROUND_CELL = 2.0
 
 
 @dataclass(frozen=True)
@@ -89,9 +95,12 @@ class RefinementSpec:
 class BoxRefiner:
     """Fits car-template boxes to local obstacle points.
 
-    Build once per cloud (it indexes the points in a KD-tree, labels
-    structural clusters and sorts the ground returns by x), then call
+    Build once per cloud (it buckets the car-band points and the ground
+    returns by BEV cell and labels structural clusters), then call
     :meth:`refine_batch` with the cloud's proposals.
+
+    ``ground_xy`` is the ``(x, y)`` pair of columns of the cloud's ground
+    returns.
     """
 
     def __init__(
@@ -99,32 +108,28 @@ class BoxRefiner:
         obstacle_xyz: np.ndarray,
         ground_z: float,
         spec: RefinementSpec | None = None,
-        ground_xy: np.ndarray | None = None,
+        ground_xy: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.spec = spec or RefinementSpec()
         self.points = np.asarray(obstacle_xyz, dtype=float).reshape(-1, 3)
         self.ground_z = float(ground_z)
         # Ground returns disambiguate partial views: the ground beneath a
         # real vehicle is shadowed, so of two candidate box placements the
-        # one covering fewer ground returns is the physical one.  A cloud
-        # has ~50 such lookups against up to ~80k ground returns, so one
-        # sort by x (a lookup is then an x-slab) beats building a KD-tree.
-        self._ground_x = self._ground_y = None
-        if ground_xy is not None and len(ground_xy):
-            ground_xy = np.asarray(ground_xy, dtype=float).reshape(-1, 2)
-            order = np.argsort(ground_xy[:, 0])
-            self._ground_x = ground_xy[:, 0].take(order)
-            self._ground_y = ground_xy[:, 1].take(order)
+        # one covering fewer ground returns is the physical one.
+        if ground_xy is None:
+            ground_xy = (np.zeros(0), np.zeros(0))
+        self._ground = _CellIndex(*ground_xy, GROUND_CELL)
         # Cars live below ~2.3 m above ground; taller returns (walls, trees)
         # must not drag the fit.
         car_band = self.points[:, 2] <= self.ground_z + 2.3
         self._car_points = np.compress(car_band, self.points, axis=0)
-        if len(self._car_points):
-            self._tree = cKDTree(self._car_points[:, :2])
-            self._clusters = _grid_labels(self._car_points[:, :2])
-        else:
-            self._tree = None
-            self._clusters = np.zeros(0, dtype=int)
+        car_x, car_y = self._car_points[:, 0], self._car_points[:, 1]
+        self._index = _CellIndex(car_x, car_y, LOOKUP_CELL)
+        self._clusters = (
+            _grid_labels(self._car_points[:, :2])
+            if len(car_x)
+            else np.zeros(0, dtype=int)
+        )
 
     def refine(self, proposal_xy: np.ndarray) -> Fit | None:
         """Fit a box near ``proposal_xy``.
@@ -144,7 +149,7 @@ class BoxRefiner:
         spec = self.spec
         n = len(proposals_xy)
         fits: list[Fit | None] = [None] * n
-        if self._tree is None or n == 0:
+        if not len(self._car_points) or n == 0:
             return fits
         car_xy = self._car_points[:, :2]
         centers = np.array([p[:2] for p in proposals_xy], dtype=float)
@@ -153,9 +158,7 @@ class BoxRefiner:
         # grazes the seed radius (a pedestrian proposal must not adopt the
         # car parked 1.2 m away).  ``member[i, c]``: proposal i adopted
         # cluster c.  Nothing here depends on the order of the seed points.
-        seed, owner = _flat_lists(
-            self._tree.query_ball_point(centers, spec.seed_radius, return_sorted=False)
-        )
+        seed, owner = self._index.within(centers, spec.seed_radius)
         distances = np.linalg.norm(car_xy[seed] - centers[owner], axis=1)
         nearest = np.full(n, np.inf)
         np.minimum.at(nearest, owner, distances)
@@ -229,14 +232,11 @@ class BoxRefiner:
         a cluster its proposal adopted: indices grouped by owner, each
         group in ascending index order (the order the mode and fit sums
         add in), and their owners."""
-        idx, slot = _flat_lists(
-            self._tree.query_ball_point(modes[live], radius, return_sorted=False)
-        )
+        idx, slot = self._index.within(modes[live], radius)
         owner = live[slot]
         keep = member[owner, self._clusters[idx]]
-        # One sort of the flat (owner, index) keys costs less than the
-        # tree's sort of every result list (half as much on a merged
-        # 64-beam cloud).
+        # The lookup groups each owner's points by cell; one sort of the
+        # flat (owner, index) keys restores ascending index order.
         size = len(self._car_points)
         owner, idx = np.divmod(np.sort(owner[keep] * size + idx[keep]), size)
         return idx, owner
@@ -391,49 +391,21 @@ class BoxRefiner:
         fits; ``yaws`` ``(m, k)`` their wrapped yaws; ``length`` and
         ``width`` ``(m,)`` the fits' templates.  Returns ``(m, k)`` counts.
 
-        Each fit reads the ground inside the axis-aligned rectangle that
-        holds every candidate's footprint circumcircle: an x-slab of the
-        sorted ground, filtered by y.  That is a superset of every
-        footprint, so the counts equal counts over the whole ground set.
         Interior only (negative margin): returns hugging the box *edges*
         are object-face points grazing the ground band, not open ground.
-        The test is purely planar — the z comparison is vacuous for ground
-        returns.
+        Each candidate reads the ground cells under its own interior, so
+        the counts equal counts over the whole ground set.  The test is
+        purely planar — the z comparison is vacuous for ground returns.
         """
         m, k = yaws.shape
-        shadows = np.zeros((m, k), dtype=np.intp)
-        if self._ground_x is None or m == 0:
-            return shadows
-        reach = np.hypot(length, width) / 2.0
-        lo = np.searchsorted(self._ground_x, centers[..., 0].min(axis=1) - reach)
-        hi = np.searchsorted(
-            self._ground_x, centers[..., 0].max(axis=1) + reach, side="right"
+        center_x, center_y = centers.reshape(m * k, 2).T
+        cos_y, sin_y = np.cos(-yaws).ravel(), np.sin(-yaws).ravel()
+        half_l = np.repeat(length / 2 - 0.4, k)
+        half_w = np.repeat(width / 2 - 0.4, k)
+        _, owner, _, _ = self._ground.in_footprints(
+            center_x, center_y, half_l, half_w, cos_y, sin_y
         )
-        y_lo = (centers[..., 1].min(axis=1) - reach).tolist()
-        y_hi = (centers[..., 1].max(axis=1) + reach).tolist()
-        # The y filter runs on each fit's slab as a view: slabs span the
-        # whole cloud in y, so gathering them first would cost more.
-        rows = []
-        for fit, (start, stop) in enumerate(zip(lo.tolist(), hi.tolist())):
-            slab_y = self._ground_y[start:stop]
-            near = (slab_y >= y_lo[fit]) & (slab_y <= y_hi[fit])
-            rows.append(np.flatnonzero(near) + start)
-        owner = np.repeat(np.arange(m), [len(r) for r in rows])
-        rows = np.concatenate(rows)
-        ground_x = self._ground_x[rows]
-        ground_y = self._ground_y[rows]
-        half_l = (length / 2 - 0.4)[owner]
-        half_w = (width / 2 - 0.4)[owner]
-        for j in range(k):
-            cos_y = np.cos(-yaws[:, j])[owner]
-            sin_y = np.sin(-yaws[:, j])[owner]
-            rx = ground_x - centers[owner, j, 0]
-            ry = ground_y - centers[owner, j, 1]
-            u = rx * cos_y - ry * sin_y
-            v = rx * sin_y + ry * cos_y
-            under = (np.abs(u) <= half_l) & (np.abs(v) <= half_w)
-            shadows[:, j] = np.bincount(owner[under], minlength=m)
-        return shadows
+        return np.bincount(owner, minlength=m * k).reshape(m, k)
 
 
 def _l_shape_centers(

@@ -1,13 +1,16 @@
 """Per-proposal reference implementations of the analytic decode.
 
 The detector refines and scores a cloud's proposals in flat array passes
-(:mod:`repro.detection.refine`, :mod:`repro.detection.calibrate`).  These
-classes keep the straightforward per-proposal form of the same maths —
-one loop iteration per proposal, one ``_fit`` per gathered point set, one
-evidence measurement per box — and replace every bounded lookup with a
-brute-force one: each ground-shadow count reads the whole ground set and
-each box's evidence reads every obstacle point.  Tests patch them into
-:mod:`repro.detection.spod` and require byte-identical detections.
+over cell-sorted point indexes (:mod:`repro.detection.refine`,
+:mod:`repro.detection.calibrate`).  These classes keep the
+straightforward per-proposal form of the same maths — one loop iteration
+per proposal, one ``_fit`` per gathered point set, one evidence
+measurement per box — and replace every bounded lookup with an
+independent one: the refiner's radius rounds query a ``cKDTree``, each
+ground-shadow count reads the whole ground set, each box's evidence
+reads every obstacle point, and cluster extents are measured over the
+whole cloud.  Tests patch them into :mod:`repro.detection.spod` and
+require byte-identical detections.
 
 Each class counts its brute-force lookups in ``lookups``, so a test can
 assert that the reference really ran.
@@ -16,12 +19,14 @@ assert that the reference really ran.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro.detection.calibrate import (
     CAR_MAX_HEIGHT,
     FOOTPRINT_PAD,
     BoxEvidence,
     ConfidenceCalibrator,
+    _grid_labels,
 )
 from repro.detection.classes import CAR, classify_cluster
 from repro.detection.refine import BoxRefiner, Fit
@@ -29,15 +34,19 @@ from repro.geometry.boxes import Box3D, points_in_box
 
 
 class ReferenceRefiner(BoxRefiner):
-    """Per-proposal refinement; every ground-shadow count sees all ground."""
+    """Per-proposal refinement on a KD-tree; every ground-shadow count sees
+    all ground."""
 
     lookups = 0
 
     def __init__(self, *args, ground_xy=None, **kwargs):
         super().__init__(*args, ground_xy=ground_xy, **kwargs)
         self._all_ground = None
-        if ground_xy is not None and len(ground_xy):
-            self._all_ground = tuple(np.asarray(ground_xy, dtype=float).T)
+        if ground_xy is not None and len(ground_xy[0]):
+            self._all_ground = tuple(np.asarray(c, dtype=float) for c in ground_xy)
+        self._tree = None
+        if len(self._car_points):
+            self._tree = cKDTree(self._car_points[:, :2])
 
     def refine_batch(self, proposals_xy) -> list[Fit | None]:
         spec = self.spec
@@ -203,9 +212,16 @@ def l_shape_centers(xy, yaw, length, width, centroid) -> list[np.ndarray]:
 
 
 class ReferenceCalibrator(ConfidenceCalibrator):
-    """Per-box scoring; every box reads evidence from all points."""
+    """Per-box scoring; every box reads evidence from all points, and the
+    cluster extents come from one pass over the whole cloud."""
 
     lookups = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._cluster_ids, self._cluster_extents, self._cluster_minors = (
+            label_clusters(self.points[:, :2])
+        )
 
     def score_batch(self, boxes, object_classes) -> np.ndarray:
         return np.array(
@@ -267,3 +283,44 @@ def reference_score(weights, ev: BoxEvidence, object_class=None) -> float:
         - bias
     )
     return float(1.0 / (1.0 + np.exp(-np.clip(logit, -60, 60))))
+
+
+def label_clusters(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cluster BEV points by grid connected components, measuring every
+    cluster.
+
+    Returns per-point cluster ids (``_grid_labels``) plus, per cluster, the
+    extent along the principal axis and along the secondary axis.
+    """
+    if len(xy) == 0:
+        return np.zeros(0, dtype=int), np.zeros(1), np.zeros(1)
+    point_labels = _grid_labels(xy)
+    num = int(point_labels.max()) + 1
+    counts = np.bincount(point_labels, minlength=num)
+    safe = np.maximum(counts, 1)
+    mean_x = np.bincount(point_labels, weights=xy[:, 0], minlength=num) / safe
+    mean_y = np.bincount(point_labels, weights=xy[:, 1], minlength=num) / safe
+    cx = xy[:, 0] - mean_x[point_labels]
+    cy = xy[:, 1] - mean_y[point_labels]
+    a = np.bincount(point_labels, weights=cx * cx, minlength=num) / safe
+    b = np.bincount(point_labels, weights=cx * cy, minlength=num) / safe
+    c = np.bincount(point_labels, weights=cy * cy, minlength=num) / safe
+    theta = 0.5 * np.arctan2(2.0 * b, a - c)
+    ux, uy = np.cos(theta), np.sin(theta)
+    proj_major = cx * ux[point_labels] + cy * uy[point_labels]
+    proj_minor = cy * ux[point_labels] - cx * uy[point_labels]
+    majors = np.zeros(num)
+    minors = np.zeros(num)
+    multi = counts >= 2
+    if multi.any():
+        hi = np.full(num, -np.inf)
+        lo = np.full(num, np.inf)
+        np.maximum.at(hi, point_labels, proj_major)
+        np.minimum.at(lo, point_labels, proj_major)
+        majors[multi] = (hi - lo)[multi]
+        hi.fill(-np.inf)
+        lo.fill(np.inf)
+        np.maximum.at(hi, point_labels, proj_minor)
+        np.minimum.at(lo, point_labels, proj_minor)
+        minors[multi] = (hi - lo)[multi]
+    return point_labels, majors, minors

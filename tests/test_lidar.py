@@ -21,12 +21,12 @@ from repro.sensors.lidar import (
     _nearest_hits,
     _ray_direction_table,
 )
+from tests.family_corpus import FAMILY_INDICES
 from tests.lidar_reference import (
     nearest_hits,
     ray_boxes_batch,
     reference_nearest_hits,
 )
-from tests.test_temporal import FAMILY_INDICES
 
 
 def pose_at(x=0.0, y=0.0, yaw=0.0) -> Pose:

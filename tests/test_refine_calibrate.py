@@ -8,12 +8,13 @@ from repro.datasets.synthetic_kitti import kitti_cases
 from repro.datasets.tj import tj_cases
 from repro.detection.calibrate import (
     FOOTPRINT_PAD,
+    LOOKUP_CELL,
     BoxEvidence,
     CalibratorWeights,
     ConfidenceCalibrator,
 )
 from repro.detection.classes import CAR, CYCLIST, PEDESTRIAN
-from repro.detection.refine import BoxRefiner, RefinementSpec
+from repro.detection.refine import GROUND_CELL, BoxRefiner, RefinementSpec
 from repro.detection.spod import SPOD, SPODConfig
 from repro.fusion.align import merge_packages
 from repro.geometry.boxes import Box3D
@@ -24,7 +25,7 @@ from tests.decode_reference import (
     ground_points_under,
     reference_score,
 )
-from tests.test_temporal import FAMILY_INDICES
+from tests.family_corpus import FAMILY_INDICES
 
 GROUND = -1.73
 
@@ -232,6 +233,50 @@ def _edge_points(center_xy, yaw, half_u, half_v, count=9):
 TEMPLATES = (CAR, CYCLIST, PEDESTRIAN)
 
 
+def _rounding_escape(half_l, half_w, axis, cell, seed):
+    """A yawed footprint whose test passes a point lying past the
+    footprint's bounding rectangle, as rounded without slack, along
+    ``axis`` (0 = x, 1 = y), with an edge of ``cell``-sized index cells
+    between the bound and the point.
+
+    Returns ``(yaw, center, point, anchor)``: the point's coordinate is
+    the ulp after ``center + reach`` on that axis, and ``anchor`` (three
+    cells behind the point on that axis, 30 m aside on the other) sets an
+    index's origin so that the bound and the point fall in different
+    cells.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        yaw = rng.uniform(-np.pi, np.pi)
+        center = rng.uniform(-50.0, 50.0, 2)
+        c, s = np.cos(-yaw), np.sin(-yaw)
+        reach = (
+            np.abs(half_l * c) + np.abs(half_w * s),
+            np.abs(half_l * s) + np.abs(half_w * c),
+        )[axis]
+        bound = center[axis] + reach
+        corners = [
+            center
+            + [u * np.cos(yaw) - v * np.sin(yaw), u * np.sin(yaw) + v * np.cos(yaw)]
+            for u in (half_l, -half_l)
+            for v in (half_w, -half_w)
+        ]
+        point = max(corners, key=lambda corner: corner[axis])
+        point[axis] = np.nextafter(bound, np.inf)
+        rx, ry = point - center
+        anchor = point.copy()
+        anchor[axis] -= 3.0 * cell
+        anchor[1 - axis] -= 30.0
+        origin = anchor[axis]
+        if (
+            np.abs(rx * c - ry * s) <= half_l
+            and np.abs(rx * s + ry * c) <= half_w
+            and np.floor((bound - origin) / cell)
+            < np.floor((point[axis] - origin) / cell)
+        ):
+            return yaw, center, point, anchor
+
+
 class TestGroundLookup:
     """The batched ground-shadow counts against counts over the whole ground set."""
 
@@ -269,7 +314,7 @@ class TestGroundLookup:
                     for margin in (0.4, 0.0)
                 ]
             )
-            refiner = BoxRefiner(np.zeros((0, 3)), GROUND, ground_xy=ground)
+            refiner = BoxRefiner(np.zeros((0, 3)), GROUND, ground_xy=ground.T)
             # The fit under test plus a far-away one sharing the batch.
             centers = np.array(
                 [[b.center[:2] for b in boxes], [b.center[:2] + 55.0 for b in boxes]]
@@ -286,9 +331,26 @@ class TestGroundLookup:
         # leaves none, so they never count ground.
         assert (interior_counted > 0) == (template is CAR)
 
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    def test_corner_past_rounded_rectangle_counts(self, axis):
+        """The lookup's slack covers a footprint point that rounding puts
+        past the footprint's bounding rectangle and into the next cell."""
+        length, width = CAR.template[:2]
+        yaw, center, point, anchor = _rounding_escape(
+            length / 2 - 0.4, width / 2 - 0.4, axis, GROUND_CELL, seed=31
+        )
+        ground = np.array([point, anchor])
+        refiner = BoxRefiner(np.zeros((0, 3)), GROUND, ground_xy=ground.T)
+        counts = refiner._ground_shadows(
+            center[None, None], np.array([[yaw]]), np.array([length]), np.array([width])
+        )
+        box = Box3D(np.array([*center, GROUND + 0.8]), length, width, 1.6, yaw)
+        assert ground_points_under(tuple(ground.T), box) == 1
+        assert counts.tolist() == [[1]]
+
     def test_empty_ground_counts_nothing(self):
         refiner = BoxRefiner(
-            car_surface_points(10.0, 0.0), GROUND, ground_xy=np.zeros((0, 2))
+            car_surface_points(10.0, 0.0), GROUND, ground_xy=np.zeros((2, 0))
         )
         counts = refiner._ground_shadows(
             np.zeros((1, 4, 2)), np.zeros((1, 4)), np.array([4.2]), np.array([1.8])
@@ -341,6 +403,22 @@ class TestCalibratorLookup:
             reference_score(fast.weights, ev, c) for ev, c in zip(expected, classes)
         ]
         assert sum(ev.num_points > 0 for ev in expected) > 0
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    def test_corner_past_rounded_rectangle_counts(self, axis):
+        """The lookup's slack covers a footprint point that rounding puts
+        past the footprint's bounding rectangle and into the next cell."""
+        length, width, height = CAR.template
+        half_l, half_w = length / 2 + FOOTPRINT_PAD, width / 2 + FOOTPRINT_PAD
+        yaw, center, point, anchor = _rounding_escape(
+            half_l, half_w, axis, LOOKUP_CELL, seed=37
+        )
+        z = GROUND + height / 2
+        points = np.array([[*point, z], [*anchor, z]])
+        box = Box3D(np.array([*center, z]), length, width, height, yaw)
+        expected = ReferenceCalibrator(points, GROUND).reference_evidence(box)
+        assert expected.num_points == 1
+        assert ConfidenceCalibrator(points, GROUND).evidence(box) == expected
 
 
 def _detection_bytes(detections):
@@ -434,11 +512,11 @@ class TestDecodeReferenceCases:
             for _ in range(3)
         ] + list(rng.uniform([-5.0, -15.0], [30.0, 15.0], size=(10, 2)))
         proposals += proposals[:4]
-        fast = BoxRefiner(obstacles, GROUND, spec, ground_xy=ground).refine_batch(
+        fast = BoxRefiner(obstacles, GROUND, spec, ground_xy=ground.T).refine_batch(
             proposals
         )
         reference = ReferenceRefiner(
-            obstacles, GROUND, spec, ground_xy=ground
+            obstacles, GROUND, spec, ground_xy=ground.T
         ).refine_batch(proposals)
         assert [f is None for f in fast] == [f is None for f in reference]
         pairs = [(f, r) for f, r in zip(fast, reference) if f is not None]

@@ -28,6 +28,7 @@ from repro.sensors.lidar import (
     _ray_direction_table,
 )
 from repro.sensors.rig import SensorRig
+from tests.family_corpus import FAMILY_INDICES
 from tests.test_runtime import _canonical_logs, _toy_session
 
 
@@ -185,17 +186,6 @@ def _family_session(family_name, index):
         for name, pose in compiled.viewpoints.items()
     ]
     return CooperSession(world=compiled.world, agents=agents)
-
-
-# One seeded scenario per family; highway_merge index 0 detects nothing,
-# so its index 1 stands in.
-FAMILY_INDICES = {
-    "roundabout": 0,
-    "highway_merge": 1,
-    "occluded_pedestrian": 0,
-    "convoy": 0,
-    "mixed_fleet_intersection": 0,
-}
 
 
 class TestSessionWarmPath:
