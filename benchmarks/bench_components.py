@@ -1,8 +1,9 @@
 """Component micro-benchmarks: the stages inside one SPOD inference.
 
 Not a paper figure — engineering telemetry for the pipeline: LiDAR
-simulation, voxelisation, network forward (VFE + sparse middle + RPN),
-proposal decode, and the codec, each timed in isolation.
+simulation, voxelisation, the network forward as ``detect`` runs it
+(preprocess, voxelize, VFE, sparse middle and the inference RPN pass),
+full detection, and the codec, each timed in isolation.
 """
 
 import numpy as np
@@ -40,13 +41,11 @@ def test_component_voxelize(benchmark, detector, scan_cloud):
 
 
 def test_component_network_forward(benchmark, detector, scan_cloud):
-    pre = preprocess(scan_cloud)
-    grid = voxelize(pre.obstacles, detector.config.voxel_spec)
-
     def forward():
-        return detector.rpn(detector.middle(detector.vfe(grid)))
+        bev = detector.forward_features(scan_cloud, inference=True)["bev"]
+        return detector.rpn_apply(bev)
 
-    cls_logits, reg = benchmark.pedantic(forward, rounds=5, iterations=1)
+    cls_logits = benchmark.pedantic(forward, rounds=5, iterations=1)
     assert cls_logits.shape[1] == detector.config.num_yaws
 
 

@@ -99,6 +99,10 @@ def _row(label, quartiles) -> str:
     )
 
 
+def _over_bound(label, quartiles, bound) -> str:
+    return f"{_row(label, quartiles)}, not under the {bound}x bound"
+
+
 def test_fig09_detection_time(
     benchmark, detector, kitti_case_list, tj_case_list, results_dir
 ):
@@ -120,9 +124,12 @@ def test_fig09_detection_time(
     publish(results_dir, "fig09_detection_time.txt", "\n".join(lines))
 
     # Shape: cooperative detection is at most modestly slower, never ~2x
-    # the point count's worth.
-    assert kitti["cooper"][1] < kitti["single"][1] * 2.0
-    assert tj["cooper"][1] < tj["single"][1] * 2.5
+    # the point count's worth.  A failure prints both sides' medians and
+    # quartiles, so a slower runner shows by how much without a rerun.
+    assert kitti["cooper"][1] < kitti["single"][1] * 2.0, _over_bound(
+        "KITTI", kitti, 2.0
+    )
+    assert tj["cooper"][1] < tj["single"][1] * 2.5, _over_bound("T&J", tj, 2.5)
 
     # Benchmark the merged-cloud detection itself on a KITTI case.
     case = kitti_case_list[0]

@@ -185,8 +185,8 @@ class ConfidenceCalibrator:
         )
         # The box test and the column test (same footprint extruded in z,
         # catching wall points above the box) share the footprint.
-        z = self.points[idx, 2]
-        dz = z - center[owner, 2]
+        z = np.take(self.points[:, 2], idx)
+        dz = z - np.take(center[:, 2], owner)
         in_column = np.abs(dz - 2.0) <= ((height + 6.0) / 2 + 0.1)[owner]
         tall = in_column & (z > self.ground_z + CAR_MAX_HEIGHT)
         tall_count = np.bincount(owner[tall], minlength=m)
@@ -394,9 +394,12 @@ def _grid_labels(xy: np.ndarray) -> np.ndarray:
     cells = np.floor((xy - origin) / CLUSTER_CELL).astype(int)
     cx, cy = cells[:, 0], cells[:, 1]
     occupancy = np.zeros((cx.max() + 2, cy.max() + 2), dtype=bool)
-    occupancy[cx, cy] = True
+    # Cells address the grid through its flat view: one index array
+    # instead of an (x, y) pair.
+    flat = cx * occupancy.shape[1] + cy
+    occupancy.reshape(-1)[flat] = True
     labels, _count = ndimage.label(occupancy, structure=np.ones((3, 3), dtype=int))
-    return labels[cx, cy]
+    return np.take(labels, flat)
 
 
 def _cluster_extents(
@@ -416,7 +419,7 @@ def _cluster_extents(
     selected[wanted] = True
     members = np.flatnonzero(selected[labels])
     point_labels = labels[members]
-    x, y = xy[members, 0], xy[members, 1]
+    x, y = np.take(xy[:, 0], members), np.take(xy[:, 1], members)
     # All clusters at once: per-cluster 2x2 covariances from label-indexed
     # sums, principal axes in closed form (a 2x2 symmetric eigenproblem is
     # a single rotation angle), spans via per-label extrema.

@@ -12,7 +12,9 @@ import numpy as np
 
 from repro.detection.nn.module import Module, Parameter
 
-__all__ = ["Linear", "ReLU", "Sigmoid", "BatchNorm1d", "Conv2d", "MaxPool2d"]
+__all__ = [
+    "Linear", "ReLU", "Sigmoid", "BatchNorm1d", "Conv2d", "MaxPool2d", "expand_channels"
+]
 
 
 def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -126,13 +128,31 @@ class BatchNorm1d(Module):
         )
 
 
+def expand_channels(values: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """The ``(N, len(channels), H, W)`` map whose channels marked in the
+    boolean mask ``channels`` hold ``values`` and whose others are zero."""
+    if channels.all():
+        return values
+    full = np.zeros((values.shape[0], channels.size) + values.shape[2:], values.dtype)
+    full[:, channels] = values
+    return full
+
+
 class Conv2d(Module):
     """2D convolution via shifted-slice matmuls; I/O is ``(N, C, H, W)``.
 
     The forward pass accumulates one BLAS contraction per kernel tap over a
     strided slice of the padded input — ``k*k`` small matmuls instead of an
     im2col unfold, whose ``(N, C, k, k, H, W)`` gather copy dominated the
-    RPN's runtime.  The backward pass mirrors the same taps."""
+    RPN's runtime.  It computes only what the weights can make nonzero,
+    derived from the live weights on every call (so retrained weights take
+    the dense path): input channels whose weights are all zero are never
+    read, an output channel whose weights are all zero is its bias, and a
+    tap that is zero for every computed output is skipped.  Each skipped
+    product is an exact zero, so for finite inputs the result equals the
+    dense sum.  :meth:`infer` also takes and returns only the channels that
+    can be nonzero, so a network can chain its live channels layer to
+    layer.  The backward pass mirrors every tap."""
 
     def __init__(
         self,
@@ -166,37 +186,59 @@ class Conv2d(Module):
         )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = (x,)
+        out, outputs = self.infer(x, np.ones(x.shape[1], dtype=bool))
+        return expand_channels(out, outputs)
+
+    def infer(
+        self, x: np.ndarray, inputs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The forward pass over live channels only; keeps no state.
+
+        ``x`` holds, in order, the input channels marked in the boolean
+        mask ``inputs``; every other input channel is identically zero.
+        Returns ``(out, outputs)``: ``out`` holds the output channels
+        marked in ``outputs``, those with a nonzero weight over a live
+        input or a nonzero bias.  Every other output channel is
+        identically zero (and stays zero through a ReLU), so it is left
+        out.
+        """
         k, s, p = self.kernel_size, self.stride, self.padding
         n, _, h, w = x.shape
         out_h = (h + 2 * p - k) // s + 1
         out_w = (w + 2 * p - k) // s + 1
-        weight = self.weight.value
+        weight = self.weight.value[:, inputs]
         if weight.dtype != x.dtype and np.issubdtype(x.dtype, np.floating):
             weight = weight.astype(x.dtype)
-        # Input channels whose weights are identically zero contribute
-        # nothing to any tap; dropping them *before* padding is exact
-        # (zero-padding commutes with channel selection) and, for the
-        # analytic RPN (4 of 20 BEV channels live), shrinks both the pad
-        # copy and the dominant matmul 5x.  Backward re-pads the full
-        # input, so gradients cover every channel.
-        used = np.any(weight, axis=(0, 2, 3))
-        source = x
-        if not used.all():
-            weight = weight[:, used]
-            source = np.ascontiguousarray(x[:, used])
-        padded = np.pad(source, ((0, 0), (0, 0), (p, p), (p, p))) if p else source
-        out = np.zeros((n, weight.shape[0], out_h, out_w), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                patch = padded[self._tap_slices(i, j, out_h, out_w)]
-                # (o, c) x (n, c, h, w) -> (o, n, h, w)
-                out += np.tensordot(
-                    weight[:, :, i, j], patch, axes=([1], [1])
-                ).transpose(1, 0, 2, 3)
+        weighted = np.any(weight, axis=(1, 2, 3))
+        outputs = weighted.copy()
         if self.bias is not None:
-            out += self.bias.value[None, :, None, None]
-        self._cache = (x,)
-        return out
+            outputs |= self.bias.value != 0
+        # Only weighted outputs run the taps, over the inputs they read
+        # and the taps live for any of them.  Dropping inputs *before*
+        # padding is exact (zero-padding commutes with channel selection)
+        # and, for the analytic RPN (4 of 20 BEV channels live), shrinks
+        # both the pad copy and the dominant matmul 5x.
+        weight = weight[weighted]
+        read = np.any(weight, axis=(0, 2, 3))
+        source = x
+        if not read.all():
+            weight = weight[:, read]
+            source = np.ascontiguousarray(x[:, read])
+        padded = np.pad(source, ((0, 0), (0, 0), (p, p), (p, p))) if p else source
+        out = np.zeros((n, len(weight), out_h, out_w), dtype=x.dtype)
+        for i, j in np.argwhere(np.any(weight, axis=(0, 1))).tolist():
+            patch = padded[self._tap_slices(i, j, out_h, out_w)]
+            # (o, c) x (n, c, h, w) -> (o, n, h, w)
+            out += np.tensordot(
+                weight[:, :, i, j], patch, axes=([1], [1])
+            ).transpose(1, 0, 2, 3)
+        out = expand_channels(out, weighted[outputs])
+        if self.bias is not None:
+            # Added in the bias's float64, as the dense layer always has:
+            # a float32 bias would round the sums differently.
+            out += self.bias.value[outputs][None, :, None, None]
+        return out, outputs
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         (x,) = self._cache

@@ -44,9 +44,10 @@ from repro.geometry.rotations import normalize_angles
 
 __all__ = ["BoxRefiner", "RefinementSpec", "Fit"]
 
-#: Cell size (m) of the ground-return index.  The ground band holds most of
-#: a cloud's returns, so coarser cells keep its grid small.
-GROUND_CELL = 2.0
+#: Cell size (m) of the ground-return index.  A ground-shadow footprint
+#: reads about half the candidate returns it would read under 2 m cells,
+#: and a 108 m cloud still fits 65,536 cells, so keys sort by radix.
+GROUND_CELL = 1.0
 
 
 @dataclass(frozen=True)
@@ -157,18 +158,26 @@ class BoxRefiner:
         # almost as close — but not a neighbouring object that merely
         # grazes the seed radius (a pedestrian proposal must not adopt the
         # car parked 1.2 m away).  ``member[i, c]``: proposal i adopted
-        # cluster c.  Nothing here depends on the order of the seed points.
+        # cluster c.  The lookup returns the seed points grouped by
+        # proposal, in ascending order, so per-proposal minima and
+        # broadcasts are segment passes; the order inside a group changes
+        # nothing.
         seed, owner = self._index.within(centers, spec.seed_radius)
-        distances = np.linalg.norm(car_xy[seed] - centers[owner], axis=1)
-        nearest = np.full(n, np.inf)
-        np.minimum.at(nearest, owner, distances)
-        adopted = distances <= np.maximum(0.7, nearest + 0.25)[owner]
-        member = np.zeros((n, int(self._clusters.max()) + 1), dtype=bool)
-        member[owner[adopted], self._clusters[seed[adopted]]] = True
-        seeded = np.zeros(n, dtype=bool)
-        seeded[owner] = True
+        found = np.bincount(owner, minlength=n)
+        seeded = found > 0
         if not seeded.any():
             return fits
+        distances = np.linalg.norm(
+            np.take(car_xy, seed, axis=0) - np.repeat(centers, found, axis=0), axis=1
+        )
+        nearest = np.minimum.reduceat(distances, (np.cumsum(found) - found)[seeded])
+        adopted = distances <= np.repeat(np.maximum(0.7, nearest + 0.25), found[seeded])
+        clusters = int(self._clusters.max()) + 1
+        member = np.zeros((n, clusters), dtype=bool)
+        # member[owner, cluster of seed] = True, through the flat array.
+        member.reshape(-1)[
+            owner[adopted] * clusters + self._clusters[seed[adopted]]
+        ] = True
         # Mean-shift with a sub-car radius: converge onto the local density
         # mode (one vehicle's own point mass) instead of the centroid of
         # whatever the proposal radius happens to cover.  Essential on
@@ -187,8 +196,8 @@ class BoxRefiner:
             enough = counts[live] >= spec.min_points
             shifting[live[~enough]] = False
             movers = live[enough]
-            new_x = np.bincount(owner, weights=car_xy[near, 0], minlength=n)
-            new_y = np.bincount(owner, weights=car_xy[near, 1], minlength=n)
+            new_x = np.bincount(owner, weights=np.take(car_xy[:, 0], near), minlength=n)
+            new_y = np.bincount(owner, weights=np.take(car_xy[:, 1], near), minlength=n)
             new_x = new_x[movers] / counts[movers]
             new_y = new_y[movers] / counts[movers]
             # A fixed point: every further round would reproduce this
@@ -234,11 +243,15 @@ class BoxRefiner:
         add in), and their owners."""
         idx, slot = self._index.within(modes[live], radius)
         owner = live[slot]
-        keep = member[owner, self._clusters[idx]]
+        # member[owner, cluster of idx], read from the flat member array.
+        keep = np.take(member, owner * member.shape[1] + self._clusters[idx])
         # The lookup groups each owner's points by cell; one sort of the
-        # flat (owner, index) keys restores ascending index order.
+        # flat (owner, index) keys restores ascending index order.  The
+        # keys arrive as ascending runs (one per cell), which the stable
+        # sort merges faster than quicksort reorders them.
         size = len(self._car_points)
-        owner, idx = np.divmod(np.sort(owner[keep] * size + idx[keep]), size)
+        keys = owner[keep] * size + idx[keep]
+        owner, idx = np.divmod(np.sort(keys, kind="stable"), size)
         return idx, owner
 
     def _fit_batch(self, idx: np.ndarray, owner: np.ndarray, m: int) -> list[Fit]:
@@ -248,7 +261,7 @@ class BoxRefiner:
         ascending), each group in ascending index order.
         """
         spec = self.spec
-        local = self._car_points[idx]
+        local = np.take(self._car_points, idx, axis=0)
         counts = np.bincount(owner, minlength=m)
         ends = np.cumsum(counts)
         starts = ends - counts
@@ -259,7 +272,10 @@ class BoxRefiner:
                 np.bincount(owner, weights=local[:, 1], minlength=m),
             ]
         ) / counts[:, None]
-        centered = local[:, :2] - centroid[owner]
+        # Every per-fit value broadcasts to its points with np.repeat: the
+        # points are grouped by fit, so this equals indexing by ``owner``
+        # at a fraction of the cost.
+        centered = local[:, :2] - np.repeat(centroid, counts, axis=0)
         # Extents (classification) and yaw share one principal-axis
         # analysis of the centred points.
         major = np.zeros(m)
@@ -317,7 +333,7 @@ class BoxRefiner:
         two = np.empty((m, 2), dtype=bool)
         for j in range(2):
             candidates[:, j], two[:, j] = _l_shape_centers(
-                local[:, :2], owner, starts, centroid, yaws[:, j], length, width
+                local[:, :2], counts, starts, centroid, yaws[:, j], length, width
             )
         shadows = self._ground_shadows(
             candidates.reshape(m, 4, 2), np.repeat(wrapped, 2, axis=1), length, width
@@ -332,9 +348,11 @@ class BoxRefiner:
         chosen = np.where(flipped[..., None], candidates[:, :, 1], candidates[:, :, 0])
         # Points inside each orientation's chosen box (0.1 m margin).  The
         # rotation stays a per-fit BLAS product, as in points_in_box.
-        within_z = np.abs(local[:, 2] - center_z[owner]) <= (height / 2 + 0.1)[owner]
-        half_l = (length / 2 + 0.1)[owner]
-        half_w = (width / 2 + 0.1)[owner]
+        within_z = np.abs(local[:, 2] - np.repeat(center_z, counts)) <= np.repeat(
+            height / 2 + 0.1, counts
+        )
+        half_l = np.repeat(length / 2 + 0.1, counts)
+        half_w = np.repeat(width / 2 + 0.1, counts)
         inside = np.empty((m, 2), dtype=np.intp)
         for j in range(2):
             cos_y, sin_y = np.cos(-wrapped[:, j]), np.sin(-wrapped[:, j])
@@ -342,7 +360,7 @@ class BoxRefiner:
                 [np.stack([cos_y, -sin_y], axis=1), np.stack([sin_y, cos_y], axis=1)],
                 axis=1,
             )
-            offset = local[:, :2] - chosen[owner, j]
+            offset = local[:, :2] - np.repeat(chosen[:, j], counts, axis=0)
             rotated = np.empty_like(offset)
             for k, part in enumerate(segments):
                 part = slice(*part)
@@ -410,7 +428,7 @@ class BoxRefiner:
 
 def _l_shape_centers(
     xy: np.ndarray,
-    owner: np.ndarray,
+    counts: np.ndarray,
     starts: np.ndarray,
     centroid: np.ndarray,
     yaw: np.ndarray,
@@ -429,18 +447,19 @@ def _l_shape_centers(
     second moves the opposite way (correct when the points came from a
     cooperator on the far side).
 
-    ``xy`` holds every fit's points grouped by ``owner`` (groups begin at
-    ``starts``); ``centroid``, ``yaw``, ``length`` and ``width`` have one
-    row per fit.  Returns ``(m, 2, 2)`` centres (fit, slide, xy) and a
+    ``xy`` holds every fit's points grouped by fit (``counts`` points
+    from ``starts``); ``centroid``, ``yaw``, ``length`` and ``width`` have
+    one row per fit.  Returns ``(m, 2, 2)`` centres (fit, slide, xy) and a
     mask of the fits whose two slides differ: identical candidates (full
     views, no deficit) count as one.
     """
     c0, c1 = centroid[:, 0], centroid[:, 1]
     cos_y, sin_y = np.cos(yaw), np.sin(yaw)
-    dx = xy[:, 0] - c0[owner]
-    dy = xy[:, 1] - c1[owner]
-    u = dx * cos_y[owner] + dy * sin_y[owner]
-    v = dy * cos_y[owner] - dx * sin_y[owner]
+    dx = xy[:, 0] - np.repeat(c0, counts)
+    dy = xy[:, 1] - np.repeat(c1, counts)
+    point_cos, point_sin = np.repeat(cos_y, counts), np.repeat(sin_y, counts)
+    u = dx * point_cos + dy * point_sin
+    v = dy * point_cos - dx * point_sin
     # The sensor sits at the frame origin; project it into the yaw frame.
     sensor_u = -c0 * cos_y - c1 * sin_y
     sensor_v = c0 * sin_y - c1 * cos_y

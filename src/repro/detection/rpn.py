@@ -9,13 +9,21 @@ top z bin), and the classification head to score
 ``density - tall_penalty * tall - bias`` — a training-free objectness that
 is high exactly where car-sized point mass exists and suppressed along
 walls, trees and trucks.
+
+Inference runs :meth:`RegionProposalNetwork.objectness`: the
+classification logits alone, over the channels and taps the live weights
+can make nonzero.  Under the analytic weights that is 4 of the 20 BEV
+channels and 2 of the hidden channels, one live tap of ``conv2`` and no
+regression head, since the analytic decode refines boxes from points.
+:meth:`~RegionProposalNetwork.forward` keeps both heads for training and
+for the learned decode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.detection.nn.layers import Conv2d, ReLU
+from repro.detection.nn.layers import Conv2d, ReLU, expand_channels
 from repro.detection.nn.module import Module
 
 __all__ = ["RegionProposalNetwork"]
@@ -24,8 +32,9 @@ __all__ = ["RegionProposalNetwork"]
 class RegionProposalNetwork(Module):
     """RPN: ``conv3x3 -> ReLU -> conv3x3 -> ReLU -> {cls 1x1, reg 1x1}``.
 
-    Input: ``(1, in_channels, H, W)`` BEV features.  Outputs:
-    ``cls_logits (1, num_yaws, H, W)`` and ``reg (1, 7 * num_yaws, H, W)``.
+    Input: ``(1, in_channels, H, W)`` BEV features.  :meth:`forward`
+    returns ``cls_logits (1, num_yaws, H, W)`` and ``reg (1, 7 * num_yaws,
+    H, W)``; :meth:`objectness` returns the same ``cls_logits`` alone.
     """
 
     def __init__(
@@ -46,8 +55,22 @@ class RegionProposalNetwork(Module):
 
     def forward(self, bev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         trunk = self.relu2(self.conv2(self.relu1(self.conv1(bev))))
-        self._trunk = trunk
         return self.cls_head(trunk), self.reg_head(trunk)
+
+    def objectness(self, bev: np.ndarray) -> np.ndarray:
+        """The ``cls_logits`` of :meth:`forward`, computed over live
+        channels only; an inference pass that :meth:`backward` cannot
+        follow.
+
+        Each convolution runs :meth:`Conv2d.infer`, so a hidden channel
+        that is identically zero (zero weights over the live inputs and a
+        zero bias) stays zero through its ReLU and is never computed or
+        read downstream.  The regression head does not run.
+        """
+        hidden, live = self.conv1.infer(bev, np.ones(bev.shape[1], dtype=bool))
+        hidden, live = self.conv2.infer(self.relu1(hidden), live)
+        logits, live = self.cls_head.infer(self.relu2(hidden), live)
+        return expand_channels(logits, live)
 
     def used_input_channels(self) -> np.ndarray:
         """Boolean mask of BEV input channels ``conv1`` actually reads.

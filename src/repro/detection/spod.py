@@ -259,8 +259,21 @@ class SPOD:
             tensors["middle"] = middle
         return tensors
 
-    def rpn_apply(self, bev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The RPN head pass, profiled; ``bev`` may batch several maps."""
+    def rpn_apply(self, bev: np.ndarray) -> np.ndarray:
+        """The inference RPN pass, profiled: the objectness logits
+        ``(rows, num_yaws, H, W)`` of ``bev``, which may batch several maps.
+
+        Runs :meth:`RegionProposalNetwork.objectness`, which computes only
+        live channels and taps and no regression head: the analytic decode
+        and the fusion layer's confidence and fused passes read the logits
+        alone.
+        """
+        with PROFILER.stage("spod.rpn"):
+            return self.rpn.objectness(bev)
+
+    def _rpn_heads(self, bev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The dense RPN pass with both heads, profiled: training and the
+        learned decode, the readers of ``reg``."""
         with PROFILER.stage("spod.rpn"):
             return self.rpn(bev)
 
@@ -271,7 +284,7 @@ class SPOD:
         map and the RPN's (cls_logits, reg) outputs.
         """
         tensors = self.forward_features(cloud, inference=inference)
-        cls_logits, reg = self.rpn_apply(tensors["bev"])
+        cls_logits, reg = self._rpn_heads(tensors["bev"])
         tensors["cls_logits"] = cls_logits
         tensors["reg"] = reg
         return tensors
@@ -307,12 +320,14 @@ class SPOD:
         tensors = self.forward_features(cloud, inference=True)
         if tensors["grid"].num_voxels == 0:
             return []
-        cls_logits, reg = self.rpn_apply(tensors["bev"])
-        pre = tensors["pre"]
-        with PROFILER.stage("spod.decode"):
-            if self.config.use_learned_heads:
+        if self.config.use_learned_heads:
+            cls_logits, reg = self._rpn_heads(tensors["bev"])
+            with PROFILER.stage("spod.decode"):
                 raw = self._decode_learned(cls_logits, reg)
-            else:
+        else:
+            cls_logits = self.rpn_apply(tensors["bev"])
+            pre = tensors["pre"]
+            with PROFILER.stage("spod.decode"):
                 raw = self._decode_analytic(
                     cls_logits, pre.obstacles.xyz, pre.full.xyz, pre.ground_z
                 )

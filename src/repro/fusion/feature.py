@@ -343,9 +343,10 @@ def rpn_confidence(detector: SPOD, bev: np.ndarray) -> np.ndarray:
     """Max-over-yaw RPN objectness probability per BEV cell, ``(nx, ny)``.
 
     This is the "cheap confidence map" of the gated exchange: one RPN
-    head pass over a BEV map the sender has already computed.
+    objectness pass (:meth:`SPOD.rpn_apply`, no regression head) over a
+    BEV map the sender has already computed.
     """
-    cls_logits, _reg = detector.rpn_apply(bev)
+    cls_logits = detector.rpn_apply(bev)
     prob = 1.0 / (1.0 + np.exp(-np.clip(cls_logits[0], -60, 60)))
     return prob.max(axis=0)
 
@@ -664,7 +665,7 @@ def perceive_tap(
     obstacle_xyz = np.vstack([tap.pre.obstacles.xyz, fused.proxy_xyz])
     full_xyz = np.vstack([tap.pre.full.xyz, fused.proxy_xyz])
     with PROFILER.stage("cooper.detect"):
-        cls_logits, _reg = detector.rpn_apply(bev)
+        cls_logits = detector.rpn_apply(bev)
         return decode_fused(
             detector, cls_logits, obstacle_xyz, full_xyz, tap.pre.ground_z
         )

@@ -210,9 +210,10 @@ def _voxelize(
     linear_sorted = linear.take(order)
     data_sorted = data_in.take(order, axis=0)
 
-    unique_linear, start_idx, group_counts = np.unique(
-        linear_sorted, return_index=True, return_counts=True
-    )
+    # Each voxel is one run of equal sorted keys.
+    start_idx = np.flatnonzero(np.diff(linear_sorted, prepend=-1))
+    unique_linear = linear_sorted.take(start_idx)
+    group_counts = np.diff(start_idx, append=len(linear_sorted))
     grid_shape = spec.grid_shape
     num_voxels = len(unique_linear)
     points = np.zeros((num_voxels, t_max, 4), dtype=out_dtype)
@@ -235,5 +236,6 @@ def _voxelize(
     )
 
     keep = positions < t_max
-    points[group_ids[keep], positions[keep]] = data_sorted[keep]
+    slots = np.compress(keep, group_ids * t_max + positions)
+    points.reshape(-1, 4)[slots] = np.compress(keep, data_sorted, axis=0)
     return VoxelGrid(spec, coords, points, counts)

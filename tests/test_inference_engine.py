@@ -20,6 +20,7 @@ from repro.detection.spod import SPOD, SPODConfig
 from repro.eval.experiments import run_case
 from repro.fusion.align import merge_packages
 from repro.pointcloud.cloud import PointCloud
+from tests.rpn_reference import reference_conv2d
 
 
 @pytest.fixture(autouse=True)
@@ -182,28 +183,6 @@ class TestBlackoutEndToEnd:
 
 
 class TestConv2dPruning:
-    @staticmethod
-    def _reference_forward(conv: Conv2d, x: np.ndarray) -> np.ndarray:
-        """Unpruned tap-by-tap reference of the same convolution."""
-        k, s, p = conv.kernel_size, conv.stride, conv.padding
-        n, _, h, w = x.shape
-        out_h = (h + 2 * p - k) // s + 1
-        out_w = (w + 2 * p - k) // s + 1
-        weight = conv.weight.value.astype(x.dtype)
-        padded = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        out = np.zeros((n, weight.shape[0], out_h, out_w), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                patch = padded[
-                    :, :, i : i + s * out_h : s, j : j + s * out_w : s
-                ]
-                out += np.tensordot(
-                    weight[:, :, i, j], patch, axes=([1], [1])
-                ).transpose(1, 0, 2, 3)
-        if conv.bias is not None:
-            out += conv.bias.value[None, :, None, None]
-        return out
-
     @pytest.mark.parametrize("seed", range(3))
     def test_pruned_forward_equals_unpruned(self, seed):
         rng = np.random.default_rng(seed)
@@ -212,7 +191,7 @@ class TestConv2dPruning:
         conv.weight.value[:, ::2] = 0.0
         x = rng.normal(size=(2, 6, 7, 5))
         np.testing.assert_array_equal(
-            conv(x), self._reference_forward(conv, x)
+            conv(x), reference_conv2d(conv, x)
         )
 
     def test_pruned_backward_covers_all_channels(self):
