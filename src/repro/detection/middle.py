@@ -6,7 +6,10 @@ is no related input point" — and the result is scattered to a dense BEV map
 whose channels stack the z bins, ready for the 2D RPN.
 
 ``analytic_init`` wires the convolutions as identity taps so the BEV map
-carries the VFE's physically-meaningful channels per z bin.
+carries the VFE's physically-meaningful channels per z bin.  At inference
+the block computes only the channels its consumer reads, over the offsets
+whose weights are live, so the analytic block is two centre taps on one
+channel (four for a feature tap) and builds no rulebook.
 """
 
 from __future__ import annotations
@@ -60,19 +63,38 @@ class SparseMiddleExtractor(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
 
-    def forward_sparse(self, tensor: SparseTensor3d) -> SparseTensor3d:
+    def forward_sparse(
+        self, tensor: SparseTensor3d, outputs: np.ndarray | None = None
+    ) -> SparseTensor3d:
         """The convolutional block alone: sparse in, sparse out.
 
         This is the feature tap the fusion layer consumes: the per-voxel
         features *before* densification, which is what a cooperator
         actually needs to ship (active voxels only) and what F-Cooper
-        style maxout fusion combines across vehicles.  Both convolutions
-        are stride-1 submanifold: the active set is invariant through the
-        block, so one rulebook serves them both.
+        style maxout fusion combines across vehicles.
+
+        Training passes no ``outputs``: both convolutions run every offset
+        over one shared rulebook (the active set is invariant through a
+        stride-1 block), and :meth:`backward` can follow.  Inference
+        passes the boolean mask of the output channels its consumer reads
+        and leaves every other channel zero: ``conv2`` computes the marked
+        channels and ``conv1`` those ``conv2`` reads for them, each over
+        its live offsets (:meth:`SubmanifoldConv3d.infer`), sharing one
+        rulebook if either needs one.  For finite inputs every computed
+        channel equals the training pass.
         """
-        rulebook = self.conv1.build_rulebook(tensor)
-        x = self.relu1(self.conv1(tensor, rulebook=rulebook))
-        return self.relu2(self.conv2(x, rulebook=rulebook))
+        if outputs is None:
+            rulebook = self.conv1.build_rulebook(tensor)
+            x = self.relu1(self.conv1(tensor, rulebook=rulebook))
+            return self.relu2(self.conv2(x, rulebook=rulebook))
+        hidden, rulebook = self.conv1.infer(tensor, self.conv2.live_inputs(outputs))
+        out, _ = self.conv2.infer(self.relu1(hidden), outputs, rulebook)
+        return self.relu2(out)
+
+    def live_inputs(self, outputs: np.ndarray) -> np.ndarray:
+        """Boolean mask of the input channels :meth:`forward_sparse` reads
+        to compute the output channels marked in ``outputs``."""
+        return self.conv1.live_inputs(self.conv2.live_inputs(outputs))
 
     def forward(
         self, tensor: SparseTensor3d, channel_mask: np.ndarray | None = None

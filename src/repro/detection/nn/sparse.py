@@ -16,6 +16,13 @@ active set invariant) and memoised across frames in
 :data:`RULEBOOK_CACHE`, keyed by a hash of the site list and verified
 exactly on every hit — a cache hit therefore returns bit-identical gather
 lists, keeping results independent of cache state and worker count.
+
+:meth:`SubmanifoldConv3d.infer` extends the rule from sites to channels
+and offsets: it computes only the output channels its consumer reads,
+over only the offsets whose weights are live for them.  A stride-1
+convolution whose only live offset is the centre maps each site to itself
+and needs no rulebook, so the analytic detector never builds one; only
+training and trained weights reach the cache.
 """
 
 from __future__ import annotations
@@ -208,7 +215,8 @@ class RulebookCache:
     Hit/miss totals are kept on the cache (``hits`` / ``misses``) and
     mirrored into :mod:`repro.profiling` counters
     ``spod.rulebook_hits`` / ``spod.rulebook_misses`` when profiling is
-    enabled.
+    enabled.  Only training and trained weights look rulebooks up; the
+    analytic detector's centre taps never do.
     """
 
     def __init__(self, maxsize: int = 16) -> None:
@@ -280,9 +288,10 @@ class RulebookCache:
         return entry
 
 
-#: Process-wide rulebook memo shared by every sparse convolution.  Forked
-#: workers inherit a snapshot and diverge independently; because hits are
-#: verified exactly, per-process cache divergence can never change results.
+#: Process-wide rulebook memo shared by every sparse convolution that
+#: builds a rulebook (training and trained weights).  Forked workers
+#: inherit a snapshot and diverge independently; because hits are verified
+#: exactly, per-process cache divergence can never change results.
 RULEBOOK_CACHE = RulebookCache()
 
 
@@ -297,6 +306,9 @@ class SubmanifoldConv3d(Module):
     The forward pass computes in the dtype of the incoming features (the
     weights are cast to match), so a float32 tensor flows through a float32
     kernel; float64 training inputs keep the float64 kernels bit-for-bit.
+    :meth:`forward` (training) runs every offset of the full rulebook and
+    keeps what :meth:`backward` needs; :meth:`infer` runs only the live
+    channels and offsets.  Both go through one accumulation loop.
     """
 
     def __init__(
@@ -354,23 +366,72 @@ class SubmanifoldConv3d(Module):
     ) -> SparseTensor3d:
         if rulebook is None:
             rulebook = self.build_rulebook(tensor)
-        dtype = tensor.features.dtype
+        num_out = len(rulebook.out_coords)
+        out_features = self._accumulate(tensor.features, rulebook.pairs, num_out)
+        self._cache = (tensor, rulebook.pairs, num_out)
+        return SparseTensor3d(rulebook.out_coords, out_features, rulebook.out_grid)
+
+    def live_inputs(self, outputs: np.ndarray) -> np.ndarray:
+        """Boolean mask of the input channels the weights of the output
+        channels marked in ``outputs`` read, at any offset."""
+        return np.any(self.weight.value[:, :, outputs], axis=(0, 2))
+
+    def infer(
+        self,
+        tensor: SparseTensor3d,
+        outputs: np.ndarray,
+        rulebook: Rulebook | None = None,
+    ) -> tuple[SparseTensor3d, Rulebook | None]:
+        """The forward pass for the output channels marked in ``outputs``
+        only; keeps no state.
+
+        Only the kernel offsets whose weights are nonzero for those outputs
+        run, derived from the weights on every call, and every other
+        output channel is left zero.  Input channels those weights do not
+        read may hold anything finite.  A stride-1 convolution whose only
+        live offset is the centre maps each site to itself and builds no
+        rulebook; otherwise it uses ``rulebook`` or builds one.  Returns
+        the output and the rulebook it used (``None`` if none), so a block
+        can share it.  Each live offset runs the same product as
+        :meth:`forward` and each skipped one adds exact zeros to the
+        marked channels, so for finite inputs they equal :meth:`forward`
+        (up to the sign of a zero, which a ReLU erases).
+        """
+        live = np.any(self.weight.value[:, :, outputs], axis=(1, 2))
+        centre = len(live) // 2
+        if self.stride == 1 and not np.delete(live, centre).any():
+            pairs = [(centre, None, None)] if live[centre] else []
+            out_coords, out_grid = tensor.coords, tensor.grid_shape
+        else:
+            if rulebook is None:
+                rulebook = self.build_rulebook(tensor)
+            pairs = [pair for pair in rulebook.pairs if live[pair[0]]]
+            out_coords, out_grid = rulebook.out_coords, rulebook.out_grid
+        out_features = self._accumulate(tensor.features, pairs, len(out_coords))
+        out_features[:, ~outputs] = 0.0
+        return SparseTensor3d(out_coords, out_features, out_grid), rulebook
+
+    def _accumulate(
+        self, features: np.ndarray, pairs: list, num_out: int
+    ) -> np.ndarray:
+        """The loop of :meth:`forward` and :meth:`infer`: each pair's
+        ``features[in_rows] @ weight[k]`` summed into ``out_rows``, then
+        the bias.  A pair whose rows are ``None`` maps every site to
+        itself.  The sums run in the feature dtype; the bias is added in
+        its own float64, as the dense layer always has."""
+        dtype = features.dtype
         weight = self.weight.value
         if weight.dtype != dtype:
             weight = weight.astype(dtype)
-        out_features = np.zeros(
-            (len(rulebook.out_coords), weight.shape[2]), dtype=dtype
-        )
-        for k, in_rows, out_rows in rulebook.pairs:
-            np.add.at(
-                out_features,
-                out_rows,
-                tensor.features[in_rows] @ weight[k],
-            )
+        out = np.zeros((num_out, weight.shape[2]), dtype=dtype)
+        for k, in_rows, out_rows in pairs:
+            if in_rows is None:
+                out += features @ weight[k]
+            else:
+                np.add.at(out, out_rows, features[in_rows] @ weight[k])
         if self.bias is not None:
-            out_features += self.bias.value
-        self._cache = (tensor, rulebook.pairs, len(rulebook.out_coords))
-        return SparseTensor3d(rulebook.out_coords, out_features, rulebook.out_grid)
+            out += self.bias.value
+        return out
 
     def backward(self, grad_output: SparseTensor3d | np.ndarray) -> SparseTensor3d:
         tensor, pairs, num_out = self._cache
@@ -401,9 +462,10 @@ class SparseToDense(Module):
     downstream network provably ignores — with the analytic RPN only the
     occupancy channel's car-band and tall z bins carry weight, so most of
     the scatter is wasted work.  Masked channels stay zero, which is
-    exactly what a zero-weight consumer sees; ``backward`` refuses to run
-    after a masked forward because the gradient of a discarded channel is
-    not recoverable.
+    exactly what a zero-weight consumer sees (the detector's inference
+    pass and ``feature_bev`` pass the RPN's mask); ``backward`` refuses to
+    run after a masked forward because the gradient of a discarded
+    channel is not recoverable.
     """
 
     def __init__(self) -> None:

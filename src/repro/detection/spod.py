@@ -217,10 +217,17 @@ class SPOD:
     ):
         """Preprocess + voxelize + VFE + middle; return tensors up to BEV.
 
-        With ``inference=True`` the BEV densification skips channels the
-        RPN's first convolution provably ignores (zero weights) — exact for
-        the forward pass but useless for training, where those channels
-        still need gradients.
+        With ``inference=True`` the VFE and the middle compute only the
+        channels their consumer reads, over the live inputs and offsets of
+        their own weights, and the BEV densification scatters only the
+        channels the RPN's first convolution reads (nonzero weights).  The
+        consumer is the RPN, or, with ``tap=True``, a cooperator, which
+        ships every channel.  Under the analytic weights the RPN reads
+        occupancy alone, which needs no points, so the voxel grid never
+        fills its padded point tensor.  The computed channels equal the
+        training pass's for finite inputs, so detections do not depend on
+        what is skipped; but the pass keeps no state for training, where
+        every channel still needs gradients.
 
         With ``tap=True`` the returned dict additionally exposes the
         sparse tensors the fusion layer taps: ``"vfe"`` (the VFE's output)
@@ -243,15 +250,20 @@ class SPOD:
             grid = voxelize(
                 pre.obstacles, cfg.voxel_spec, seed=cfg.seed, dtype=self.dtype
             )
-        with PROFILER.stage("spod.vfe"):
-            sparse = self.vfe(grid)
-        channel_mask = None
+        channel_mask = outputs = vfe_outputs = None
         if inference:
             used = self.rpn.used_input_channels()
             if not used.all():
                 channel_mask = used
+            if tap:
+                outputs = vfe_outputs = np.ones(cfg.vfe_channels, dtype=bool)
+            else:
+                outputs = used.reshape(cfg.vfe_channels, self._nz).any(axis=1)
+                vfe_outputs = self.middle.live_inputs(outputs)
+        with PROFILER.stage("spod.vfe"):
+            sparse = self.vfe(grid, outputs=vfe_outputs)
         with PROFILER.stage("spod.middle"):
-            middle = self.middle.forward_sparse(sparse)
+            middle = self.middle.forward_sparse(sparse, outputs)
             bev = self.middle.to_dense(middle, channel_mask=channel_mask)
         tensors = {"pre": pre, "grid": grid, "bev": bev}
         if tap:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.detection.nn.layers import Linear, ReLU
+from repro.detection.nn.layers import Linear
 from repro.detection.nn.module import Module
 from repro.detection.nn.sparse import SparseTensor3d
 from repro.pointcloud.voxel import VoxelGrid
@@ -43,7 +43,6 @@ class VoxelFeatureEncoder(Module):
         self.out_channels = out_channels
         self.z_range = z_range
         self.linear = Linear(AUGMENTED_FEATURES, out_channels, seed=seed)
-        self.relu = ReLU()
         #: Compute dtype for the encoder and everything downstream of it
         #: (``None`` keeps the legacy float64 promotion).  The augmented
         #: features are cast once here; every later layer follows its
@@ -53,82 +52,114 @@ class VoxelFeatureEncoder(Module):
         self._cache: tuple | None = None
 
     # -- feature augmentation ---------------------------------------------
-    def augment(self, grid: VoxelGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Build the ``(V, T, AUGMENTED_FEATURES)`` input and validity mask."""
-        points = grid.points  # (V, T, 4)
+    def augment(
+        self, grid: VoxelGrid, inputs: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Build the ``(V, T, F)`` input and the ``(V, T)`` validity mask.
+
+        ``inputs`` is a boolean mask over the ``AUGMENTED_FEATURES``
+        features (default all); the result holds the marked features, in
+        order, and computes nothing else.  The padded points are read only
+        when a marked feature needs them: the count alone does not.
+        """
         counts = grid.counts
-        v, t, _ = points.shape
+        v, t = len(counts), grid.spec.max_points_per_voxel
         mask = np.arange(t)[None, :] < counts[:, None]
-        if v == 0:
-            return np.zeros((0, t, AUGMENTED_FEATURES)), mask
+        dtype = self.compute_dtype or np.dtype(np.float64)
+        if inputs is None:
+            inputs = np.ones(AUGMENTED_FEATURES, dtype=bool)
+        if v == 0 or not inputs.any():
+            return np.zeros((v, t, int(inputs.sum())), dtype=dtype), mask
 
-        safe_counts = np.maximum(counts, 1)[:, None, None]
-        sums = (points[:, :, :3] * mask[:, :, None]).sum(axis=1, keepdims=True)
-        centroid = sums / safe_counts
-        offsets = (points[:, :, :3] - centroid) * mask[:, :, None]
-
-        zmin, zmax = self.z_range
-        z_norm = np.clip((points[:, :, 2] - zmin) / (zmax - zmin), 0.0, 1.0)
-        count_norm = np.broadcast_to(
-            (counts / points.shape[1])[:, None], (v, t)
-        )
-        features = np.concatenate(
-            [
-                offsets,
-                z_norm[:, :, None],
-                points[:, :, 3:4],
-                count_norm[:, :, None],
-            ],
-            axis=-1,
-        )
-        features = features * mask[:, :, None]
-        if self.compute_dtype is not None and features.dtype != self.compute_dtype:
-            features = features.astype(self.compute_dtype)
-        return features, mask
+        columns = []
+        if inputs[:3].any():
+            points = grid.points
+            safe_counts = np.maximum(counts, 1)[:, None, None]
+            sums = (points[:, :, :3] * mask[:, :, None]).sum(axis=1, keepdims=True)
+            offsets = (points[:, :, :3] - sums / safe_counts) * mask[:, :, None]
+            columns += [offsets[:, :, i] for i in np.flatnonzero(inputs[:3])]
+        if inputs[3]:
+            zmin, zmax = self.z_range
+            columns.append(
+                np.clip((grid.points[:, :, 2] - zmin) / (zmax - zmin), 0.0, 1.0)
+            )
+        if inputs[4]:
+            columns.append(grid.points[:, :, 3])
+        if inputs[5]:
+            columns.append(np.broadcast_to((counts / t)[:, None], (v, t)))
+        features = np.stack(columns, axis=-1) * mask[:, :, None]
+        return features.astype(dtype, copy=False), mask
 
     # -- forward / backward -------------------------------------------------
-    def forward(self, grid: VoxelGrid) -> SparseTensor3d:
-        features, mask = self.augment(grid)
-        v, t, _ = features.shape
-        if v == 0:
-            self._cache = (0, t, np.zeros((0, self.out_channels), dtype=int), mask)
-            return SparseTensor3d(
-                grid.coords,
-                np.zeros(
-                    (0, self.out_channels), dtype=self.compute_dtype or np.float64
-                ),
-                grid.spec.grid_shape,
-            )
-        hidden = self.relu(self.linear(features.reshape(v * t, -1))).reshape(
-            v, t, self.out_channels
-        )
-        masked = np.where(mask[:, :, None], hidden, -np.inf)
-        if v == 0:
-            pooled = np.zeros((0, self.out_channels))
-            argmax = np.zeros((0, self.out_channels), dtype=int)
+    def forward(
+        self, grid: VoxelGrid, outputs: np.ndarray | None = None
+    ) -> SparseTensor3d:
+        """Pooled ``(V, out_channels)`` features of every voxel.
+
+        Training passes no ``outputs``: every channel is computed from all
+        six features, and :meth:`backward` can follow.  Inference passes the
+        boolean mask of the channels its consumer reads and keeps no state.
+        Only those channels are computed, from only the features their
+        weights read; every other channel is left zero.  A marked channel
+        with no live weight is ``relu(bias)`` in every voxel that holds a
+        point, so it reads no points.  Each feature left out has zero
+        weight in every computed channel, so for finite inputs they equal
+        the training pass.
+        """
+        weight = self.linear.weight.value
+        bias = self.linear.bias.value
+        dtype = self.compute_dtype or np.dtype(np.float64)
+        pooled = np.zeros((grid.num_voxels, self.out_channels), dtype=dtype)
+        training = outputs is None
+        if training:
+            weighted = np.ones(self.out_channels, dtype=bool)
+            read = np.ones(AUGMENTED_FEATURES, dtype=bool)
         else:
+            weighted = outputs & np.any(weight, axis=1)
+            read = np.any(weight[weighted], axis=0)
+            constant = outputs & ~weighted
+            level = bias[constant].astype(dtype)
+            pooled[:, constant] = np.where(
+                (level > 0) & (grid.counts > 0)[:, None], level, 0.0
+            )
+        if weighted.any():
+            features, mask = self.augment(grid, read)
+            v, t, f = features.shape
+            x = features.reshape(v * t, f)
+            # The product spans every output, as the training pass's does,
+            # so BLAS sums each kept column in the same order.
+            hidden = x @ weight[:, read].astype(dtype, copy=False).T
+            if not weighted.all():
+                hidden = hidden[:, weighted]
+            hidden += bias[weighted]
+            relu = hidden > 0
+            hidden = np.where(relu, hidden, 0.0).reshape(v, t, hidden.shape[1])
+            masked = np.where(mask[:, :, None], hidden, -np.inf)
             argmax = masked.argmax(axis=1)
-            pooled = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :]
-            pooled = np.where(np.isfinite(pooled), pooled, 0.0)
-        self._cache = (v, t, argmax, mask)
+            best = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :]
+            pooled[:, weighted] = np.where(np.isfinite(best), best, 0.0)
+            if training:
+                self._cache = (x, relu, argmax, mask)
         return SparseTensor3d(grid.coords, pooled, grid.spec.grid_shape)
 
     def backward(self, grad_output: SparseTensor3d | np.ndarray) -> np.ndarray:
-        v, t, argmax, mask = self._cache
+        x, relu, argmax, mask = self._cache
+        v, t = mask.shape
         grad_pooled = (
             grad_output.features
             if isinstance(grad_output, SparseTensor3d)
             else np.asarray(grad_output)
         )
         grad_hidden = np.zeros((v, t, self.out_channels))
-        if v:
-            np.put_along_axis(
-                grad_hidden, argmax[:, None, :], grad_pooled[:, None, :], axis=1
-            )
-            # Voxels with zero valid points contributed nothing.
-            grad_hidden *= mask[:, :, None]
-        grad_flat = self.relu.backward(grad_hidden.reshape(v * t, -1))
-        return self.linear.backward(grad_flat).reshape(v, t, AUGMENTED_FEATURES)
+        np.put_along_axis(
+            grad_hidden, argmax[:, None, :], grad_pooled[:, None, :], axis=1
+        )
+        # Voxels with zero valid points contributed nothing.
+        grad_hidden *= mask[:, :, None]
+        grad = np.where(relu, grad_hidden.reshape(v * t, self.out_channels), 0.0)
+        self.linear.weight.grad += grad.T @ x
+        self.linear.bias.grad += grad.sum(axis=0)
+        return (grad @ self.linear.weight.value).reshape(v, t, AUGMENTED_FEATURES)
 
     # -- analytic weights ---------------------------------------------------
     def analytic_init(self) -> None:

@@ -595,7 +595,9 @@ class FeatureTap:
                 heat=np.zeros((nx, ny), dtype=np.float64) if want_heat else None,
                 pre=None,
             )
-        tap = detector.forward_features(cloud, tap=True)
+        # The tap's BEV feeds only the confidence map's RPN pass, so it
+        # scatters only the channels the RPN reads.
+        tap = detector.forward_features(cloud, inference=True, tap=True)
         return FeatureTap(
             coords=np.asarray(tap["grid"].coords),
             features=np.asarray(tap["middle"].features, dtype=np.float64),
@@ -605,13 +607,22 @@ class FeatureTap:
 
 
 def feature_bev(detector: SPOD, fused: FusedFeatures) -> np.ndarray:
-    """Densify a fused sparse feature map for the shared RPN head."""
+    """Densify a fused sparse feature map for the shared RPN head.
+
+    Only the BEV channels the RPN's first convolution reads are scattered
+    (:meth:`RegionProposalNetwork.used_input_channels`); the others stay
+    zero, which is what a zero-weight consumer sees, so the objectness is
+    the same as over the full map.
+    """
     tensor = SparseTensor3d(
         fused.coords,
         fused.features.astype(detector.dtype),
         detector.config.voxel_spec.grid_shape,
     )
-    return detector.middle.to_dense(tensor)
+    used = detector.rpn.used_input_channels()
+    return detector.middle.to_dense(
+        tensor, channel_mask=None if used.all() else used
+    )
 
 
 def decode_fused(

@@ -9,7 +9,9 @@ The range crop tests one column at a time and copies the kept rows once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -83,14 +85,22 @@ class VoxelGrid:
     Attributes:
         spec: the grid geometry used.
         coords: ``(V, 3)`` integer voxel coordinates (ix, iy, iz).
-        points: ``(V, T, 4)`` padded per-voxel points (zero padding).
         counts: ``(V,)`` number of valid points in each voxel.
+        points: ``(V, T, 4)`` padded per-voxel points (zero padding), built
+            on first read and kept: a consumer that needs only ``coords``
+            and ``counts`` (the analytic detector's occupancy channel) never
+            pays for the padded tensor or the overflow sampling.
     """
 
     spec: VoxelGridSpec
     coords: np.ndarray
-    points: np.ndarray
     counts: np.ndarray
+    _fill: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The padded ``(V, T, 4)`` point tensor (see the class docstring)."""
+        return self._fill()
 
     @property
     def num_voxels(self) -> int:
@@ -120,6 +130,10 @@ def voxelize(
     per voxel, so one voxel's sample never depends on any other voxel's
     contents).  Voxels at or under the cap keep their points in stable
     scan order.
+
+    ``coords`` and ``counts`` are computed here.  The padded ``points``
+    tensor is filled on its first read, from the same rows and seed, so
+    it does not depend on when, or whether, it is read.
 
     ``dtype`` sets the storage dtype of the padded voxel tensor handed to
     the downstream kernels (default float32, the sensor dtype).  Grouping
@@ -201,29 +215,45 @@ def _voxelize(
         return VoxelGrid(
             spec,
             np.zeros((0, 3), dtype=np.int32),
-            np.zeros((0, t_max, 4), dtype=out_dtype),
             np.zeros(0, dtype=np.int32),
+            functools.partial(np.zeros, (0, t_max, 4), dtype=out_dtype),
         )
 
     # Group points by voxel using a stable (radix) sort of linear indices.
     order = np.argsort(linear, kind="stable")
     linear_sorted = linear.take(order)
-    data_sorted = data_in.take(order, axis=0)
 
     # Each voxel is one run of equal sorted keys.
     start_idx = np.flatnonzero(np.diff(linear_sorted, prepend=-1))
     unique_linear = linear_sorted.take(start_idx)
     group_counts = np.diff(start_idx, append=len(linear_sorted))
     grid_shape = spec.grid_shape
-    num_voxels = len(unique_linear)
-    points = np.zeros((num_voxels, t_max, 4), dtype=out_dtype)
     counts = np.minimum(group_counts, t_max).astype(np.int32)
     # Decode voxel coordinates from the unique linear indices directly —
     # cheaper than gathering a per-point coordinate table.
     cx, rem = np.divmod(unique_linear, grid_shape[1] * grid_shape[2])
     cy, cz = np.divmod(rem, grid_shape[2])
     coords = np.stack([cx, cy, cz], axis=1).astype(np.int32)
+    fill = functools.partial(
+        _fill_points,
+        data_in, order, start_idx, group_counts, unique_linear, t_max, seed, out_dtype,
+    )
+    return VoxelGrid(spec, coords, counts, fill)
 
+
+def _fill_points(
+    data_in: np.ndarray,
+    order: np.ndarray,
+    start_idx: np.ndarray,
+    group_counts: np.ndarray,
+    unique_linear: np.ndarray,
+    t_max: int,
+    seed: int,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """The padded ``(V, t_max, 4)`` tensor of a grid's voxel runs."""
+    data_sorted = data_in.take(order, axis=0)
+    num_voxels = len(start_idx)
     group_ids = np.repeat(np.arange(num_voxels), group_counts)
     positions = np.arange(len(data_sorted)) - np.repeat(start_idx, group_counts)
 
@@ -237,5 +267,6 @@ def _voxelize(
 
     keep = positions < t_max
     slots = np.compress(keep, group_ids * t_max + positions)
+    points = np.zeros((num_voxels, t_max, 4), dtype=dtype)
     points.reshape(-1, 4)[slots] = np.compress(keep, data_sorted, axis=0)
-    return VoxelGrid(spec, coords, points, counts)
+    return points

@@ -14,14 +14,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import kitti_cases
-from repro.datasets.tj import tj_cases
 from repro.detection.nn.layers import Conv2d, expand_channels
 from repro.detection.rpn import RegionProposalNetwork
 from repro.detection.spod import SPOD, SPODConfig
-from repro.fusion.align import merge_packages
 from repro.fusion.feature import rpn_confidence
-from repro.scenario import FAMILIES, build_case, compile_scenario, scenario_seed
-from tests.family_corpus import FAMILY_INDICES
+from tests.family_corpus import detection_clouds
 from tests.rpn_reference import reference_conv2d, reference_rpn
 
 
@@ -143,24 +140,11 @@ class TestConv2dLiveChannels:
         _assert_bytes_equal(live, reference_conv2d(conv, x)[:, 1:])
 
 
-def _merged(case):
-    own = case.cloud_of(case.receiver)
-    return merge_packages(own, case.packages_for_receiver(), case.receiver_measured_pose())
-
-
 @pytest.fixture(scope="module")
 def corpus_clouds():
     """The KITTI and T&J cases, single and merged, and one merged cloud of
     every scenario family."""
-    clouds = []
-    for case in kitti_cases() + tj_cases():
-        clouds += [case.cloud_of(case.receiver), _merged(case)]
-    for name in sorted(FAMILY_INDICES):
-        compiled = compile_scenario(
-            FAMILIES[name], scenario_seed(0, name, FAMILY_INDICES[name])
-        )
-        clouds.append(_merged(build_case(compiled)))
-    return clouds
+    return detection_clouds()
 
 
 def _random_rpn(seed: int, in_channels: int = 8) -> RegionProposalNetwork:
