@@ -61,14 +61,17 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply the transform to an ``(N, 3)`` array of points.
 
-        This is Eq. (3) of the paper: ``p' = R p + delta_d``.
+        This is Eq. (3) of the paper: ``p' = R p + delta_d``.  The
+        translation is added in place into the product, so a call
+        allocates one ``(N, 3)`` array.
         """
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = np.atleast_2d(points)
         if pts.shape[-1] != 3:
             raise ValueError(f"expected (N, 3) points, got shape {points.shape}")
-        out = pts @ self.rotation.T + self.translation
+        out = pts @ self.rotation.T
+        out += self.translation
         return out[0] if single else out
 
     def apply_vector(self, vectors: np.ndarray) -> np.ndarray:

@@ -113,30 +113,58 @@ HDL_64E = BeamPattern("HDL-64E", _uniform_elevations(-24.8, 2.0, 64), 0.4, 120.0
 class LidarScan:
     """One revolution of simulated LiDAR data.
 
+    Each return keeps its actor as an index into ``actor_names``, in the
+    smallest unsigned dtype that holds it (one byte for up to 255
+    actors).  Name queries read the indices through per-name lookup
+    tables, so an actor named ``"__ground__"`` counts as ground.
+
     Attributes:
         cloud: points in the *sensor* frame (x forward at yaw 0).
-        labels: per-point actor name, ``"__ground__"`` for ground returns.
+        actor_index: per-point index into ``actor_names``.
+        actor_names: the scanned actors' names in world order, then
+            ``"__ground__"`` for ground returns; empty for a blackout frame.
         pose: the true sensor pose the scan was taken from.
     """
 
     cloud: PointCloud
-    labels: np.ndarray
+    actor_index: np.ndarray
+    actor_names: tuple[str, ...]
     pose: Pose
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Per-point actor name, ``"__ground__"`` for ground returns.
+
+        Rebuilt on every read, as wide as the longest name in
+        ``actor_names`` (``<U1`` when there are none).
+        """
+        return self._names().take(self.actor_index)
+
+    def _names(self) -> np.ndarray:
+        return np.array(self.actor_names, dtype=str)
 
     def points_labeled(self, name: str) -> PointCloud:
         """Sub-cloud of returns from one actor."""
-        return self.cloud.select(self.labels == name)
+        return self.cloud.select((self._names() == name).take(self.actor_index))
 
     def points_per_actor(self) -> dict[str, int]:
-        """Return counts of LiDAR hits per actor (ground excluded)."""
-        names, counts = np.unique(self.labels, return_counts=True)
+        """Return counts of LiDAR hits per actor (ground excluded), by name
+        in sorted order."""
+        names, inverse = np.unique(self._names(), return_inverse=True)
+        counts = np.bincount(
+            inverse.take(self.actor_index), minlength=len(names)
+        )
         return {
-            str(n): int(c) for n, c in zip(names, counts) if n != _GROUND_LABEL
+            str(n): int(c)
+            for n, c in zip(names, counts)
+            if c and n != _GROUND_LABEL
         }
 
     def non_ground(self) -> PointCloud:
         """The cloud with ground returns removed."""
-        return self.cloud.select(self.labels != _GROUND_LABEL)
+        return self.cloud.select(
+            (self._names() != _GROUND_LABEL).take(self.actor_index)
+        )
 
 
 @dataclass(frozen=True)
@@ -206,6 +234,8 @@ class LidarModel:
         num_rays = len(directions)
 
         actors = list(world.actors)
+        # Ground returns take the index after the last actor's.
+        ground = len(actors)
         if actors:
             boxes = [a.box for a in actors]
             if cache is None:
@@ -227,7 +257,7 @@ class LidarModel:
             t_ground = np.where((dz < -1e-9) & (t_ground > 0), t_ground, np.inf)
             better = t_ground < best_t
             best_t = np.where(better, t_ground, best_t)
-            best_label = np.where(better, -2, best_label)  # ground sentinel
+            best_label = np.where(better, ground, best_label)
 
         valid = (
             np.isfinite(best_t)
@@ -237,31 +267,38 @@ class LidarModel:
         if self.dropout > 0:
             valid &= rng.random(num_rays) >= self.dropout
 
-        t = best_t[valid]
+        t = np.compress(valid, best_t)
         if self.range_noise_std > 0:
             t = t + rng.normal(0.0, self.range_noise_std, size=len(t))
             # Re-gate after adding noise: a draw must not push a return
             # outside the advertised range bounds (or behind the sensor).
             np.clip(t, self.min_range, self.pattern.max_range, out=t)
-        hit_world = origin + directions[valid] * t[:, None]
-        hit_local = pose.from_world().apply(hit_world) if len(t) else hit_world
+        # Hits are built in the world frame and mapped back: building them
+        # in the sensor frame would round differently.
+        hits = np.compress(valid, directions, axis=0)
+        hits *= t[:, None]
+        hits += origin
+        hit_local = pose.from_world().apply(hits) if len(t) else hits
 
-        label_idx = best_label[valid]
+        actor_index = np.compress(valid, best_label).astype(
+            np.min_scalar_type(ground)
+        )
         reflectance_table = np.array(
             [a.reflectance for a in actors] + [_GROUND_REFLECTANCE],
             dtype=np.float32,
         )
-        table_idx = np.where(label_idx == -2, len(actors), label_idx)
-        reflectance = reflectance_table[table_idx] + rng.normal(
+        reflectance = reflectance_table.take(actor_index) + rng.normal(
             0.0, 0.02, size=len(t)
         ).astype(np.float32)
         reflectance = np.clip(reflectance, 0.0, 1.0)
 
-        names = np.array([a.name for a in actors] + [_GROUND_LABEL])
-        labels = names[table_idx]
-
         cloud = PointCloud.from_xyz(hit_local, reflectance, frame_id="sensor")
-        return LidarScan(cloud=cloud, labels=labels, pose=pose)
+        return LidarScan(
+            cloud=cloud,
+            actor_index=actor_index,
+            actor_names=(*(a.name for a in actors), _GROUND_LABEL),
+            pose=pose,
+        )
 
 
 def _ray_direction_table(pattern: BeamPattern) -> np.ndarray:

@@ -103,7 +103,8 @@ def _blackout_scan(true_pose: Pose) -> LidarScan:
     """An empty frame: the LiDAR produced no returns this period."""
     return LidarScan(
         cloud=PointCloud.empty(frame_id="sensor"),
-        labels=np.empty(0, dtype="<U1"),
+        actor_index=np.empty(0, dtype=np.uint8),
+        actor_names=(),
         pose=true_pose,
     )
 

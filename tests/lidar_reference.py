@@ -1,20 +1,28 @@
-"""Dense reference implementation of the LiDAR's nearest-hit search.
+"""Dense reference implementations of the LiDAR's nearest-hit search and scan.
 
 The simulator slab-tests each actor only on the rays inside its azimuth
 wedge and merges the hits ray by ray (:mod:`repro.sensors.lidar`).  This
 module keeps the straightforward form of the same maths: every actor is
 slab-tested against every ray into an ``(A, N)`` hit matrix, and each
 ray's nearest hit is the matrix's ``argmin``.  Tests compare the two
-bit for bit, and patch :func:`reference_nearest_hits` into
-:mod:`repro.sensors.lidar` to produce reference scans.
+bit for bit.
 
-:func:`reference_nearest_hits` counts its calls in ``calls``, so a test
-can assert that the reference really ran.
+:func:`reference_scan` keeps a whole scan in its straightforward form:
+the dense cast, each return built in the world frame and mapped back,
+and a per-point string array of actor names.  Tests require the
+simulator's scans and rebuilt labels to equal it byte for byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.pointcloud.cloud import PointCloud
+from repro.sensors.lidar import (
+    _GROUND_LABEL,
+    _GROUND_REFLECTANCE,
+    _ray_direction_table,
+)
 
 
 def ray_boxes_batch(
@@ -76,10 +84,59 @@ def nearest_hits(t_hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best_label, best_t
 
 
-def reference_nearest_hits(pattern, pose, origin, directions, boxes):
-    """Drop-in for :func:`repro.sensors.lidar._nearest_hits`: dense + argmin."""
-    reference_nearest_hits.calls += 1
-    return nearest_hits(ray_boxes_batch(origin, directions, boxes))
+def reference_scan(lidar, world, pose, seed):
+    """A whole scan in its straightforward form: ``(cloud data, labels)``.
 
-
-reference_nearest_hits.calls = 0
+    The dense cast above finds each ray's nearest hit.  Each return is
+    built as ``origin + directions[valid] * t`` in the world frame and
+    mapped back with ``p @ R.T + t``, and its actor's name is gathered
+    into a per-point ``<U…>`` string array.  The noise streams are drawn
+    in the simulator's order, so :meth:`repro.sensors.lidar.LidarModel.scan`
+    with the same arguments must equal this byte for byte.
+    """
+    rng = np.random.default_rng(seed)
+    directions = _ray_direction_table(lidar.pattern) @ pose.to_world().rotation.T
+    origin = pose.position.astype(float)
+    actors = list(world.actors)
+    if actors:
+        best_label, best_t = nearest_hits(
+            ray_boxes_batch(origin, directions, [a.box for a in actors])
+        )
+    else:
+        best_t = np.full(len(directions), np.inf)
+        best_label = np.zeros(len(directions), dtype=np.int64)
+    if lidar.include_ground:
+        dz = directions[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ground = (world.ground_z - origin[2]) / dz
+        t_ground = np.where((dz < -1e-9) & (t_ground > 0), t_ground, np.inf)
+        better = t_ground < best_t
+        best_t = np.where(better, t_ground, best_t)
+        best_label = np.where(better, -2, best_label)  # ground sentinel
+    valid = (
+        np.isfinite(best_t)
+        & (best_t >= lidar.min_range)
+        & (best_t <= lidar.pattern.max_range)
+    )
+    if lidar.dropout > 0:
+        valid &= rng.random(len(directions)) >= lidar.dropout
+    t = best_t[valid]
+    if lidar.range_noise_std > 0:
+        t = t + rng.normal(0.0, lidar.range_noise_std, size=len(t))
+        np.clip(t, lidar.min_range, lidar.pattern.max_range, out=t)
+    hit_world = origin + directions[valid] * t[:, None]
+    if len(t):
+        from_world = pose.from_world()
+        hit_world = hit_world @ from_world.rotation.T + from_world.translation
+    table_idx = np.where(best_label[valid] == -2, len(actors), best_label[valid])
+    reflectance_table = np.array(
+        [a.reflectance for a in actors] + [_GROUND_REFLECTANCE],
+        dtype=np.float32,
+    )
+    reflectance = reflectance_table[table_idx] + rng.normal(
+        0.0, 0.02, size=len(t)
+    ).astype(np.float32)
+    reflectance = np.clip(reflectance, 0.0, 1.0)
+    names = np.array([a.name for a in actors] + [_GROUND_LABEL])
+    cloud = PointCloud.from_xyz(hit_world, reflectance, frame_id="sensor")
+    return cloud.data, names[table_idx]

@@ -277,7 +277,7 @@ class TestColocatedParity:
             scan=replace(
                 observation.scan,
                 cloud=PointCloud.empty(),
-                labels=observation.scan.labels[:0],
+                actor_index=observation.scan.actor_index[:0],
             ),
         )
         case = replace(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sensors.lidar as lidar_module
+from repro.faults import SensorFaults
 from repro.geometry.boxes import Box3D
 from repro.geometry.transforms import Pose
 from repro.scenario import FAMILIES, compile_scenario, scenario_seed
@@ -21,11 +22,12 @@ from repro.sensors.lidar import (
     _nearest_hits,
     _ray_direction_table,
 )
+from repro.sensors.rig import SensorRig
 from tests.family_corpus import FAMILY_INDICES
 from tests.lidar_reference import (
     nearest_hits,
     ray_boxes_batch,
-    reference_nearest_hits,
+    reference_scan,
 )
 
 
@@ -405,32 +407,170 @@ class TestWindowedCast:
         assert windowed == reference
 
 
+def _compiled_family(family_name):
+    return compile_scenario(
+        FAMILIES[family_name],
+        scenario_seed(0, family_name, FAMILY_INDICES[family_name]),
+    )
+
+
+def _assert_equals_reference(scan, reference):
+    data, labels = reference
+    assert scan.cloud.data.tobytes() == data.tobytes()
+    assert scan.labels.dtype == labels.dtype
+    assert scan.labels.tobytes() == labels.tobytes()
+
+
+def _assert_string_queries(scan):
+    """The name queries equal their definitions on the per-point labels."""
+    labels = scan.labels
+    for name in {*labels.tolist(), *scan.actor_names, "absent"}:
+        expected = scan.cloud.select(labels == name).data
+        assert scan.points_labeled(name).data.tobytes() == expected.tobytes()
+    names, counts = np.unique(labels, return_counts=True)
+    expected = {
+        str(n): int(c) for n, c in zip(names, counts) if n != "__ground__"
+    }
+    assert list(scan.points_per_actor().items()) == list(expected.items())
+    expected = scan.cloud.select(labels != "__ground__").data
+    assert scan.non_ground().data.tobytes() == expected.tobytes()
+
+
 class TestReferenceScans:
     @pytest.mark.parametrize("family_name", sorted(FAMILY_INDICES))
-    def test_family_scans_match_dense_reference(self, family_name, monkeypatch):
-        """Every observer's scan of one seeded scenario per family is
-        byte-identical to a scan cast with the dense reference."""
+    def test_family_scans_match_dense_reference(self, family_name):
+        """Every observer's scan of one seeded scenario per family, without
+        the scan cache, on its miss and on its hit, equals the dense
+        reference scan byte for byte: the cloud and the rebuilt labels."""
         assert set(FAMILY_INDICES) == set(FAMILIES)
-        compiled = compile_scenario(
-            FAMILIES[family_name],
-            scenario_seed(0, family_name, FAMILY_INDICES[family_name]),
-        )
-
-        def scans():
-            return [
-                LidarModel(pattern=compiled.rigs[name]).scan(
-                    compiled.world, pose, seed=11
-                )
-                for name, pose in compiled.viewpoints.items()
+        compiled = _compiled_family(family_name)
+        windowed = []
+        for name, pose in compiled.viewpoints.items():
+            lidar = LidarModel(pattern=compiled.rigs[name])
+            reference = reference_scan(lidar, compiled.world, pose, seed=11)
+            cache = ScanGeometryCache()
+            scans = [
+                lidar.scan(compiled.world, pose, seed=11),
+                lidar.scan(compiled.world, pose, seed=11, cache=cache),
+                lidar.scan(compiled.world, pose, seed=11, cache=cache),
             ]
-
-        windowed = scans()
-        calls = reference_nearest_hits.calls
-        with monkeypatch.context() as patch:
-            patch.setattr(lidar_module, "_nearest_hits", reference_nearest_hits)
-            reference = scans()
-        assert reference_nearest_hits.calls == calls + len(reference)
-        for fast, ref in zip(windowed, reference):
-            assert fast.cloud.data.tobytes() == ref.cloud.data.tobytes()
-            assert fast.labels.tobytes() == ref.labels.tobytes()
+            assert (cache.misses, cache.hits) == (1, 1)
+            for scan in scans:
+                _assert_equals_reference(scan, reference)
+            _assert_string_queries(scans[0])
+            windowed.append(scans[0])
         assert any(len(s.points_per_actor()) for s in windowed)
+
+
+def _ring_of_cars(count):
+    """``count`` cars on a 30 m ring around the origin."""
+    angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    return World(
+        tuple(
+            make_car(30.0 * np.cos(a), 30.0 * np.sin(a), yaw=a, name=f"car{i}")
+            for i, a in enumerate(angles)
+        )
+    )
+
+
+RING_LIDAR = LidarModel(pattern=BeamPattern("ring", (-2.0, 0.5), 0.5))
+
+
+class TestScanStorage:
+    """A scan keeps each return's actor as an index into its tuple of
+    names, not as a per-point string; every name query and the rebuilt
+    labels behave as the per-point strings did."""
+
+    def test_holds_no_per_return_string_array(self, tj_layout):
+        scan = LidarModel(pattern=HDL_64E).scan(
+            tj_layout.world, tj_layout.viewpoint("car1"), seed=3
+        )
+        assert "labels" not in vars(scan)
+        for value in vars(scan).values():
+            if isinstance(value, np.ndarray):
+                assert value.dtype.kind not in "USO"
+        assert scan.actor_index.dtype == np.uint8
+        assert len(scan.actor_index) == len(scan.cloud)
+        assert scan.actor_names[-1] == "__ground__"
+
+    @pytest.mark.parametrize(
+        "count, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16)]
+    )
+    def test_index_is_the_smallest_unsigned_type(self, count, dtype):
+        world = _ring_of_cars(count)
+        pose = pose_at()
+        scan = RING_LIDAR.scan(world, pose, seed=5)
+        assert scan.actor_index.dtype == dtype
+        assert len(scan.actor_names) == count + 1
+        assert len(scan.points_per_actor()) > count // 2
+        _assert_equals_reference(
+            scan, reference_scan(RING_LIDAR, world, pose, seed=5)
+        )
+        _assert_string_queries(scan)
+
+    def test_blackout_scan(self, simple_world, sensor_pose):
+        faults = SensorFaults(lidar_blackout=True)
+        scan = SensorRig().observe(simple_world, sensor_pose, faults=faults).scan
+        assert scan.labels.dtype == np.dtype("<U1")
+        assert len(scan.labels) == 0 and len(scan.cloud) == 0
+        assert scan.points_per_actor() == {}
+        _assert_string_queries(scan)
+
+    def test_world_without_actors(self, sensor_pose):
+        lidar = LidarModel(pattern=VLP_16)
+        world = World(())
+        scan = lidar.scan(world, sensor_pose, seed=2)
+        assert len(scan.cloud) > 0
+        assert scan.actor_names == ("__ground__",)
+        assert scan.points_per_actor() == {}
+        assert len(scan.non_ground()) == 0
+        _assert_equals_reference(
+            scan, reference_scan(lidar, world, sensor_pose, seed=2)
+        )
+        _assert_string_queries(scan)
+
+    def test_scan_without_returns(self, sensor_pose):
+        pattern = BeamPattern("short", (0.0,), 1.0, max_range=5.0)
+        lidar = LidarModel(pattern=pattern, include_ground=False)
+        world = World((make_car(10.0, 0.0, name="far"),))
+        scan = lidar.scan(world, sensor_pose, seed=0)
+        assert len(scan.cloud) == 0
+        _assert_equals_reference(
+            scan, reference_scan(lidar, world, sensor_pose, seed=0)
+        )
+        _assert_string_queries(scan)
+
+    def test_actor_without_hits(self, fast_lidar, sensor_pose):
+        wall = make_building(
+            10.0, 0.0, length=2.0, width=8.0, height=6.0, name="wall"
+        )
+        world = World((wall, make_car(20.0, 0.0, name="hidden")))
+        scan = fast_lidar.scan(world, sensor_pose, seed=0)
+        assert "hidden" in scan.actor_names
+        assert "hidden" not in scan.points_per_actor()
+        assert len(scan.points_labeled("hidden")) == 0
+        _assert_equals_reference(
+            scan, reference_scan(fast_lidar, world, sensor_pose, seed=0)
+        )
+        _assert_string_queries(scan)
+
+    def test_actor_named_like_the_ground(self, fast_lidar, sensor_pose):
+        """An actor called ``__ground__`` reads as ground, as its per-point
+        name did."""
+        world = World(
+            (
+                make_car(10.0, 0.0, name="__ground__"),
+                make_car(-8.0, 3.0, name="other"),
+            )
+        )
+        scan = fast_lidar.scan(world, sensor_pose, seed=0)
+        car_hits = int((scan.actor_index == 0).sum())
+        ground_hits = int((scan.actor_index == 2).sum())
+        assert car_hits > 0 and ground_hits > 0
+        assert list(scan.points_per_actor()) == ["other"]
+        assert len(scan.points_labeled("__ground__")) == car_hits + ground_hits
+        assert len(scan.non_ground()) == len(scan.cloud) - car_hits - ground_hits
+        _assert_equals_reference(
+            scan, reference_scan(fast_lidar, world, sensor_pose, seed=0)
+        )
+        _assert_string_queries(scan)
