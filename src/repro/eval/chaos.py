@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.detection.spod import SPOD
-from repro.eval.matching import match_detections
+from repro.eval.matching import in_eval_area, match_detections
 from repro.faults import FaultPlan
 from repro.fusion.agent import AgentStep, CooperAgent, CooperSession, ResilienceConfig
 from repro.fusion.cooper import Cooper
@@ -137,13 +137,7 @@ def _step_recall_counts(
     to_sensor = step.observation.true_pose.from_world()
     gt_boxes = [b.transformed(to_sensor) for b in session.world.target_boxes()]
     r = detector.config.voxel_spec.point_range
-    visible = [
-        b
-        for b in gt_boxes
-        if r[0] <= b.center[0] <= r[3]
-        and r[1] <= b.center[1] <= r[4]
-        and float(np.hypot(b.center[0], b.center[1])) <= max_eval_range
-    ]
+    visible = [b for b in gt_boxes if in_eval_area(b, r, max_eval_range)]
     if not visible:
         return 0, 0
     threshold = detector.config.detection_threshold

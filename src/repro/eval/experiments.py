@@ -18,10 +18,10 @@ from repro.datasets.base import CooperativeCase, make_case
 from repro.detection.spod import SPOD
 from repro.eval.cdf import improvement_percent
 from repro.eval.difficulty import Difficulty, classify_difficulty
-from repro.eval.matching import match_detections
+from repro.eval.matching import in_eval_area, match_detections
 from repro.fusion.align import merge_packages
 from repro.geometry.boxes import Box3D
-from repro.runtime import fork_available, parallel_map, resolve_workers
+from repro.runtime import parallel_map, resolve_workers
 
 __all__ = [
     "CarRecord",
@@ -92,14 +92,6 @@ def _band(distance: float) -> str:
     return "far"
 
 
-def _in_area(box: Box3D, detector: SPOD, max_eval_range: float) -> bool:
-    x, y = box.center[:2]
-    r = detector.config.voxel_spec.point_range
-    if not (r[0] <= x <= r[3] and r[1] <= y <= r[4]):
-        return False
-    return float(np.hypot(x, y)) <= max_eval_range
-
-
 def run_case(
     case: CooperativeCase,
     detector: SPOD | None = None,
@@ -141,8 +133,9 @@ def run_case(
         name: match_detections(dets, gts, gate_distance)
         for name, (dets, gts) in columns.items()
     }
+    point_range = detector.config.voxel_spec.point_range
     in_area = {
-        name: [_in_area(b, detector, max_eval_range) for b in gts]
+        name: [in_eval_area(b, point_range, max_eval_range) for b in gts]
         for name, (_dets, gts) in columns.items()
     }
 
@@ -255,16 +248,12 @@ def run_cases(
     the parent so ``--profile`` stays exact.
     """
     global _CASE_SET
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(cases) <= 1 or not fork_available():
-        _case_worker_init(detector)
-        return [run_case(case, _CASE_DETECTOR, **kwargs) for case in cases]
     _CASE_SET = list(cases)
     try:
         return parallel_map(
             _case_task,
             [(index, dict(kwargs)) for index in range(len(cases))],
-            workers=workers,
+            workers=min(resolve_workers(workers), len(cases)),
             initializer=_case_worker_init,
             initargs=(detector,),
         )

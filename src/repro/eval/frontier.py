@@ -30,7 +30,7 @@ from repro.datasets.base import CooperativeCase
 from repro.datasets.synthetic_kitti import kitti_cases
 from repro.detection.spod import SPOD
 from repro.eval.chaos import build_chaos_session, session_recall
-from repro.eval.matching import match_detections
+from repro.eval.matching import in_eval_area, match_detections
 from repro.faults import FaultPlan
 from repro.fusion.align import merge_packages
 from repro.fusion.feature import (
@@ -60,20 +60,6 @@ FRONTIER_MODES = ("raw", "roi", "feature", "gated")
 _SESSION_MODES = ("raw", "feature", "gated")
 
 
-def _visible_ground_truth(
-    case: CooperativeCase, detector: SPOD, max_eval_range: float
-) -> list:
-    """Ground-truth boxes the receiver could possibly be scored on."""
-    r = detector.config.voxel_spec.point_range
-    return [
-        b
-        for b in case.ground_truth_in(case.receiver)
-        if r[0] <= b.center[0] <= r[3]
-        and r[1] <= b.center[1] <= r[4]
-        and float(np.hypot(*b.center[:2])) <= max_eval_range
-    ]
-
-
 def case_frontier(
     case: CooperativeCase,
     detector: SPOD,
@@ -88,7 +74,12 @@ def case_frontier(
     ground-truth cars visible from its true pose.
     """
     config = config or FeatureFusionConfig()
-    visible = _visible_ground_truth(case, detector, max_eval_range)
+    r = detector.config.voxel_spec.point_range
+    visible = [
+        b
+        for b in case.ground_truth_in(case.receiver)
+        if in_eval_area(b, r, max_eval_range)
+    ]
     threshold = detector.config.detection_threshold
     receiver_cloud = case.cloud_of(case.receiver)
     receiver_pose = case.receiver_measured_pose()

@@ -18,9 +18,25 @@ from scipy.optimize import linear_sum_assignment
 from repro.detection.detections import Detection
 from repro.geometry.boxes import Box3D
 
-__all__ = ["MatchResult", "match_detections"]
+__all__ = ["MatchResult", "match_detections", "in_eval_area"]
 
 _UNMATCHABLE = 1e6
+
+
+def in_eval_area(
+    box: Box3D, point_range: tuple[float, ...], max_eval_range: float
+) -> bool:
+    """True when a ground-truth box can be scored from the sensor origin.
+
+    Its BEV centre must lie inside the detector's ``point_range`` crop and
+    within ``max_eval_range`` metres of the sensor (the box is in the
+    sensor frame).
+    """
+    x, y = box.center[:2]
+    r = point_range
+    if not (r[0] <= x <= r[3] and r[1] <= y <= r[4]):
+        return False
+    return float(np.hypot(x, y)) <= max_eval_range
 
 
 @dataclass

@@ -6,17 +6,15 @@ not a file: :mod:`repro.scenario.dsl` is a small Scenic-style grammar
 whose :func:`~repro.scenario.dsl.compile_scenario` collapses a spec + seed
 into a concrete :class:`~repro.scene.world.World` with observer poses and
 beam patterns — a pure, process-stable function of ``(spec, seed)``.
-:mod:`repro.scenario.families` ships five generative families plus
-point-mass specs that reproduce every hand-coded layout byte for byte,
-and :mod:`repro.scenario.fuzz` fans seeded sweeps over the worker pool
-with per-family recall contracts and violation shrinking.
+:mod:`repro.scenario.families` ships five generative families, and
+:mod:`repro.scenario.fuzz` fans seeded sweeps over the worker pool with
+per-family recall contracts and violation shrinking.
 
-Exports resolve lazily (PEP 562): :mod:`repro.scene.layouts` imports the
-shared placement sampler from this package, so an eager ``from .dsl
-import *`` here would close an import cycle through
-:mod:`repro.sensors.lidar`.  Lazy resolution keeps
-``repro.scenario.placement`` importable mid-way through the scene
-package's own import.
+Exports resolve lazily (PEP 562) from one name-to-module table: each
+name is written once, where eager imports would list it twice (import
+and ``__all__``), and a submodule loads only when one of its names is
+first used.  Within :mod:`repro` only the CLI imports this package, so
+``import repro`` loads none of it.
 """
 
 import importlib
@@ -33,11 +31,9 @@ _EXPORTS = {
     "FixedActors": "repro.scenario.dsl",
     "LaneRegion": "repro.scenario.dsl",
     "OccludedGroup": "repro.scenario.dsl",
-    "OccupancyGrid": "repro.scenario.dsl",
     "RectRegion": "repro.scenario.dsl",
     "RigDist": "repro.scenario.dsl",
     "RingRegion": "repro.scenario.dsl",
-    "Scatter": "repro.scenario.dsl",
     "ScenarioSpec": "repro.scenario.dsl",
     "TruncNormal": "repro.scenario.dsl",
     "Uniform": "repro.scenario.dsl",
@@ -45,15 +41,12 @@ _EXPORTS = {
     "ViewpointSpec": "repro.scenario.dsl",
     "beam_pattern": "repro.scenario.dsl",
     "compile_scenario": "repro.scenario.dsl",
-    "compile_world": "repro.scenario.dsl",
     "scenario_fingerprint": "repro.scenario.dsl",
     "world_fingerprint": "repro.scenario.dsl",
     # families
     "FAMILIES": "repro.scenario.families",
     "FAMILY_CONTRACTS": "repro.scenario.families",
-    "LAYOUT_SEEDS": "repro.scenario.families",
     "family": "repro.scenario.families",
-    "layout_parity_specs": "repro.scenario.families",
     # fuzz
     "CONTRACT_NAMES": "repro.scenario.fuzz",
     "ContractResult": "repro.scenario.fuzz",
@@ -71,7 +64,6 @@ _EXPORTS = {
     "PlacementError": "repro.scenario.placement",
     "bev_radius": "repro.scenario.placement",
     "place_with_clearance": "repro.scenario.placement",
-    "scatter_cars": "repro.scenario.placement",
 }
 
 __all__ = sorted(_EXPORTS)

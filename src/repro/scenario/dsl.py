@@ -15,12 +15,6 @@ beam patterns.  Compilation is a pure function of ``(spec, seed)``:
 * placement is rejection-sampled against a :class:`ClearanceIndex` with a
   deterministic bail-out (:mod:`repro.scenario.placement`), so compilation
   always terminates and never emits interpenetrating actors.
-
-Specs with ``legacy_seed=True`` instead share a single
-``np.random.default_rng(seed)`` stream across constructs in order — the
-exact draw discipline of the hand-coded builders in
-:mod:`repro.scene.layouts` — which is what lets the point-mass specs in
-:mod:`repro.scenario.families` regenerate those layouts bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +31,8 @@ from repro.scenario.placement import (
     PlacementError,
     bev_radius,
     place_with_clearance,
-    scatter_cars,
 )
+from repro.scene.layouts import Layout
 from repro.scene.objects import (
     Actor,
     make_building,
@@ -59,13 +53,10 @@ __all__ = [
     "UniformInt",
     "TruncNormal",
     "Choice",
-    "as_dist",
     "PlacementRegion",
     "LaneRegion",
     "RectRegion",
     "RingRegion",
-    "Scatter",
-    "OccupancyGrid",
     "FixedActors",
     "ActorDist",
     "Convoy",
@@ -78,7 +69,6 @@ __all__ = [
     "ScenarioSpec",
     "CompiledScenario",
     "compile_scenario",
-    "compile_world",
     "world_fingerprint",
     "scenario_fingerprint",
 ]
@@ -139,9 +129,8 @@ class Dist:
 class Constant(Dist):
     """A point mass: always ``value`` and never consumes randomness.
 
-    The degenerate distribution the parity specs are built from — a spec
-    whose every field is a :class:`Constant` compiles to the same world at
-    every seed position a richer spec would have drawn at.
+    Pins one field of a spec, such as a fixed viewpoint coordinate or an
+    exact actor count.
     """
 
     value: float
@@ -251,15 +240,6 @@ class Choice(Dist):
     def sample(self, rng: np.random.Generator) -> float:
         """Draw one option and coerce it to a float."""
         return float(self.pick(rng))
-
-
-def as_dist(value) -> Dist:
-    """Coerce a literal number to a :class:`Constant`; pass dists through."""
-    if isinstance(value, Dist):
-        return value
-    if isinstance(value, (int, float)):
-        return Constant(float(value))
-    raise TypeError(f"expected a number or Dist, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,67 +406,6 @@ _KIND_FOOTPRINT = {
     "building": (20.0, 12.0),
     "tree": (0.8, 0.8),
 }
-
-
-@dataclass(frozen=True)
-class Scatter(Construct):
-    """Cars on an explicit slot list — the layouts' historical scatter.
-
-    A degenerate (point-mass) construct: the slot list is fixed, only the
-    per-slot dimension/jitter draws consume randomness, in exactly the
-    order :func:`repro.scenario.placement.scatter_cars` has always drawn
-    them.  Used by the parity specs; generated actors are still reserved
-    in the clearance index so later generative constructs avoid them.
-    """
-
-    slots: tuple[tuple[float, float, float], ...]
-    prefix: str = "car"
-
-    def materialize(self, rng, ctx) -> list[Actor]:
-        """Scatter cars on the fixed slots and reserve them."""
-        cars = scatter_cars(rng, list(self.slots), self.prefix)
-        for car in cars:
-            ctx.index.reserve_actor(car)
-        return cars
-
-
-@dataclass(frozen=True)
-class OccupancyGrid(Construct):
-    """Parking-lot rows: a grid of stalls, each occupied with ``occupancy``.
-
-    Draws one occupancy coin per stall (always, so the draw sequence is a
-    pure function of the grid shape) and then scatters cars on the occupied
-    stalls — the exact discipline of the hand-coded ``parking_lot`` layout,
-    which its point-mass spec reproduces bit for bit.  Even rows face
-    ``yaw_even``, odd rows ``yaw_odd`` (nose-in/nose-out alternation).
-    """
-
-    rows: int
-    cols: int
-    occupancy: float
-    origin_x: float = 10.0
-    origin_y: float = 6.0
-    row_pitch: float = 11.0
-    col_pitch: float = 3.0
-    yaw_even: float = np.pi / 2
-    yaw_odd: float = -np.pi / 2
-    prefix: str = "parked"
-
-    def materialize(self, rng, ctx) -> list[Actor]:
-        """Coin-flip each stall, then scatter cars on the occupied ones."""
-        slots: list[tuple[float, float, float]] = []
-        for r in range(self.rows):
-            for c in range(self.cols):
-                if rng.random() > self.occupancy:
-                    continue
-                x = self.origin_x + c * self.col_pitch
-                y = self.origin_y + r * self.row_pitch
-                yaw = self.yaw_even if r % 2 == 0 else self.yaw_odd
-                slots.append((x, y, yaw))
-        cars = scatter_cars(rng, slots, self.prefix)
-        for car in cars:
-            ctx.index.reserve_actor(car)
-        return cars
 
 
 @dataclass(frozen=True)
@@ -741,7 +660,7 @@ class ViewpointSpec:
     @classmethod
     def fixed(cls, name: str, x: float, y: float, yaw: float = 0.0
               ) -> "ViewpointSpec":
-        """A point-mass viewpoint (the layouts' fixed observer poses)."""
+        """A point-mass viewpoint: a fixed observer pose."""
         return cls(name, Constant(x), Constant(y), Constant(yaw))
 
     def sample(self, rng: np.random.Generator) -> Pose:
@@ -798,9 +717,6 @@ class ScenarioSpec:
         max_attempts: rejection-sampling budget per actor.
         on_exhausted: deterministic bail-out — ``"drop"`` (record and
             continue) or ``"raise"`` (:class:`PlacementError`).
-        legacy_seed: share one ``default_rng(seed)`` stream across
-            constructs (the hand-coded layouts' draw discipline) instead
-            of per-construct :func:`derive_seed` streams.
     """
 
     name: str
@@ -812,7 +728,6 @@ class ScenarioSpec:
     viewpoint_clearance_m: float = 3.0
     max_attempts: int = 30
     on_exhausted: str = "drop"
-    legacy_seed: bool = False
 
     def __post_init__(self) -> None:
         if not self.viewpoints:
@@ -858,15 +773,9 @@ class CompiledScenario:
     receiver: str
     dropped: dict[str, int] = field(default_factory=dict)
 
-    def layout(self):
+    def layout(self) -> Layout:
         """Bridge to the layout-consuming APIs (:class:`Layout`)."""
-        from repro.scene.layouts import Layout
-
         return Layout(self.name, self.world, dict(self.viewpoints))
-
-    def fingerprint(self) -> str:
-        """Process-stable digest of everything compiled (see module docs)."""
-        return scenario_fingerprint(self)
 
 
 def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
@@ -874,43 +783,28 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
 
     Viewpoints are sampled first (their keep-out discs constrain actor
     placement), then each construct in order, then one rig per viewpoint.
-    In the default mode each stage draws from its own
-    :func:`~repro.runtime.derive_seed`-keyed stream; ``legacy_seed`` specs
-    share a single ``default_rng(seed)`` in stage order, matching the
-    hand-coded layout builders draw for draw.
+    Each stage draws from its own :func:`~repro.runtime.derive_seed`-keyed
+    stream.
     """
-    if spec.legacy_seed:
-        shared = np.random.default_rng(seed)
-        vp_rng = construct_rng = rig_rng = shared
-        construct_rngs = [shared] * len(spec.constructs)
-    else:
-        vp_rng = np.random.default_rng(
-            derive_seed(seed, "scenario", spec.name, "viewpoints")
-        )
-        construct_rngs = [
-            np.random.default_rng(
-                derive_seed(seed, "scenario", spec.name, "construct", i)
-            )
-            for i in range(len(spec.constructs))
-        ]
-        rig_rng = np.random.default_rng(
-            derive_seed(seed, "scenario", spec.name, "rigs")
+
+    def stream(*key) -> np.random.Generator:
+        return np.random.default_rng(
+            derive_seed(seed, "scenario", spec.name, *key)
         )
 
+    vp_rng = stream("viewpoints")
     viewpoints = {v.name: v.sample(vp_rng) for v in spec.viewpoints}
     ctx = _BuildContext(spec, viewpoints)
-    if not spec.legacy_seed:
-        # Observers own a keep-out disc: no sampled actor may sit on a
-        # sensor.  Legacy specs skip this — the hand-coded layouts place
-        # by fixed slots and never clearance-check.
-        for pose in viewpoints.values():
-            ctx.index.reserve(
-                pose.position[0], pose.position[1], spec.viewpoint_clearance_m
-            )
+    # Observers own a keep-out disc: no sampled actor may sit on a sensor.
+    for pose in viewpoints.values():
+        ctx.index.reserve(
+            pose.position[0], pose.position[1], spec.viewpoint_clearance_m
+        )
     actors: list[Actor] = []
-    for construct, rng in zip(spec.constructs, construct_rngs):
-        actors.extend(construct.materialize(rng, ctx))
+    for i, construct in enumerate(spec.constructs):
+        actors.extend(construct.materialize(stream("construct", i), ctx))
     world = World(tuple(actors))
+    rig_rng = stream("rigs")
     rigs = {v.name: spec.rig.sample(rig_rng) for v in spec.viewpoints}
     return CompiledScenario(
         name=spec.name,
@@ -921,11 +815,6 @@ def compile_scenario(spec: ScenarioSpec, seed: int) -> CompiledScenario:
         receiver=spec.receiver_name,
         dropped=dict(ctx.dropped),
     )
-
-
-def compile_world(spec: ScenarioSpec, seed: int) -> World:
-    """Compile and return just the sampled :class:`World`."""
-    return compile_scenario(spec, seed).world
 
 
 # ---------------------------------------------------------------------------
@@ -942,8 +831,9 @@ def world_fingerprint(world: World) -> str:
 
     Hashes every actor's name, kind, reflectance and full box geometry via
     ``float.hex`` (exact, no rounding), so two worlds share a fingerprint
-    iff they are bit-identical — the equality the parity and determinism
-    tests assert without comparing numpy arrays field by field.
+    iff they are bit-identical — the equality the determinism tests and
+    the pinned layout fingerprints assert without comparing numpy arrays
+    field by field.
     """
     h = hashlib.sha256()
     _hash_floats(h, [world.ground_z])

@@ -1,20 +1,12 @@
-"""The scenario family library: generative specs plus layout parity specs.
+"""The scenario family library: the generative specs the fuzzer sweeps.
 
-Two kinds of spec live here:
-
-* **Generative families** (:data:`FAMILIES`) — roundabout, highway merge,
-  occluded pedestrian, convoy, mixed-fleet intersection.  Each is a
-  distribution over worlds; sweeping the compile seed sweeps thousands of
-  distinct, collision-free scenes with the occlusion structure the family
-  name promises (the substrate :mod:`repro.scenario.fuzz` runs its recall
-  contracts over).
-* **Layout parity specs** (:func:`layout_parity_specs`) — every hand-coded
-  builder in :mod:`repro.scene.layouts` restated as a degenerate
-  (point-mass) spec: fixed slots, fixed viewpoints, ``legacy_seed=True``.
-  Compiling one at the layout's default seed reproduces the layout's
-  ``World`` byte for byte, which the parity tests assert — the proof that
-  the DSL subsumes the hand-coded scenarios rather than approximating
-  them.
+The families (:data:`FAMILIES`) are roundabout, highway merge, occluded
+pedestrian, convoy and mixed-fleet intersection.  Each is a distribution
+over worlds; sweeping the compile seed sweeps thousands of distinct,
+collision-free scenes with the occlusion structure the family name
+promises (the substrate :mod:`repro.scenario.fuzz` runs its recall
+contracts over).  The paper's fixed scenes are the hand-coded builders in
+:mod:`repro.scene.layouts`, not specs.
 
 Geometry convention: receivers sit near the origin facing +x, actors live
 roughly in x ∈ [0, 60], y ∈ [-20, 20] — inside SPOD's detection area and
@@ -25,13 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scene.objects import (
-    make_building,
-    make_cyclist,
-    make_pedestrian,
-    make_tree,
-    make_truck,
-)
+from repro.scene.objects import make_building, make_tree, make_truck
 from repro.scenario.dsl import (
     ActorDist,
     Choice,
@@ -40,11 +26,9 @@ from repro.scenario.dsl import (
     FixedActors,
     LaneRegion,
     OccludedGroup,
-    OccupancyGrid,
     RectRegion,
     RigDist,
     RingRegion,
-    Scatter,
     ScenarioSpec,
     TruncNormal,
     Uniform,
@@ -61,8 +45,6 @@ __all__ = [
     "occluded_pedestrian",
     "convoy",
     "mixed_fleet_intersection",
-    "layout_parity_specs",
-    "LAYOUT_SEEDS",
 ]
 
 
@@ -344,256 +326,3 @@ def family(name: str) -> ScenarioSpec:
             f"(valid families: {', '.join(sorted(FAMILIES))})"
         ) from None
 
-
-# ---------------------------------------------------------------------------
-# Layout parity specs (point-mass restatements of scene.layouts)
-# ---------------------------------------------------------------------------
-
-#: Default compile seed per hand-coded layout (the builders' defaults).
-LAYOUT_SEEDS: dict[str, int] = {
-    "t_junction": 0,
-    "stop_sign": 1,
-    "left_turn": 2,
-    "curve": 3,
-    "parking_lot": 10,
-    "two_lane_road": 20,
-    "highway_overtake": 25,
-    "crosswalk": 27,
-}
-
-
-def _curve_slots() -> tuple[tuple[float, float, float], ...]:
-    """The hand-coded curve arc: radius 60 centred at (0, 60), +24 m in x."""
-    slots = []
-    for angle_deg in (-18.0, -8.0, 2.0, 12.0, 22.0, 32.0):
-        angle = np.deg2rad(angle_deg)
-        x = 60.0 * np.sin(angle) + 24.0
-        y = 60.0 - 60.0 * np.cos(angle)
-        slots.append((x, y, angle))
-    slots.append((10.0, -4.5, 0.0))
-    slots.append((52.0, 16.0, np.deg2rad(40.0)))
-    return tuple(slots)
-
-
-def _two_lane_slots(num_cars: int = 6) -> tuple[tuple[float, float, float], ...]:
-    """The hand-coded two-lane slots: alternating lanes every 9 m."""
-    slots = []
-    for i in range(num_cars):
-        lane = 1.8 if i % 2 == 0 else -1.8
-        heading = np.pi if lane > 0 else 0.0
-        slots.append((12.0 + i * 9.0, lane, heading))
-    return tuple(slots)
-
-
-def layout_parity_specs() -> dict[str, ScenarioSpec]:
-    """Point-mass specs reproducing every hand-coded layout byte for byte.
-
-    Each spec uses ``legacy_seed=True`` (one shared ``default_rng(seed)``
-    across constructs, the builders' draw discipline), fixed slots and
-    fixed viewpoints; compiled at :data:`LAYOUT_SEEDS`, the resulting
-    ``World`` equals the builder's exactly — asserted by the parity tests.
-    """
-    vp = ViewpointSpec.fixed
-    specs = [
-        ScenarioSpec(
-            name="t_junction",
-            constructs=(
-                Scatter(
-                    (
-                        (18.0, 3.5, np.pi),
-                        (28.0, 3.5, np.pi),
-                        (40.0, 3.5, np.pi),
-                        (26.0, -3.5, 0.0),
-                        (46.0, -3.5, 0.0),
-                        (35.0, 10.0, -np.pi / 2),
-                        (35.0, 18.0, -np.pi / 2),
-                        (38.5, 13.0, np.pi / 2),
-                        (44.0, 7.0, 0.0),
-                    ),
-                    "car",
-                ),
-                FixedActors((
-                    make_truck(24.0, -0.5, yaw=0.0, name="truck-occluder"),
-                    make_building(18.0, 19.0, length=14.0, width=8.0,
-                                  name="bldg-nw"),
-                    make_building(52.0, 15.0, length=12.0, width=8.0,
-                                  name="bldg-ne"),
-                    make_building(30.0, -13.0, length=26.0, width=6.0,
-                                  name="bldg-s"),
-                    make_tree(10.0, 7.0, name="tree-0"),
-                    make_tree(56.0, 7.0, name="tree-1"),
-                )),
-            ),
-            viewpoints=(
-                vp("t1", 0.0, -1.5, 0.0),
-                vp("t2", 14.55, -0.2, 0.0),
-            ),
-            legacy_seed=True,
-        ),
-        ScenarioSpec(
-            name="stop_sign",
-            constructs=(
-                Scatter(
-                    (
-                        (18.5, 2.0, np.pi),
-                        (29.0, 1.8, np.pi),
-                        (20.0, 9.0, -np.pi / 2),
-                        (20.0, 16.0, -np.pi / 2),
-                        (35.0, -1.8, 0.0),
-                        (43.0, -1.8, 0.0),
-                        (25.0, 6.0, 0.0),
-                    ),
-                    "car",
-                ),
-                FixedActors((
-                    make_truck(26.0, -1.8, yaw=0.0, name="truck-occluder"),
-                    make_building(8.0, 11.0, length=10.0, width=8.0,
-                                  name="bldg-nw"),
-                    make_building(33.0, 13.0, length=12.0, width=8.0,
-                                  name="bldg-ne"),
-                    make_building(4.0, -16.0, length=10.0, width=6.0,
-                                  name="bldg-sw"),
-                    make_tree(14.0, -6.0, name="tree-0"),
-                )),
-            ),
-            viewpoints=(
-                vp("t3", 0.0, -1.8, 0.0),
-                vp("t4", 11.5, -8.5, np.pi / 2),
-            ),
-            legacy_seed=True,
-        ),
-        ScenarioSpec(
-            name="left_turn",
-            constructs=(
-                Scatter(
-                    (
-                        (16.0, 4.0, np.pi),
-                        (25.0, 4.0, np.pi),
-                        (21.0, -5.0, 0.0),
-                        (34.0, -8.0, -np.pi / 2),
-                        (34.0, -16.0, -np.pi / 2),
-                        (40.0, 2.0, np.pi),
-                        (13.0, 12.0, np.pi / 2),
-                    ),
-                    "car",
-                ),
-                FixedActors((
-                    make_building(28.0, 16.0, length=16.0, width=10.0,
-                                  name="bldg-a"),
-                    make_tree(10.0, -8.0, name="tree-0"),
-                    make_tree(44.0, -6.0, name="tree-1"),
-                )),
-            ),
-            viewpoints=(
-                vp("t5", 0.0, 0.0, 0.0),
-                vp("t6", 0.0, 0.0, float(np.deg2rad(35.0))),
-            ),
-            legacy_seed=True,
-        ),
-        ScenarioSpec(
-            name="curve",
-            constructs=(
-                Scatter(_curve_slots(), "car"),
-                FixedActors((
-                    make_building(30.0, 24.0, length=18.0, width=10.0,
-                                  yaw=0.4, name="bldg-inner"),
-                    make_building(6.0, 14.0, length=10.0, width=8.0,
-                                  name="bldg-a"),
-                    make_tree(40.0, -4.0, name="tree-0"),
-                )),
-            ),
-            viewpoints=(
-                vp("t7", 0.0, 0.0, 0.0),
-                vp("t8", 46.0, 14.0, float(np.deg2rad(35.0))),
-            ),
-            legacy_seed=True,
-        ),
-        ScenarioSpec(
-            name="parking_lot",
-            constructs=(
-                OccupancyGrid(rows=3, cols=6, occupancy=0.7, prefix="parked"),
-                FixedActors((
-                    make_building(14.0, -14.0, length=22.0, width=9.0,
-                                  name="bldg-office"),
-                    make_tree(2.0, 16.0, name="tree-0"),
-                    make_tree(30.0, 16.0, name="tree-1"),
-                )),
-            ),
-            viewpoints=(
-                vp("car1", 0.0, 0.0, 0.0),
-                vp("car2", 5.5, 0.0, 0.0),
-            ),
-            legacy_seed=True,
-        ),
-        ScenarioSpec(
-            name="two_lane_road",
-            constructs=(
-                Scatter(_two_lane_slots(), "car"),
-                FixedActors((
-                    make_building(30.0, 14.0, length=26.0, width=8.0,
-                                  name="bldg-n"),
-                    make_building(30.0, -14.0, length=26.0, width=8.0,
-                                  name="bldg-s"),
-                )),
-            ),
-            viewpoints=(
-                vp("ego", 0.0, -1.8, 0.0),
-                vp("oncoming", 66.0, 1.8, np.pi),
-                vp("leader", 18.0, -1.8, 0.0),
-            ),
-            legacy_seed=True,
-        ),
-        ScenarioSpec(
-            name="highway_overtake",
-            constructs=(
-                Scatter(
-                    (
-                        (52.0, 1.9, np.pi),
-                        (80.0, 1.9, np.pi),
-                        (46.0, -1.8, 0.0),
-                    ),
-                    "car",
-                ),
-                FixedActors((
-                    make_truck(24.0, -0.3, yaw=0.0, name="truck-slow"),
-                    make_tree(14.0, 9.0, name="tree-0"),
-                    make_tree(40.0, -9.0, name="tree-1"),
-                    make_building(60.0, 14.0, length=16.0, width=8.0,
-                                  name="barn"),
-                )),
-            ),
-            viewpoints=(
-                vp("follower", 10.0, -1.8, 0.0),
-                vp("helper", 64.0, 1.9, np.pi),
-            ),
-            legacy_seed=True,
-        ),
-        ScenarioSpec(
-            name="crosswalk",
-            constructs=(
-                Scatter(
-                    (
-                        (30.0, 3.4, np.pi),
-                        (38.0, 3.4, np.pi),
-                    ),
-                    "car",
-                ),
-                FixedActors((
-                    make_truck(16.0, -4.6, length=5.5, width=2.0, height=2.4,
-                               name="van-kerb"),
-                    make_pedestrian(20.6, -4.7, name="ped-hidden"),
-                    make_pedestrian(19.0, 2.0, name="ped-visible"),
-                    make_cyclist(26.0, 6.2, yaw=np.pi, name="cyclist-0"),
-                    make_building(10.0, 14.0, length=12.0, width=8.0,
-                                  name="bldg-n"),
-                    make_tree(34.0, -8.0, name="tree-0"),
-                )),
-            ),
-            viewpoints=(
-                vp("approach", 0.0, -1.6, 0.0),
-                vp("opposite", 33.0, 0.2, np.pi),
-            ),
-            legacy_seed=True,
-        ),
-    ]
-    return {spec.name: spec for spec in specs}

@@ -34,12 +34,7 @@ from repro.datasets.base import CooperativeCase
 from repro.detection.spod import SPOD
 from repro.eval.experiments import run_case
 from repro.faults.plan import FaultPlan
-from repro.runtime import (
-    derive_seed,
-    fork_available,
-    parallel_map,
-    resolve_workers,
-)
+from repro.runtime import derive_seed, parallel_map, resolve_workers
 from repro.scenario.dsl import (
     CompiledScenario,
     ScenarioSpec,
@@ -144,9 +139,8 @@ def build_case(
 # Compile sweep (structural pass over every scenario)
 # ---------------------------------------------------------------------------
 
-#: Spec published by the sweep drivers just before the pool forks; workers
-#: inherit it copy-on-write, so tasks ship a bare index (same pattern as
-#: ``repro.eval.experiments.run_cases``).
+#: Sweep state installed by :func:`_sweep_worker_init` in every worker (in
+#: the parent when the pool runs inline), so tasks ship a bare index.
 _FUZZ_SPEC: ScenarioSpec | None = None
 _FUZZ_DETECTOR: SPOD | None = None
 _FUZZ_CONTRACTS: tuple[str, ...] = ()
@@ -159,7 +153,7 @@ def _sweep_worker_init(
     detector: SPOD | None = None,
     contracts: tuple[str, ...] = (),
 ) -> None:
-    """Worker warm-up: install the fork-shared spec (and detector)."""
+    """Worker warm-up: install the sweep's spec (and detector)."""
     global _FUZZ_SPEC, _FUZZ_BASE_SEED, _FUZZ_DETECTOR, _FUZZ_CONTRACTS
     _FUZZ_SPEC = spec
     _FUZZ_BASE_SEED = base_seed
@@ -195,23 +189,13 @@ def compile_sweep(
     work, so thousands of scenarios cost seconds.  Results keep index
     order and are bit-identical at any worker count.
     """
-    global _FUZZ_SPEC, _FUZZ_BASE_SEED
-    workers = resolve_workers(workers)
-    if workers <= 1 or count <= 1 or not fork_available():
-        _sweep_worker_init(spec, base_seed)
-        return [_compile_task(index) for index in range(count)]
-    _FUZZ_SPEC = spec
-    _FUZZ_BASE_SEED = base_seed
-    try:
-        return parallel_map(
-            _compile_task,
-            list(range(count)),
-            workers=workers,
-            initializer=_sweep_worker_init,
-            initargs=(spec, base_seed),
-        )
-    finally:
-        _FUZZ_SPEC = None
+    return parallel_map(
+        _compile_task,
+        list(range(count)),
+        workers=min(resolve_workers(workers), count),
+        initializer=_sweep_worker_init,
+        initargs=(spec, base_seed),
+    )
 
 
 def sweep_digest(summaries: list[dict]) -> str:
@@ -277,33 +261,6 @@ def _contract_task(index: int) -> dict:
         except Exception as exc:  # noqa: BLE001 - the contract IS "no raise"
             out["crash"] = f"{type(exc).__name__}: {exc}"
     return out
-
-
-def _contract_sweep(
-    spec: ScenarioSpec,
-    indices: list[int],
-    base_seed: int,
-    contracts: tuple[str, ...],
-    detector: SPOD | None,
-    workers: int,
-) -> list[dict]:
-    """Run the detection contracts over the sampled scenario indices."""
-    global _FUZZ_SPEC, _FUZZ_BASE_SEED
-    if workers <= 1 or len(indices) <= 1 or not fork_available():
-        _sweep_worker_init(spec, base_seed, detector, contracts)
-        return [_contract_task(index) for index in indices]
-    _FUZZ_SPEC = spec
-    _FUZZ_BASE_SEED = base_seed
-    try:
-        return parallel_map(
-            _contract_task,
-            indices,
-            workers=workers,
-            initializer=_sweep_worker_init,
-            initargs=(spec, base_seed, detector, contracts),
-        )
-    finally:
-        _FUZZ_SPEC = None
 
 
 def sample_indices(count: int, sample: int) -> list[int]:
@@ -521,7 +478,13 @@ def fuzz_family(
     contracts = tuple(contracts)
     indices = sample_indices(count, sample) if contracts else []
     measurements = (
-        _contract_sweep(spec, indices, base_seed, contracts, detector, workers)
+        parallel_map(
+            _contract_task,
+            indices,
+            workers=min(workers, len(indices)),
+            initializer=_sweep_worker_init,
+            initargs=(spec, base_seed, detector, contracts),
+        )
         if indices
         else []
     )

@@ -1,19 +1,11 @@
-"""Collision-checked actor placement shared by layouts and the DSL.
+"""Collision-checked actor placement for the scenario DSL.
 
-Two placement paths used to exist: the hand-coded layout builders in
-:mod:`repro.scene.layouts` jittered cars onto fixed slots, and nothing
-guarded generated scenes against cars materialising inside each other.
-This module is the single shared sampler:
-
-* :func:`scatter_cars` — the layouts' historical slot scatter, moved here
-  verbatim (same RNG draw sequence, so every seeded layout is byte-identical
-  to before the extraction).
-* :class:`ClearanceIndex` + :func:`place_with_clearance` — rejection
-  sampling for the scenario grammar: a candidate position is accepted only
-  when its clearance disc does not intersect any already-placed actor's
-  disc, and the sampler bails out deterministically after a bounded number
-  of attempts (drop the actor and count it, or raise
-  :class:`PlacementError` — never an unbounded loop).
+:class:`ClearanceIndex` + :func:`place_with_clearance` do rejection
+sampling for the scenario grammar: a candidate position is accepted only
+when its clearance disc does not intersect any already-placed actor's
+disc, and the sampler bails out deterministically after a bounded number
+of attempts (drop the actor and count it, or raise
+:class:`PlacementError` — never an unbounded loop).
 
 Clearance uses a conservative BEV disc per actor (half the box diagonal
 plus the requested clearance margin).  Discs slightly over-reject versus
@@ -27,12 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.scene.objects import Actor, make_car, sample_car_dimensions
+from repro.scene.objects import Actor
 
 __all__ = [
     "PlacementError",
     "ClearanceIndex",
-    "scatter_cars",
     "place_with_clearance",
     "bev_radius",
 ]
@@ -45,38 +36,6 @@ class PlacementError(RuntimeError):
 def bev_radius(length: float, width: float) -> float:
     """Radius of the conservative BEV disc covering an oriented box."""
     return float(np.hypot(length, width)) / 2.0
-
-
-def scatter_cars(
-    rng: np.random.Generator,
-    slots: list[tuple[float, float, float]],
-    prefix: str,
-) -> list[Actor]:
-    """Instantiate cars with sampled dimensions at the given (x, y, yaw).
-
-    Each slot draws KITTI-like dimensions, a small position jitter and a
-    small yaw jitter from ``rng`` in a fixed order — the draw sequence the
-    seeded layout builders have always used, so moving the helper here
-    changed no world.  Slots are trusted (no clearance check): layout
-    authors space them by construction, and the jitter is far smaller than
-    any slot pitch.
-    """
-    cars = []
-    for i, (x, y, yaw) in enumerate(slots):
-        length, width, height = sample_car_dimensions(rng)
-        jitter = rng.normal(0.0, 0.15, size=2)
-        cars.append(
-            make_car(
-                x + jitter[0],
-                y + jitter[1],
-                yaw + rng.normal(0.0, 0.03),
-                length,
-                width,
-                height,
-                name=f"{prefix}-{i}",
-            )
-        )
-    return cars
 
 
 class ClearanceIndex:

@@ -15,17 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.transforms import Pose
-from repro.scenario.placement import scatter_cars
 from repro.scene.objects import (
+    Actor,
     make_building,
+    make_car,
     make_tree,
     make_truck,
+    sample_car_dimensions,
 )
 from repro.scene.world import World
 
 __all__ = [
     "Layout",
-    "scatter_cars",
     "t_junction",
     "stop_sign",
     "left_turn",
@@ -69,10 +70,35 @@ def _pose(x: float, y: float, yaw: float = 0.0) -> Pose:
     return Pose(np.array([x, y, _SENSOR_HEIGHT]), yaw=yaw)
 
 
-# The slot scatter now lives in repro.scenario.placement (shared with the
-# scenario DSL's collision-checked sampler); the alias keeps the builders
-# below and external callers on the same draw sequence as ever.
-_scatter_cars = scatter_cars
+def _scatter_cars(
+    rng: np.random.Generator,
+    slots: list[tuple[float, float, float]],
+    prefix: str,
+) -> list[Actor]:
+    """Instantiate cars with sampled dimensions at the given (x, y, yaw).
+
+    Each slot draws KITTI-like dimensions, a small position jitter and a
+    small yaw jitter from ``rng`` in a fixed order, so a layout's world is
+    a pure function of its seed.  Slots are trusted (no clearance check):
+    the builders space them by construction, and the jitter is far smaller
+    than any slot pitch.
+    """
+    cars = []
+    for i, (x, y, yaw) in enumerate(slots):
+        length, width, height = sample_car_dimensions(rng)
+        jitter = rng.normal(0.0, 0.15, size=2)
+        cars.append(
+            make_car(
+                x + jitter[0],
+                y + jitter[1],
+                yaw + rng.normal(0.0, 0.03),
+                length,
+                width,
+                height,
+                name=f"{prefix}-{i}",
+            )
+        )
+    return cars
 
 
 def t_junction(seed: int = 0) -> Layout:

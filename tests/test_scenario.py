@@ -1,4 +1,4 @@
-"""Tests for repro.scenario: grammar, parity, placement, fuzzing, shrinking."""
+"""Tests for repro.scenario: grammar, placement, fuzzing, shrinking; layouts."""
 
 import subprocess
 import sys
@@ -11,12 +11,9 @@ from repro.scenario.dsl import (
     BEAM_PATTERNS,
     Choice,
     Constant,
-    FixedActors,
-    LaneRegion,
     OccludedGroup,
     RectRegion,
     RigDist,
-    RingRegion,
     ScenarioSpec,
     TruncNormal,
     Uniform,
@@ -27,13 +24,7 @@ from repro.scenario.dsl import (
     scenario_fingerprint,
     world_fingerprint,
 )
-from repro.scenario.families import (
-    FAMILIES,
-    FAMILY_CONTRACTS,
-    LAYOUT_SEEDS,
-    family,
-    layout_parity_specs,
-)
+from repro.scenario.families import FAMILIES, FAMILY_CONTRACTS, family
 from repro.scenario.fuzz import (
     build_case,
     compile_sweep,
@@ -49,7 +40,6 @@ from repro.scenario.placement import (
     PlacementError,
     bev_radius,
     place_with_clearance,
-    scatter_cars,
 )
 from repro.scene import layouts
 from repro.scene.objects import make_car
@@ -102,11 +92,6 @@ class TestDistributions:
 
 
 class TestPlacement:
-    def test_scatter_cars_matches_layouts_alias(self):
-        # The satellite extraction: layouts._scatter_cars IS the shared
-        # sampler, same function object, same draw sequence.
-        assert layouts._scatter_cars is scatter_cars
-
     def test_clearance_index_rejects_overlap(self):
         index = ClearanceIndex()
         index.reserve(0.0, 0.0, 2.0)
@@ -361,31 +346,53 @@ class TestOccludedGroup:
 
 
 # ---------------------------------------------------------------------------
-# Layout parity (the DSL subsumes the hand-coded builders)
+# Layouts (each paper scene defined once, its world pinned by fingerprint)
 # ---------------------------------------------------------------------------
+
+#: ``world_fingerprint`` of each hand-coded layout at its default seed.  A
+#: layout's world depends only on numpy ``Generator`` draws, exact
+#: arithmetic and clips (and, for the curve arc, ``np.sin``/``np.cos`` of
+#: fixed angles, which equal libm's), so the digests are expected to hold
+#: in every environment.  Should one ever differ, key the table by
+#: environment; never loosen the comparison.
+LAYOUT_WORLDS = {
+    "t_junction":
+        "70b089786fc5f490d9f48f648b137c1f2bff41c0b9cb5920a5bd53cf5b8b63d0",
+    "stop_sign":
+        "f73c69008ae702b43a5d6bc4ecb1ea9bd1529ea335a6bc0987dce074198c16f9",
+    "left_turn":
+        "42b5a3f7efd272a551d5df40fc229af167e3faa763968d063398748740ec3abd",
+    "curve":
+        "c8f51f483d278a1e53d60922b35ca3469bddcbba83f6f45ee2e4c2c111f3db68",
+    "parking_lot":
+        "6c6b06e715db992638ea7fee29c53225c6b9d6af54ba522edc02216020ac631e",
+    "two_lane_road":
+        "38735c724e3680e071221f40828159bc322f9f5f687a4445daae11aff8735309",
+    "highway_overtake":
+        "018b299b14c9e759e267865d568350b62cfb4f7886ebc50cfe5d7bafcc74a2ef",
+    "crosswalk":
+        "57eb21f78bf9e9336bfdb6112a022c5ce6ea7d87233195939b33c0ee5549da55",
+}
+
+#: The parking lot the repo benchmark scans, and its world's fingerprint.
+PERFBENCH_LOT = {"seed": 51, "rows": 3, "cols": 6, "occupancy": 0.8}
+PERFBENCH_LOT_WORLD = (
+    "8929dbbaf6be7af7e87157e8cf0b54fe9c6dc41e351a8b02c027c2d894ff6726"
+)
 
 
 class TestLayoutParity:
-    @pytest.mark.parametrize("name", sorted(LAYOUT_SEEDS))
-    def test_point_mass_spec_reproduces_layout(self, name):
-        spec = layout_parity_specs()[name]
-        seed = LAYOUT_SEEDS[name]
-        built = getattr(layouts, name)(seed)
-        compiled = compile_scenario(spec, seed)
-        assert world_fingerprint(compiled.world) == world_fingerprint(
-            built.world
-        )
-        assert set(compiled.viewpoints) == set(built.viewpoints)
-        for vp_name, pose in built.viewpoints.items():
-            sampled = compiled.viewpoints[vp_name]
-            assert np.array_equal(sampled.position, pose.position)
-            assert sampled.yaw == pose.yaw
+    @pytest.mark.parametrize("name", sorted(LAYOUT_WORLDS))
+    def test_layout_world_is_pinned(self, name):
+        layout = getattr(layouts, name)()
+        assert world_fingerprint(layout.world) == LAYOUT_WORLDS[name]
 
-    def test_every_layout_has_a_parity_spec(self):
-        assert set(layout_parity_specs()) == set(layouts.__all__) - {
-            "Layout",
-            "scatter_cars",
-        }
+    def test_perfbench_lot_world_is_pinned(self):
+        layout = layouts.parking_lot(**PERFBENCH_LOT)
+        assert world_fingerprint(layout.world) == PERFBENCH_LOT_WORLD
+
+    def test_every_layout_is_pinned(self):
+        assert set(LAYOUT_WORLDS) == set(layouts.__all__) - {"Layout"}
 
     def test_layout_viewpoint_lists_valid_names_on_typo(self):
         layout = layouts.t_junction()
@@ -406,12 +413,9 @@ class TestDeterminism:
         script = (
             "from repro.scenario.dsl import compile_scenario, "
             "scenario_fingerprint\n"
-            "from repro.scenario.families import family, "
-            "layout_parity_specs\n"
+            "from repro.scenario.families import family\n"
             "prints = [scenario_fingerprint(compile_scenario("
             "family('roundabout'), s)) for s in (0, 1, 2)]\n"
-            "prints += [scenario_fingerprint(compile_scenario("
-            "layout_parity_specs()['t_junction'], 0))]\n"
             "print(prints)\n"
         )
         outputs = set()
