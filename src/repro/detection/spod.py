@@ -11,7 +11,6 @@ Cooper, runs unchanged on merged multi-vehicle clouds.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,25 +191,6 @@ class SPOD:
         yield from self.middle.parameters()
         yield from self.rpn.parameters()
 
-    def equivalent_to(self, other: "SPOD") -> bool:
-        """True when two detectors are interchangeable for batching.
-
-        The serving engine batches requests for different named models
-        through one detector, which is only sound when those detectors
-        would compute the same thing — same config, same compute dtype,
-        same weights.  Checked on live values (not identity), since
-        separately built pretrained detectors are identical.
-        """
-        if self is other:
-            return True
-        if self.config != other.config or self.dtype != other.dtype:
-            return False
-        mine = list(self.parameters())
-        theirs = list(other.parameters())
-        return len(mine) == len(theirs) and all(
-            np.array_equal(a.value, b.value) for a, b in zip(mine, theirs)
-        )
-
     # -- network forward ---------------------------------------------------
     def forward_features(
         self, cloud: PointCloud, inference: bool = False, tap: bool = False
@@ -345,12 +325,6 @@ class SPOD:
                 )
         with PROFILER.stage("spod.nms"):
             return rotated_nms(raw, self.config.nms_iou)
-
-    def detect_timed(self, cloud: PointCloud) -> tuple[list[Detection], float]:
-        """Like :meth:`detect` but also return wall-clock seconds (Fig. 9)."""
-        start = time.perf_counter()
-        detections = self.detect(cloud)
-        return detections, time.perf_counter() - start
 
     # -- decoding paths -------------------------------------------------------
     def _candidate_cells(self, cls_logits: np.ndarray) -> np.ndarray:

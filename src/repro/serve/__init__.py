@@ -12,16 +12,17 @@ and, at fleet scale, shards that engine behind a deterministic router.
   (detect, fuse+detect, ROI answer) and their audited lifecycle.
 * :class:`~repro.serve.queues.BoundedPriorityQueue` — admission control:
   bounded depth, documented total order, displace-or-refuse backpressure.
-* :class:`~repro.serve.engine.ServingEngine` — dynamic batching of
-  requests into one :meth:`~repro.detection.spod.SPOD.detect_batch`
-  call per dispatch, which runs the per-cloud pipeline on each cloud
-  (heterogeneous detectors co-batch only when
-  :meth:`~repro.detection.spod.SPOD.equivalent_to`), deadline-based load
+* :class:`~repro.serve.engine.ServingEngine` — one detector per engine;
+  dynamic batching of requests into one
+  :meth:`~repro.detection.spod.SPOD.detect_batch` call per dispatch,
+  which runs the per-cloud pipeline on each cloud; deadline-based load
   shedding, queue-depth lane autoscaling, optional fusion fan-out over
-  :mod:`repro.runtime` workers.
+  :mod:`repro.runtime` workers.  Service times are modelled
+  (:class:`~repro.serve.engine.ServiceModel`), not measured.
 * :class:`~repro.serve.fleet.FleetEngine` — N independent engine shards
-  behind a :func:`~repro.serve.fleet.route_client` hash router (pure
-  function of the routing seed; reshard-stable range partition).
+  over one shared detector, behind a
+  :func:`~repro.serve.fleet.route_client` hash router (pure function of
+  the routing seed; reshard-stable jump hash).
 * :mod:`~repro.serve.workload` — seeded load generation: open-loop
   Poisson-like arrivals (bursts, priority mixes, ingress channel faults)
   plus closed-loop platooning clients that wait for a reply before

@@ -4,9 +4,12 @@
 PerceptionRequest`\\ s into scheduled, batched, SLO-tracked work:
 
 * **Virtual clock** — scheduling runs on the workload's virtual
-  milliseconds, with service times given by a deterministic
-  :class:`ServiceModel` (calibrated to this repo's measured SPOD costs)
-  instead of wall-clock reads.  The entire decision sequence — admission,
+  milliseconds, with service times *modelled* by a deterministic
+  :class:`ServiceModel` instead of read off the wall clock.  The model's
+  constants are not fitted to today's detector: the repo benchmark's
+  ``serve.model_error_ratio_modelled`` (modelled over measured dispatch
+  time on the ``serve_trace`` workload) reads above 1, and ROADMAP.md
+  item 6 plans the refit.  The entire decision sequence — admission,
   batch composition, shed verdicts, completion times — is therefore a
   pure function of (engine config, request trace), bit-identical in
   every process and at every worker count.  Real wall-clock is still
@@ -27,12 +30,8 @@ PerceptionRequest`\\ s into scheduled, batched, SLO-tracked work:
   each cloud through the per-cloud detector pipeline; FUSE_DETECT
   requests are fused first — fanned out across a
   :class:`~repro.runtime.WorkerPool` when ``workers > 1`` — and ROI
-  answers batch separately as pure geometry.
-* **Heterogeneous detectors** — an engine may own several named detector
-  models (a mixed fleet).  Models whose detectors are interchangeable
-  (:meth:`~repro.detection.spod.SPOD.equivalent_to`) share one batch
-  group; requests co-batch only within their group, so one dispatch's
-  detector is always right for every request in it.
+  answers batch separately as pure geometry.  Each dispatch serves the
+  service class of the request at the head of the queue.
 * **Closed-loop clients** — alongside the open-loop trace, the engine
   accepts :class:`~repro.serve.workload.ClosedLoopClient` control loops
   that issue their next request only after the previous one reached a
@@ -40,10 +39,10 @@ PerceptionRequest`\\ s into scheduled, batched, SLO-tracked work:
   injected into the event loop on the virtual clock, so closed-loop
   scheduling stays a pure function of the seed.
 * **Lane autoscaling** — with ``max_lanes > lanes`` the engine adds a
-  virtual service lane when queue depth crosses ``scale_up_depth`` and
-  retires idle extra lanes when depth falls to ``scale_down_depth``;
-  every decision reads only virtual-clock state, and the lane events are
-  part of the determinism log.
+  virtual service lane when queue depth reaches :data:`SCALE_UP_DEPTH`
+  and retires idle extra lanes when depth falls to
+  :data:`SCALE_DOWN_DEPTH`; every decision reads only virtual-clock
+  state, and the lane events are part of the determinism log.
 * **SLO-aware shedding** — at dispatch, any request that provably cannot
   meet its deadline (even served alone, immediately) is shed instead of
   burning service capacity; its record says so.
@@ -80,16 +79,31 @@ from repro.serve.requests import (
 
 __all__ = ["ServiceModel", "ServeConfig", "BatchRecord", "ServeResult", "ServingEngine"]
 
+#: Queue depth at or above which an autoscaling engine adds a lane.
+SCALE_UP_DEPTH = 12
+#: Queue depth at or below which an autoscaling engine retires an idle
+#: extra lane.
+SCALE_DOWN_DEPTH = 2
+#: Multiplier on ``max_wait_ms`` while in brownout: a shrunken batching
+#: window drains the queue at lower latency.
+BROWNOUT_WAIT_FACTOR = 0.25
+#: Arrivals with priority at or below this are shed (``SHED_BROWNOUT``)
+#: while in brownout.
+BROWNOUT_SHED_PRIORITY = 0
+
 
 @dataclass(frozen=True)
 class ServiceModel:
-    """Deterministic virtual service-time model of one dispatch.
+    """Deterministic *modelled* service time of one dispatch.
 
-    The defaults approximate this repo's measured float32 SPOD costs
-    (PR 4: ~12 ms fixed decode/NMS floor, a few ms per cloud, point-count
-    dominated voxelize/VFE) — close enough that the virtual overload knee
-    lands where the real hardware's would, while keeping scheduling a
-    pure function of the trace.
+    The defaults are estimates of float32 SPOD costs taken when the
+    engine was written (a ~12 ms fixed decode/NMS floor per dispatch, a
+    few ms per cloud, point-count dominated voxelize/VFE), not a fit to
+    the current detector.  They keep scheduling a pure function of the
+    trace; how far they sit from measured dispatch times is the repo
+    benchmark's ``serve.model_error_ratio_modelled`` (the median over
+    ``serve_trace`` dispatches of modelled over measured time), and
+    ROADMAP.md item 6 plans their refit.
 
     Attributes:
         batch_base_ms: fixed cost of one detect-class dispatch.
@@ -152,25 +166,16 @@ class ServeConfig:
             time).
         max_lanes: autoscaling ceiling; 0 disables autoscaling, otherwise
             must be >= ``lanes`` and the engine may grow up to this many
-            lanes under queue pressure.
-        scale_up_depth: queue depth at or above which an extra lane is
-            added (when autoscaling).
-        scale_down_depth: queue depth at or below which an idle extra
-            lane is retired (when autoscaling).
-        shed_deadlines: shed requests that provably cannot meet their
-            deadline instead of serving them late.
+            lanes under queue pressure (:data:`SCALE_UP_DEPTH`,
+            :data:`SCALE_DOWN_DEPTH`).
         brownout_enter_depth: queue depth at or above which the engine
-            enters *brownout* degradation — shedding low-priority
-            arrivals and shrinking the batching window — until depth
+            enters *brownout* degradation — shedding arrivals of priority
+            at most :data:`BROWNOUT_SHED_PRIORITY` and shrinking the
+            batching window by :data:`BROWNOUT_WAIT_FACTOR` — until depth
             falls back to ``brownout_exit_depth`` (hysteresis).  0
             disables brownout.
         brownout_exit_depth: queue depth at or below which a brownout
             ends; must be below ``brownout_enter_depth``.
-        brownout_wait_factor: multiplier on ``max_wait_ms`` while in
-            brownout (a shrunken batching window drains the queue at
-            lower latency, trading batching efficiency for headroom).
-        brownout_shed_priority: arrivals with priority at or below this
-            are shed (``SHED_BROWNOUT``) while in brownout.
         service_model: the virtual cost model.
     """
 
@@ -179,13 +184,8 @@ class ServeConfig:
     queue_capacity: int = 64
     lanes: int = 1
     max_lanes: int = 0
-    scale_up_depth: int = 12
-    scale_down_depth: int = 2
-    shed_deadlines: bool = True
     brownout_enter_depth: int = 0
     brownout_exit_depth: int = 2
-    brownout_wait_factor: float = 0.25
-    brownout_shed_priority: int = 0
     service_model: ServiceModel = field(default_factory=ServiceModel)
 
     def __post_init__(self) -> None:
@@ -199,12 +199,6 @@ class ServeConfig:
             raise ValueError("lanes must be at least 1")
         if self.max_lanes and self.max_lanes < self.lanes:
             raise ValueError("max_lanes must be 0 (off) or >= lanes")
-        if self.scale_up_depth < 1:
-            raise ValueError("scale_up_depth must be at least 1")
-        if self.scale_down_depth < 0:
-            raise ValueError("scale_down_depth must be non-negative")
-        if self.scale_up_depth <= self.scale_down_depth:
-            raise ValueError("scale_up_depth must exceed scale_down_depth")
         if self.brownout_enter_depth < 0:
             raise ValueError("brownout_enter_depth must be non-negative")
         if self.brownout_enter_depth:
@@ -214,8 +208,6 @@ class ServeConfig:
                 raise ValueError(
                     "brownout_enter_depth must exceed brownout_exit_depth"
                 )
-        if not 0 < self.brownout_wait_factor <= 1:
-            raise ValueError("brownout_wait_factor must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,6 @@ class BatchRecord:
 
     batch_id: int
     service_class: str
-    group: str
     lane: int
     dispatch_ms: float
     service_ms: float
@@ -237,7 +228,6 @@ class BatchRecord:
         return {
             "batch_id": self.batch_id,
             "class": self.service_class,
-            "group": self.group,
             "lane": self.lane,
             "dispatch_ms": round(self.dispatch_ms, 6),
             "service_ms": round(self.service_ms, 6),
@@ -301,17 +291,14 @@ class ServeResult:
 
 
 class ServingEngine:
-    """Event-driven serving of perception requests over named detectors.
+    """Event-driven serving of perception requests over one detector.
 
-    One engine owns one or more named detectors plus a bounded queue and
-    ``lanes`` virtual service lanes.  Detector models are grouped by
-    :meth:`SPOD.equivalent_to` (equal config, dtype and live weights),
-    and detect-class requests batch only within their model's group, so
-    every dispatch is sound by construction.
-    ``workers`` fans the *fusion and ROI geometry* work of each dispatch
-    across a :class:`~repro.runtime.WorkerPool`; the detector always
-    runs in the parent so batch composition and numerics cannot depend
-    on worker layout.
+    One engine owns one detector plus a bounded queue and ``lanes``
+    virtual service lanes; every detect-class dispatch runs through that
+    detector.  ``workers`` fans the *fusion and ROI geometry* work of
+    each dispatch across a :class:`~repro.runtime.WorkerPool`; the
+    detector always runs in the parent so batch composition and numerics
+    cannot depend on worker layout.
     """
 
     def __init__(
@@ -319,52 +306,10 @@ class ServingEngine:
         detector: SPOD | None = None,
         config: ServeConfig | None = None,
         workers: int | None = None,
-        detectors: dict[str, SPOD] | None = None,
     ) -> None:
-        if detectors is not None and detector is not None:
-            raise ValueError("pass either detector or detectors, not both")
-        if detectors is not None:
-            if not detectors:
-                raise ValueError("detectors must not be empty")
-            self.detectors = dict(detectors)
-        else:
-            self.detectors = {"default": detector or SPOD.pretrained()}
-        self.detector = next(iter(self.detectors.values()))
+        self.detector = detector or SPOD.pretrained()
         self.config = config or ServeConfig()
         self.workers = resolve_workers(workers)
-        # Group models whose detectors are interchangeable: the group
-        # label is the lexically-first equivalent model name, so the
-        # grouping is deterministic regardless of dict order.
-        self._group_of: dict[str, str] = {}
-        self._group_detector: dict[str, SPOD] = {}
-        for name in sorted(self.detectors):
-            for label, rep in self._group_detector.items():
-                if self.detectors[name].equivalent_to(rep):
-                    self._group_of[name] = label
-                    break
-            else:
-                self._group_of[name] = name
-                self._group_detector[name] = self.detectors[name]
-
-    def batch_group(self, model: str) -> str:
-        """The batch-compatibility group label of one model name."""
-        try:
-            return self._group_of[model]
-        except KeyError:
-            raise ValueError(
-                f"unknown detector model {model!r}; engine serves "
-                f"{sorted(self.detectors)}"
-            ) from None
-
-    def _batch_key(self, request: PerceptionRequest) -> tuple[str, str]:
-        """(service_class, group) — the batching compatibility key.
-
-        ROI answers are pure geometry (no detector), so every model maps
-        to one shared ROI group.
-        """
-        if request.kind.service_class == "roi":
-            return ("roi", "roi")
-        return ("detect", self.batch_group(request.model))
 
     def serve(
         self,
@@ -395,10 +340,7 @@ class ServingEngine:
         for request in list(arrivals) + list(lost):
             if request.request_id in records:
                 raise ValueError(f"duplicate request_id {request.request_id}")
-            self.batch_key_check(request)
             records[request.request_id] = RequestRecord.for_request(request)
-        for client in closed_loop:
-            self.batch_group(client.model)
         for request in lost:
             record = records[request.request_id]
             record.status = RequestStatus.LOST_INGRESS
@@ -448,10 +390,6 @@ class ServingEngine:
         PROFILER.count("serve.batches", len(batches))
         return result
 
-    def batch_key_check(self, request: PerceptionRequest) -> None:
-        """Validate that the request's model maps to a known detector."""
-        self._batch_key(request)
-
     # -- the event loop ----------------------------------------------------
     def _run_loop(
         self, state: "_LoopState", pool: WorkerPool | None
@@ -482,9 +420,7 @@ class ServingEngine:
                 # The shard dies before this batch would start.
                 self._process_crashes(state, dispatch_ms)
                 continue
-            batch, shed, service_class, group = self._drain_batch(
-                state, dispatch_ms
-            )
+            batch, shed, service_class = self._drain_batch(state, dispatch_ms)
             for request in shed:
                 record = state.records[request.request_id]
                 record.status = RequestStatus.SHED_DEADLINE
@@ -504,7 +440,7 @@ class ServingEngine:
                 continue
             batch_record = self._execute_batch(
                 state, batch, len(batches), lane, dispatch_ms,
-                service_class, group, service_ms, pool,
+                service_class, service_ms, pool,
             )
             batches.append(batch_record)
             service_wall += batch_record.wall_seconds
@@ -660,10 +596,7 @@ class ServingEngine:
                 record.decided_ms = request.arrival_ms
                 state.source.notify(request, request.arrival_ms, completed=False)
                 continue
-            if (
-                state.brownout
-                and request.priority <= self.config.brownout_shed_priority
-            ):
+            if state.brownout and request.priority <= BROWNOUT_SHED_PRIORITY:
                 record = state.records[request.request_id]
                 record.status = RequestStatus.SHED_BROWNOUT
                 record.decided_ms = request.arrival_ms
@@ -684,7 +617,7 @@ class ServingEngine:
         if cfg.max_lanes <= 0:
             return
         depth = len(state.queue)
-        if depth >= cfg.scale_up_depth and len(state.lanes) < cfg.max_lanes:
+        if depth >= SCALE_UP_DEPTH and len(state.lanes) < cfg.max_lanes:
             state.lanes.append(t_now)
             state.max_lanes_used = max(state.max_lanes_used, len(state.lanes))
             state.lane_events.append(
@@ -696,7 +629,7 @@ class ServingEngine:
                 }
             )
             PROFILER.count("serve.lane_scale_up")
-        elif depth <= cfg.scale_down_depth and len(state.lanes) > cfg.lanes:
+        elif depth <= SCALE_DOWN_DEPTH and len(state.lanes) > cfg.lanes:
             # Retire the highest-index idle extra lane, if any is idle.
             for index in range(len(state.lanes) - 1, cfg.lanes - 1, -1):
                 if state.lanes[index] <= t_now + 1e-9:
@@ -733,7 +666,7 @@ class ServingEngine:
         if state.brownout:
             # Brownout: shrink the batching window so queued work drains
             # sooner at the cost of smaller batches.
-            wait_ms *= cfg.brownout_wait_factor
+            wait_ms *= BROWNOUT_WAIT_FACTOR
         while True:
             if len(state.queue) >= cfg.max_batch_size:
                 return t_free
@@ -749,33 +682,27 @@ class ServingEngine:
 
     def _drain_batch(
         self, state: "_LoopState", dispatch_ms: float
-    ) -> tuple[list[PerceptionRequest], list[PerceptionRequest], str, str]:
-        """Pop the next batch (head's batch key), shedding dead SLOs.
+    ) -> tuple[list[PerceptionRequest], list[PerceptionRequest], str]:
+        """Pop the next batch (head's service class), shedding dead SLOs.
 
         A request is shed when even the fastest conceivable service —
         alone, starting now — would finish past its deadline; shed
         requests do not consume batch slots.
         """
         model = self.config.service_model
-        service_class, group = self._batch_key(state.queue.head())
-        key = (service_class, group)
+        service_class = state.queue.head().kind.service_class
         batch: list[PerceptionRequest] = []
         shed: list[PerceptionRequest] = []
         while len(batch) < self.config.max_batch_size:
-            popped = state.queue.pop_matching(
-                lambda request: self._batch_key(request) == key, 1
-            )
+            popped = state.queue.pop_class(service_class, 1)
             if not popped:
                 break
             request = popped[0]
-            if (
-                self.config.shed_deadlines
-                and dispatch_ms + model.floor_ms(request) > request.deadline_ms
-            ):
+            if dispatch_ms + model.floor_ms(request) > request.deadline_ms:
                 shed.append(request)
             else:
                 batch.append(request)
-        return batch, shed, service_class, group
+        return batch, shed, service_class
 
     # -- dispatch execution ------------------------------------------------
     def _execute_batch(
@@ -786,7 +713,6 @@ class ServingEngine:
         lane: int,
         dispatch_ms: float,
         service_class: str,
-        group: str,
         service_ms: float,
         pool: WorkerPool | None,
     ) -> BatchRecord:
@@ -802,7 +728,7 @@ class ServingEngine:
         if service_class == "roi":
             result_counts = self._execute_roi(batch, pool)
         else:
-            result_counts = self._execute_detect(batch, group, pool)
+            result_counts = self._execute_detect(batch, pool)
         wall_seconds = time.perf_counter() - wall_start
         PROFILER.record("serve.service", wall_seconds)
         PROFILER.count("serve.batched_requests", len(batch))
@@ -826,7 +752,6 @@ class ServingEngine:
         return BatchRecord(
             batch_id=batch_id,
             service_class=service_class,
-            group=group,
             lane=lane,
             dispatch_ms=dispatch_ms,
             service_ms=service_ms,
@@ -836,10 +761,7 @@ class ServingEngine:
         )
 
     def _execute_detect(
-        self,
-        batch: list[PerceptionRequest],
-        group: str,
-        pool: WorkerPool | None,
+        self, batch: list[PerceptionRequest], pool: WorkerPool | None
     ) -> list[int]:
         """Fuse where needed, then one detector call over the batch;
         returns per-request detection counts.
@@ -847,11 +769,8 @@ class ServingEngine:
         Fusion is a pure function of (cloud, pose, packages), so fanning
         it to workers cannot change the merged clouds; the detector pass
         itself always runs here in the parent over the batch in queue
-        order, keeping numerics independent of the worker count.  The
-        detector is the batch group's representative — sound because
-        every model in the group is :meth:`SPOD.equivalent_to` it.
+        order, keeping numerics independent of the worker count.
         """
-        detector = self._group_detector[group]
         fuse_payloads = [
             (request.cloud, request.pose, request.packages)
             for request in batch
@@ -869,8 +788,8 @@ class ServingEngine:
             for request in batch
         ]
         with PROFILER.stage("serve.detect"):
-            all_detections = detector.detect_batch(clouds)
-        threshold = detector.config.detection_threshold
+            all_detections = self.detector.detect_batch(clouds)
+        threshold = self.detector.config.detection_threshold
         return [
             sum(1 for d in detections if d.score >= threshold)
             for detections in all_detections

@@ -43,13 +43,7 @@ import numpy as np
 from repro.detection.spod import SPOD
 from repro.faults.serve import ShardFaultPlan
 from repro.profiling import PROFILER
-from repro.runtime import (
-    WorkerPool,
-    derive_seed,
-    fork_available,
-    resolve_workers,
-    stable_hash,
-)
+from repro.runtime import WorkerPool, derive_seed, resolve_workers, stable_hash
 from repro.serve.engine import ServeConfig, ServeResult, ServingEngine
 from repro.serve.requests import PerceptionRequest, RequestRecord, RequestStatus
 
@@ -381,7 +375,7 @@ class FleetEngine:
     """N independent serving shards behind the deterministic router.
 
     Every shard gets its own :class:`ServingEngine` over the *same*
-    detector objects (read-only at serve time, so sharing is safe) and
+    detector object (read-only at serve time, so sharing is safe) and
     the same :class:`ServeConfig`.  ``workers`` parallelizes across
     shards — each shard engine runs single-worker inside its process, so
     the process tree stays flat and the per-shard logs are what a lone
@@ -393,16 +387,13 @@ class FleetEngine:
         detector: SPOD | None = None,
         config: FleetConfig | None = None,
         workers: int | None = None,
-        detectors: dict[str, SPOD] | None = None,
     ) -> None:
         self.config = config or FleetConfig()
         self.workers = resolve_workers(workers)
+        detector = detector or SPOD.pretrained()
         self.shards = [
             ServingEngine(
-                detector=detector,
-                config=self.config.shard_config,
-                workers=1,
-                detectors=detectors,
+                detector=detector, config=self.config.shard_config, workers=1
             )
             for _ in range(self.config.num_shards)
         ]
@@ -483,27 +474,14 @@ class FleetEngine:
             )
             for shard in range(num_shards)
         ]
-        use_pool = num_shards > 1 and self.workers > 1 and fork_available()
-        if use_pool:
-            pool = WorkerPool(
-                min(self.workers, num_shards), chunk_size=1
-            )
-            try:
-                outcomes = pool.map(_serve_shard_task, payloads)
-            finally:
-                pool.close()
-            # The pool already merged each shard's profile into the
-            # parent via its chunk snapshots; keep the per-shard copies
-            # for the breakdown.
-            shard_results = [result for result, _ in outcomes]
-            shard_profiles = [profile for _, profile in outcomes]
-        else:
-            shard_results = []
-            shard_profiles = []
-            for payload in payloads:
-                result, profile = _serve_shard_task(payload)
-                shard_results.append(result)
-                shard_profiles.append(profile)
+        # One shard or one worker runs the shards inline.  A process
+        # pool merges each shard's profile into the parent via its chunk
+        # snapshots; either way the per-shard copies are kept for the
+        # breakdown.
+        with WorkerPool(min(self.workers, num_shards), chunk_size=1) as pool:
+            outcomes = pool.map(_serve_shard_task, payloads)
+        shard_results = [result for result, _ in outcomes]
+        shard_profiles = [profile for _, profile in outcomes]
 
         if patch:
             # Stamp the router's journey onto the delivered records —

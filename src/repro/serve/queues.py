@@ -104,9 +104,7 @@ class BoundedPriorityQueue:
         """Pop up to ``limit`` requests satisfying ``predicate``, in order.
 
         Requests that do not match keep their queue positions — a burst of
-        ROI crops cannot be silently consumed by a detector batch, and a
-        mixed-fleet detect batch cannot swallow requests bound for an
-        incompatible detector.
+        ROI crops cannot be silently consumed by a detector batch.
         """
         taken: list[PerceptionRequest] = []
         kept: list[tuple[tuple, PerceptionRequest]] = []

@@ -84,10 +84,6 @@ class PerceptionRequest:
             provably cannot meet it.
         priority: higher is served first under contention (safety-path
             requests over bulk refreshes).
-        model: name of the detector model the client's fleet runs.  The
-            engine maps it to one of its detectors and co-batches only
-            requests whose detectors are interchangeable
-            (:meth:`~repro.detection.spod.SPOD.equivalent_to`).
         cloud: the native cloud (DETECT / FUSE_DETECT) or the cooperator
             cloud to crop (ROI_ANSWER).
         pose: the receiver's measured pose (FUSE_DETECT) or the
@@ -106,7 +102,6 @@ class PerceptionRequest:
     pose: Pose | None = None
     packages: tuple[ExchangePackage, ...] = ()
     roi: RoiRequest | None = None
-    model: str = "default"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "packages", tuple(self.packages))
@@ -141,7 +136,7 @@ class RequestRecord:
     and deliberately excluded from :meth:`log_entry`.
 
     Attributes:
-        request_id / client / kind / priority / model / arrival_ms /
+        request_id / client / kind / priority / arrival_ms /
             deadline_ms: echoed from the request.
         status: terminal outcome (None while in flight).
         decided_ms: when the terminal decision fell (rejection time,
@@ -168,7 +163,6 @@ class RequestRecord:
     priority: int
     arrival_ms: float
     deadline_ms: float
-    model: str = "default"
     status: RequestStatus | None = None
     decided_ms: float = -1.0
     dispatch_ms: float = -1.0
@@ -191,7 +185,6 @@ class RequestRecord:
             client=request.client,
             kind=request.kind,
             priority=request.priority,
-            model=request.model,
             arrival_ms=request.arrival_ms,
             deadline_ms=request.deadline_ms,
         )
@@ -209,7 +202,6 @@ class RequestRecord:
             "client": self.client,
             "kind": self.kind.value,
             "priority": self.priority,
-            "model": self.model,
             "arrival_ms": round(self.arrival_ms, 6),
             "deadline_ms": round(self.deadline_ms, 6),
             "status": self.status.value if self.status else "in_flight",

@@ -70,6 +70,37 @@ CLOSED_LOOP_ID_STRIDE = 1_000_000
 """Id stride per closed-loop client: client ``i`` owns ids
 ``BASE + i*STRIDE .. BASE + (i+1)*STRIDE - 1``."""
 
+KIND_WEIGHTS = (0.6, 0.3, 0.1)
+"""Relative mix of (DETECT, FUSE_DETECT, ROI_ANSWER) requests, open and
+closed loop alike."""
+
+PRIORITY_WEIGHTS = (0.7, 0.2, 0.1)
+"""Relative mix of priorities ``0..len-1`` (the index is the priority;
+later entries are higher priority), open and closed loop alike."""
+
+DEADLINE_RANGE_MS = (150.0, 400.0)
+"""Per-request SLO, drawn uniformly from this (min, max) interval after
+arrival: every closed-loop request, and open-loop ones by default."""
+
+BURST_PERIOD_MS = 1000.0
+"""Period of the open-loop square-wave burst pattern."""
+
+BURST_DUTY = 0.25
+"""Share of every burst period, from its start, that is a burst."""
+
+THINK_MS_RANGE = (20.0, 80.0)
+"""A closed-loop client's seeded uniform think time between receiving a
+reply and issuing its next request."""
+
+RETRY_BACKOFF_MS = 40.0
+"""A closed-loop client's fixed back-off after a shed or rejected request
+(faster than it would think, but never instant: hammering a saturated
+queue helps nobody)."""
+
+START_SPREAD_MS = 50.0
+"""Closed-loop first issues spread uniformly over this window, so a fleet
+of loops does not arrive as one spike."""
+
 
 @dataclass(frozen=True)
 class PoolEntry:
@@ -200,31 +231,22 @@ class WorkloadSpec:
         duration_ms: length of the arrival window (virtual clock).
         rate_rps: mean offered load across all clients, requests/second.
         num_clients: independent arrival processes (vehicles).
-        kind_weights: relative mix of (DETECT, FUSE_DETECT, ROI_ANSWER).
-        priority_weights: relative mix of priorities ``0..len-1`` (index
-            is the priority value; later entries are higher priority).
         deadline_range_ms: per-request SLO sampled uniformly from this
             (min, max) interval after arrival.
         burst_factor: arrival-rate multiplier inside burst windows (1.0
-            disables bursting).
-        burst_period_ms / burst_duty: square-wave burst pattern — the
-            first ``burst_duty`` fraction of every period is a burst.
-        models: detector model names cycled across clients (client ``i``
-            runs ``models[i % len(models)]`` — a mixed fleet when more
-            than one name is given).
+            disables bursting); the windows are the first
+            :data:`BURST_DUTY` of every :data:`BURST_PERIOD_MS`.
         seed: base seed every RNG stream is derived from.
+
+    Kinds and priorities follow :data:`KIND_WEIGHTS` and
+    :data:`PRIORITY_WEIGHTS`.
     """
 
     duration_ms: float = 4000.0
     rate_rps: float = 40.0
     num_clients: int = 4
-    kind_weights: tuple[float, float, float] = (0.6, 0.3, 0.1)
-    priority_weights: tuple[float, ...] = (0.7, 0.2, 0.1)
-    deadline_range_ms: tuple[float, float] = (150.0, 400.0)
+    deadline_range_ms: tuple[float, float] = DEADLINE_RANGE_MS
     burst_factor: float = 1.0
-    burst_period_ms: float = 1000.0
-    burst_duty: float = 0.25
-    models: tuple[str, ...] = ("default",)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -234,29 +256,17 @@ class WorkloadSpec:
             raise ValueError("rate_rps must be positive")
         if self.num_clients < 1:
             raise ValueError("num_clients must be at least 1")
-        if len(self.kind_weights) != 3 or min(self.kind_weights) < 0:
-            raise ValueError("kind_weights must be 3 non-negative weights")
-        if sum(self.kind_weights) <= 0 or sum(self.priority_weights) <= 0:
-            raise ValueError("weight mixes must have positive mass")
-        if min(self.priority_weights) < 0:
-            raise ValueError("priority_weights must be non-negative")
         lo, hi = self.deadline_range_ms
         if not 0 < lo <= hi:
             raise ValueError("deadline_range_ms must satisfy 0 < min <= max")
         if self.burst_factor < 1.0:
             raise ValueError("burst_factor must be >= 1 (1 disables bursts)")
-        if not 0.0 <= self.burst_duty < 1.0:
-            raise ValueError("burst_duty must be in [0, 1)")
-        if self.burst_period_ms <= 0:
-            raise ValueError("burst_period_ms must be positive")
-        if not self.models:
-            raise ValueError("models must name at least one detector")
 
     def in_burst(self, t_ms: float) -> bool:
         """Is virtual time ``t_ms`` inside a burst window?"""
-        if self.burst_factor <= 1.0 or self.burst_duty <= 0.0:
+        if self.burst_factor <= 1.0:
             return False
-        return (t_ms % self.burst_period_ms) < self.burst_duty * self.burst_period_ms
+        return (t_ms % BURST_PERIOD_MS) < BURST_DUTY * BURST_PERIOD_MS
 
 
 def _pick(rng: np.random.Generator, weights) -> int:
@@ -277,14 +287,12 @@ def _build_request(
     deadline_ms: float,
     priority: int,
     entry: PoolEntry,
-    model: str = "default",
 ) -> PerceptionRequest:
     """Assemble one request's payload from a pool entry."""
     if kind is RequestKind.DETECT:
         return PerceptionRequest(
             request_id, client, kind, arrival_ms, deadline_ms, priority,
             cloud=entry.native_cloud,
-            model=model,
         )
     if kind is RequestKind.FUSE_DETECT:
         return PerceptionRequest(
@@ -292,14 +300,12 @@ def _build_request(
             cloud=entry.native_cloud,
             pose=entry.native_pose,
             packages=entry.packages,
-            model=model,
         )
     return PerceptionRequest(
         request_id, client, kind, arrival_ms, deadline_ms, priority,
         cloud=entry.coop_cloud,
         pose=entry.coop_pose,
         roi=entry.roi,
-        model=model,
     )
 
 
@@ -313,11 +319,10 @@ def generate_workload(
     is sorted by ``(arrival_ms, client)`` and request ids are assigned
     densely in that order, making the id itself deterministic.
     """
-    staged: list[tuple[float, str, RequestKind, float, int, PoolEntry, str]] = []
+    staged: list[tuple[float, str, RequestKind, float, int, PoolEntry]] = []
     per_client_rate = spec.rate_rps / spec.num_clients
     for client_index in range(spec.num_clients):
         client = f"veh{client_index:02d}"
-        model = spec.models[client_index % len(spec.models)]
         rng = np.random.default_rng(derive_seed(spec.seed, "arrivals", client))
         t = 0.0
         while True:
@@ -327,19 +332,19 @@ def generate_workload(
             t += gap
             if t >= spec.duration_ms:
                 break
-            kind = _KINDS[_pick(rng, spec.kind_weights)]
-            priority = _pick(rng, spec.priority_weights)
+            kind = _KINDS[_pick(rng, KIND_WEIGHTS)]
+            priority = _pick(rng, PRIORITY_WEIGHTS)
             lo, hi = spec.deadline_range_ms
             deadline = t + lo + (hi - lo) * rng.random()
             entry = pool.entries[int(rng.integers(len(pool.entries)))]
-            staged.append((t, client, kind, deadline, priority, entry, model))
+            staged.append((t, client, kind, deadline, priority, entry))
     staged.sort(key=lambda item: (item[0], item[1]))
     return [
         _build_request(
-            request_id, client, kind, arrival, deadline, priority, entry, model
+            request_id, client, kind, arrival, deadline, priority, entry
         )
         for request_id, (
-            arrival, client, kind, deadline, priority, entry, model,
+            arrival, client, kind, deadline, priority, entry,
         ) in enumerate(staged)
     ]
 
@@ -352,28 +357,16 @@ class ClosedLoopSpec:
         duration_ms: clients stop re-issuing once the virtual clock
             passes this horizon.
         num_clients: independent control loops.
-        think_ms_range: seeded uniform think-time gap between receiving a
-            reply and issuing the next request.
-        retry_backoff_ms: fixed back-off after a shed/rejected request (a
-            control loop retries faster than it would think, but never
-            instantly — hammering a saturated queue helps nobody).
-        start_spread_ms: first issues are spread uniformly over this
-            window so a fleet of loops does not arrive as one spike.
-        kind_weights / priority_weights / deadline_range_ms: as in
-            :class:`WorkloadSpec`.
-        models: detector model names cycled across clients.
         seed: base seed every client stream derives from.
+
+    Timing follows :data:`START_SPREAD_MS`, :data:`THINK_MS_RANGE` and
+    :data:`RETRY_BACKOFF_MS`; kinds, priorities and deadlines follow
+    :data:`KIND_WEIGHTS`, :data:`PRIORITY_WEIGHTS` and
+    :data:`DEADLINE_RANGE_MS`.
     """
 
     duration_ms: float = 4000.0
     num_clients: int = 4
-    think_ms_range: tuple[float, float] = (20.0, 80.0)
-    retry_backoff_ms: float = 40.0
-    start_spread_ms: float = 50.0
-    kind_weights: tuple[float, float, float] = (0.6, 0.3, 0.1)
-    priority_weights: tuple[float, ...] = (0.7, 0.2, 0.1)
-    deadline_range_ms: tuple[float, float] = (150.0, 400.0)
-    models: tuple[str, ...] = ("default",)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -381,22 +374,6 @@ class ClosedLoopSpec:
             raise ValueError("duration_ms must be positive")
         if self.num_clients < 1:
             raise ValueError("num_clients must be at least 1")
-        lo, hi = self.think_ms_range
-        if not 0 <= lo <= hi:
-            raise ValueError("think_ms_range must satisfy 0 <= min <= max")
-        if self.retry_backoff_ms < 0:
-            raise ValueError("retry_backoff_ms must be non-negative")
-        if self.start_spread_ms < 0:
-            raise ValueError("start_spread_ms must be non-negative")
-        if len(self.kind_weights) != 3 or min(self.kind_weights) < 0:
-            raise ValueError("kind_weights must be 3 non-negative weights")
-        if sum(self.kind_weights) <= 0 or sum(self.priority_weights) <= 0:
-            raise ValueError("weight mixes must have positive mass")
-        lo, hi = self.deadline_range_ms
-        if not 0 < lo <= hi:
-            raise ValueError("deadline_range_ms must satisfy 0 < min <= max")
-        if not self.models:
-            raise ValueError("models must name at least one detector")
 
 
 class ClosedLoopClient:
@@ -422,7 +399,6 @@ class ClosedLoopClient:
         self.spec = spec
         self.index = index
         self.client = f"loop{index:02d}"
-        self.model = spec.models[index % len(spec.models)]
         self.pool = pool
         self.rng = np.random.default_rng(
             derive_seed(spec.seed, "closed-loop", self.client)
@@ -433,8 +409,8 @@ class ClosedLoopClient:
         self.retried = 0
 
     def start(self) -> PerceptionRequest | None:
-        """The client's first request (spread over ``start_spread_ms``)."""
-        first_ms = self.spec.start_spread_ms * float(self.rng.random())
+        """The client's first request (spread over :data:`START_SPREAD_MS`)."""
+        first_ms = START_SPREAD_MS * float(self.rng.random())
         return self._issue(first_ms)
 
     def reissue(
@@ -448,20 +424,19 @@ class ClosedLoopClient:
         """
         if completed:
             self.completed += 1
-            lo, hi = self.spec.think_ms_range
+            lo, hi = THINK_MS_RANGE
             gap = lo + (hi - lo) * float(self.rng.random())
         else:
             self.retried += 1
-            gap = self.spec.retry_backoff_ms
+            gap = RETRY_BACKOFF_MS
         return self._issue(decided_ms + gap)
 
     def _issue(self, arrival_ms: float) -> PerceptionRequest | None:
         if arrival_ms >= self.spec.duration_ms:
             return None
-        spec = self.spec
-        kind = _KINDS[_pick(self.rng, spec.kind_weights)]
-        priority = _pick(self.rng, spec.priority_weights)
-        lo, hi = spec.deadline_range_ms
+        kind = _KINDS[_pick(self.rng, KIND_WEIGHTS)]
+        priority = _pick(self.rng, PRIORITY_WEIGHTS)
+        lo, hi = DEADLINE_RANGE_MS
         deadline = arrival_ms + lo + (hi - lo) * float(self.rng.random())
         entry = self.pool.entries[int(self.rng.integers(len(self.pool.entries)))]
         request_id = self._next_id
@@ -469,7 +444,7 @@ class ClosedLoopClient:
         self.issued += 1
         return _build_request(
             request_id, self.client, kind, arrival_ms, deadline, priority,
-            entry, self.model,
+            entry,
         )
 
 

@@ -6,14 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from repro.detection.spod import SPOD, SPODConfig
 from repro.profiling import PROFILER
 from repro.sensors.lidar import BeamPattern
 from repro.serve import (
     ClosedLoopSpec,
     FleetConfig,
     FleetEngine,
-    RequestStatus,
     ScenarioPool,
     ServeConfig,
     ServingEngine,
@@ -228,28 +226,6 @@ class TestFleetEngine:
         )
         rendered = render_fleet_report(report)
         assert "shard 0" in rendered and "shard 1" in rendered
-
-    def test_heterogeneous_fleet(self, detector, pool):
-        f64 = SPOD.pretrained(SPODConfig(dtype="float64"))
-        spec = WorkloadSpec(
-            duration_ms=600.0, rate_rps=60.0, num_clients=8, seed=6,
-            models=("edge32", "edge64"),
-        )
-        requests = generate_workload(spec, pool)
-        fleet = FleetEngine(
-            config=FleetConfig(num_shards=2),
-            detectors={"edge32": detector, "edge64": f64},
-        )
-        result = fleet.serve(requests)
-        assert result.counts()["completed"] > 0
-        for shard_result in result.shard_results:
-            by_batch = {}
-            for record in shard_result.records:
-                if record.status is RequestStatus.COMPLETED:
-                    by_batch.setdefault(record.batch_id, set()).add(
-                        record.model
-                    )
-            assert all(len(models) == 1 for models in by_batch.values())
 
 
 class TestFleetProfiles:

@@ -410,7 +410,6 @@ class TestEngineCrashAndBrownout:
             queue_capacity=64,
             brownout_enter_depth=6,
             brownout_exit_depth=2,
-            brownout_shed_priority=0,
         )
         engine = ServingEngine(detector, config)
         result = engine.serve(

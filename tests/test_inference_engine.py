@@ -129,17 +129,6 @@ class TestBatchedDetection:
 
 
 class TestEquivalenceGating:
-    def test_identical_pretrained_detectors_are_equivalent(self):
-        assert SPOD.pretrained().equivalent_to(SPOD.pretrained())
-
-    def test_dtype_mismatch_blocks_batching(self, detector_f32, detector_f64):
-        assert not detector_f32.equivalent_to(detector_f64)
-
-    def test_weight_mismatch_blocks_batching(self):
-        a, b = SPOD.pretrained(), SPOD.pretrained()
-        next(iter(b.parameters())).value[...] += 1.0
-        assert not a.equivalent_to(b)
-
     def test_session_falls_back_to_per_agent_on_mixed_detectors(self):
         from repro.fusion.cooper import Cooper
         from tests.test_runtime import _toy_session

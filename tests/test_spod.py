@@ -86,12 +86,6 @@ class TestDetection:
     def test_empty_cloud(self, detector):
         assert detector.detect(PointCloud.empty()) == []
 
-    def test_detect_timed(self, detector):
-        cloud = scene_cloud(car_surface_points(12.0, 2.0))
-        detections, seconds = detector.detect_timed(cloud)
-        assert seconds > 0.0
-        assert isinstance(detections, list)
-
     def test_forward_exposes_tensors(self, detector):
         cloud = scene_cloud(car_surface_points(12.0, 2.0))
         tensors = detector.forward(cloud)

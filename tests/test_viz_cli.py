@@ -83,3 +83,12 @@ class TestCli:
     def test_seed_flag(self):
         args = build_parser().parse_args(["--seed", "7", "kitti"])
         assert args.seed == 7
+
+    def test_serve_fleet_with_closed_loop_runs(self, capsys):
+        assert main(
+            ["serve", "--smoke", "--closed-loop", "2", "--shards", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "fleet      : 2 shards" in out
+        assert "completed  :" in out
+        assert "digest     :" in out
