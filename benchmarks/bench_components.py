@@ -46,7 +46,7 @@ def test_component_network_forward(benchmark, detector, scan_cloud):
         return detector.rpn_apply(bev)
 
     cls_logits = benchmark.pedantic(forward, rounds=5, iterations=1)
-    assert cls_logits.shape[1] == detector.config.num_yaws
+    assert cls_logits.shape[1] == len(detector.anchors.yaws)
 
 
 def test_component_full_detection(benchmark, detector, scan_cloud):

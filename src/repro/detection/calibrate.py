@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.geometry.boxes import Box3D
 
-__all__ = ["ConfidenceCalibrator", "CalibratorWeights", "BoxEvidence"]
+__all__ = ["ConfidenceCalibrator", "BoxEvidence"]
 
 #: No real car carries LiDAR mass this far above the ground.
 CAR_MAX_HEIGHT = 2.0
@@ -61,28 +61,20 @@ LOOKUP_CELL = 1.0
 #: parked cars stay separate.
 CLUSTER_CELL = 0.35
 
-
-@dataclass(frozen=True)
-class CalibratorWeights:
-    """Logistic-model weights mapping evidence to confidence.
-
-    Defaults are calibrated so that typical single-shot scores land in the
-    paper's reported 0.5-0.9 band, objects with under ~40 supporting points
-    fall below the 0.5 reporting threshold, and doubling the evidence (one
-    extra viewpoint) raises the score by roughly 10%.
-    """
-
-    count_weight: float = 0.6
-    coverage_weight: float = 1.2
-    tall_penalty: float = 1.0
-    overrun_penalty: float = 1.2
-    bias: float = 2.5
-    count_cap: int = 500
-    coverage_bins: int = 8
-
-    def __post_init__(self) -> None:
-        if self.coverage_bins < 1:
-            raise ValueError("coverage_bins must be positive")
+# The logistic model's weights.  They are calibrated so that typical
+# single-shot scores land in the paper's reported 0.5-0.9 band, objects
+# with under ~40 supporting points fall below the 0.5 reporting
+# threshold, and doubling the evidence (one extra viewpoint) raises the
+# score by roughly 10%.
+COUNT_WEIGHT = 0.6
+COVERAGE_WEIGHT = 1.2
+TALL_PENALTY = 1.0
+OVERRUN_PENALTY = 1.2
+BIAS = 2.5
+#: Point count past which more evidence no longer raises the score.
+COUNT_CAP = 500
+#: Azimuth bins of the coverage term.
+COVERAGE_BINS = 8
 
 
 @dataclass
@@ -111,15 +103,9 @@ class ConfidenceCalibrator:
     :meth:`score_batch` call.
     """
 
-    def __init__(
-        self,
-        obstacle_xyz: np.ndarray,
-        ground_z: float,
-        weights: CalibratorWeights | None = None,
-    ) -> None:
+    def __init__(self, obstacle_xyz: np.ndarray, ground_z: float) -> None:
         self.points = np.asarray(obstacle_xyz, dtype=float).reshape(-1, 3)
         self.ground_z = float(ground_z)
-        self.weights = weights or CalibratorWeights()
         x, y = self.points[:, 0], self.points[:, 1]
         self._index = _CellIndex(x, y, LOOKUP_CELL)
         self._cluster_ids = _grid_labels(self.points[:, :2]) if len(x) else None
@@ -170,7 +156,6 @@ class ConfidenceCalibrator:
         overrun = np.zeros(m)
         if self._cluster_ids is None or m == 0:
             return num_points, coverage, tall_count, overrun
-        w = self.weights
         center = np.array([box.center for box in boxes])
         length, width, height, yaw = np.array(
             [(box.length, box.width, box.height, box.yaw) for box in boxes]
@@ -212,11 +197,11 @@ class ConfidenceCalibrator:
         overrun = np.where(excess > 0.0, excess, 0.0)
         # Angular coverage: occupied azimuth bins around each box centre.
         azimuth = np.arctan2(rel_y[inside], rel_x[inside])
-        bins = ((azimuth + np.pi) / (2 * np.pi) * w.coverage_bins).astype(int)
-        bins = np.clip(bins, 0, w.coverage_bins - 1)
-        occupied = np.zeros((m, w.coverage_bins), dtype=bool)
+        bins = ((azimuth + np.pi) / (2 * np.pi) * COVERAGE_BINS).astype(int)
+        bins = np.clip(bins, 0, COVERAGE_BINS - 1)
+        occupied = np.zeros((m, COVERAGE_BINS), dtype=bool)
         occupied[box_of, bins] = True
-        coverage = np.count_nonzero(occupied, axis=1) / w.coverage_bins
+        coverage = np.count_nonzero(occupied, axis=1) / COVERAGE_BINS
         return num_points, coverage, tall_count, overrun
 
     def _confidence(
@@ -231,24 +216,23 @@ class ConfidenceCalibrator:
 
         An object class (a :class:`repro.detection.classes.ObjectClass`)
         shifts the bias and the evidence cap: a pedestrian is fully
-        confirmed by far fewer points than a car.  None keeps the weights'
+        confirmed by far fewer points than a car.  None keeps the model's
         own bias and cap.
         """
-        w = self.weights
         bias = np.array(
-            [w.bias if c is None else w.bias + c.bias_offset for c in object_classes]
+            [BIAS if c is None else BIAS + c.bias_offset for c in object_classes]
         )
         count_cap = np.array(
-            [w.count_cap if c is None else min(w.count_cap, c.count_cap)
+            [COUNT_CAP if c is None else min(COUNT_CAP, c.count_cap)
              for c in object_classes]
         )
         # Evidence saturates: past ~count_cap points an object is as
         # confirmed as it gets, keeping scores inside the paper's band.
         logit = (
-            w.count_weight * np.log1p(np.minimum(num_points, count_cap))
-            + w.coverage_weight * coverage
-            - w.tall_penalty * np.log1p(tall_count)
-            - w.overrun_penalty * overrun
+            COUNT_WEIGHT * np.log1p(np.minimum(num_points, count_cap))
+            + COVERAGE_WEIGHT * coverage
+            - TALL_PENALTY * np.log1p(tall_count)
+            - OVERRUN_PENALTY * overrun
             - bias
         )
         return 1.0 / (1.0 + np.exp(-np.clip(logit, -60, 60)))

@@ -36,18 +36,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.detection.anchors import CAR_ANCHOR_SIZE
 from repro.detection.calibrate import LOOKUP_CELL, _CellIndex, _grid_labels
 from repro.detection.classes import CAR, ObjectClass, classify_cluster
 from repro.geometry.boxes import Box3D
 from repro.geometry.rotations import normalize_angles
 
-__all__ = ["BoxRefiner", "RefinementSpec", "Fit"]
+__all__ = ["BoxRefiner", "Fit"]
 
 #: Cell size (m) of the ground-return index.  A ground-shadow footprint
 #: reads about half the candidate returns it would read under 2 m cells,
 #: and a 108 m cloud still fits 65,536 cells, so keys sort by radix.
 GROUND_CELL = 1.0
+
+#: BEV radius (m) of the points a proposal's fit gathers around its mode.
+GATHER_RADIUS = 2.4
+
+#: BEV radius (m) locating the cluster(s) under a proposal.
+SEED_RADIUS = 1.4
+
+#: BEV radius (m) of each mean-shift round that moves a proposal onto its
+#: local density mode.
+MEANSHIFT_RADIUS = 1.5
+
+#: Maximum number of mean-shift rounds.
+MEANSHIFT_ITERATIONS = 3
+
+#: Proposals with fewer local points are dropped, so every fit holds at
+#: least this many (enough for a principal axis).
+MIN_POINTS = 4
 
 
 @dataclass(frozen=True)
@@ -65,34 +81,6 @@ class Fit:
         yield self.points
 
 
-@dataclass(frozen=True)
-class RefinementSpec:
-    """Tuning knobs of the point-based box fit.
-
-    Attributes:
-        gather_radius: BEV radius (m) of points considered around a proposal.
-        seed_radius: radius locating the cluster(s) under the proposal.
-        multi_class: pick the box template per cluster shape
-            (:func:`~repro.detection.classes.classify_cluster`); when False
-            every fit uses ``template_size``.
-        meanshift_radius: BEV radius (m) of each mean-shift round that
-            moves a proposal onto its local density mode.
-        meanshift_iterations: maximum number of mean-shift rounds.
-        min_points: proposals with fewer local points (and at least one)
-            are dropped.
-        template_size: (l, w, h) of the fitted box (mean car) when
-            ``multi_class`` is off.
-    """
-
-    gather_radius: float = 2.4
-    seed_radius: float = 1.4
-    multi_class: bool = True
-    meanshift_radius: float = 1.5
-    meanshift_iterations: int = 3
-    min_points: int = 4
-    template_size: tuple[float, float, float] = CAR_ANCHOR_SIZE
-
-
 class BoxRefiner:
     """Fits car-template boxes to local obstacle points.
 
@@ -108,10 +96,8 @@ class BoxRefiner:
         self,
         obstacle_xyz: np.ndarray,
         ground_z: float,
-        spec: RefinementSpec | None = None,
         ground_xy: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        self.spec = spec or RefinementSpec()
         self.points = np.asarray(obstacle_xyz, dtype=float).reshape(-1, 3)
         self.ground_z = float(ground_z)
         # Ground returns disambiguate partial views: the ground beneath a
@@ -147,7 +133,6 @@ class BoxRefiner:
         Proposals that gather the same points get the same :class:`Fit`
         object.
         """
-        spec = self.spec
         n = len(proposals_xy)
         fits: list[Fit | None] = [None] * n
         if not len(self._car_points) or n == 0:
@@ -162,7 +147,7 @@ class BoxRefiner:
         # proposal, in ascending order, so per-proposal minima and
         # broadcasts are segment passes; the order inside a group changes
         # nothing.
-        seed, owner = self._index.within(centers, spec.seed_radius)
+        seed, owner = self._index.within(centers, SEED_RADIUS)
         found = np.bincount(owner, minlength=n)
         seeded = found > 0
         if not seeded.any():
@@ -185,15 +170,13 @@ class BoxRefiner:
         # parked cars into one connected cluster.
         modes = centers.copy()
         shifting = seeded.copy()
-        for _ in range(spec.meanshift_iterations):
+        for _ in range(MEANSHIFT_ITERATIONS):
             live = np.flatnonzero(shifting)
             if not len(live):
                 break
-            near, owner = self._in_adopted(
-                spec.meanshift_radius, modes, live, member
-            )
+            near, owner = self._in_adopted(MEANSHIFT_RADIUS, modes, live, member)
             counts = np.bincount(owner, minlength=n)
-            enough = counts[live] >= spec.min_points
+            enough = counts[live] >= MIN_POINTS
             shifting[live[~enough]] = False
             movers = live[enough]
             new_x = np.bincount(owner, weights=np.take(car_xy[:, 0], near), minlength=n)
@@ -207,7 +190,7 @@ class BoxRefiner:
             modes[movers, 0] = new_x
             modes[movers, 1] = new_y
         idx, owner = self._in_adopted(
-            spec.gather_radius, modes, np.flatnonzero(seeded), member
+            GATHER_RADIUS, modes, np.flatnonzero(seeded), member
         )
         counts = np.bincount(owner, minlength=n)
         ends = np.cumsum(counts)
@@ -216,7 +199,7 @@ class BoxRefiner:
         fit_of = np.full(n, -1)
         first = np.zeros(n, dtype=bool)
         distinct: dict[bytes, int] = {}
-        for i in np.flatnonzero(counts >= max(spec.min_points, 1)).tolist():
+        for i in np.flatnonzero(counts >= MIN_POINTS).tolist():
             key = idx[ends[i] - counts[i] : ends[i]].tobytes()
             if key not in distinct:
                 distinct[key] = len(distinct)
@@ -258,9 +241,9 @@ class BoxRefiner:
         """Fit a template box to each of ``m`` gathered point sets.
 
         ``idx`` holds car-band point indices grouped by fit (``owner``,
-        ascending), each group in ascending index order.
+        ascending), each group in ascending index order, and at least
+        ``MIN_POINTS`` indices in each.
         """
-        spec = self.spec
         local = np.take(self._car_points, idx, axis=0)
         counts = np.bincount(owner, minlength=m)
         ends = np.cumsum(counts)
@@ -278,41 +261,30 @@ class BoxRefiner:
         centered = local[:, :2] - np.repeat(centroid, counts, axis=0)
         # Extents (classification) and yaw share one principal-axis
         # analysis of the centred points.
-        major = np.zeros(m)
-        minor = np.zeros(m)
-        base_yaw = np.zeros(m)
-        spread = np.flatnonzero(counts >= 2)
-        if len(spread):
-            covariance = np.empty((len(spread), 2, 2))
-            for row, k in enumerate(spread):
-                c = centered[slice(*segments[k])]
-                covariance[row] = c.T @ c / counts[k]
-            eigenvalues, eigenvectors = np.linalg.eigh(covariance)
-            projected = np.zeros_like(centered)
-            for row, k in enumerate(spread):
-                part = slice(*segments[k])
-                np.matmul(centered[part], eigenvectors[row], out=projected[part])
-            spans = np.maximum.reduceat(projected, starts, axis=0) - (
-                np.minimum.reduceat(projected, starts, axis=0)
-            )
-            major[spread] = spans[spread, 1]
-            minor[spread] = spans[spread, 0]
-            principal = np.argmax(eigenvalues, axis=1)
-            rows = np.arange(len(spread))
-            yaw = np.arctan2(
-                eigenvectors[rows, 1, principal], eigenvectors[rows, 0, principal]
-            )
-            base_yaw[spread] = np.where(counts[spread] >= 3, yaw, 0.0)
-        if spec.multi_class:
-            height_span = np.maximum.reduceat(local[:, 2], starts) - self.ground_z
-            classes = [
-                classify_cluster(a, b, h)
-                for a, b, h in zip(major.tolist(), minor.tolist(), height_span.tolist())
-            ]
-            template = np.array([c.template for c in classes], dtype=float)
-        else:
-            classes = [CAR] * m
-            template = np.tile(np.asarray(spec.template_size, dtype=float), (m, 1))
+        covariance = np.empty((m, 2, 2))
+        for k, part in enumerate(segments):
+            c = centered[slice(*part)]
+            covariance[k] = c.T @ c / counts[k]
+        eigenvalues, eigenvectors = np.linalg.eigh(covariance)
+        projected = np.empty_like(centered)
+        for k, part in enumerate(segments):
+            part = slice(*part)
+            np.matmul(centered[part], eigenvectors[k], out=projected[part])
+        spans = np.maximum.reduceat(projected, starts, axis=0) - (
+            np.minimum.reduceat(projected, starts, axis=0)
+        )
+        major, minor = spans[:, 1], spans[:, 0]
+        principal = np.argmax(eigenvalues, axis=1)
+        rows = np.arange(m)
+        base_yaw = np.arctan2(
+            eigenvectors[rows, 1, principal], eigenvectors[rows, 0, principal]
+        )
+        height_span = np.maximum.reduceat(local[:, 2], starts) - self.ground_z
+        classes = [
+            classify_cluster(a, b, h)
+            for a, b, h in zip(major.tolist(), minor.tolist(), height_span.tolist())
+        ]
+        template = np.array([c.template for c in classes], dtype=float)
         length, width, height = template.T
         center_z = self.ground_z + height / 2.0
         # PCA orientation is ambiguous on merged clouds: a row of parked

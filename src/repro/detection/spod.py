@@ -17,12 +17,12 @@ import numpy as np
 from scipy import ndimage
 
 from repro.detection.anchors import AnchorGrid, decode_boxes
-from repro.detection.calibrate import CalibratorWeights, ConfidenceCalibrator
+from repro.detection.calibrate import ConfidenceCalibrator
 from repro.detection.detections import Detection
 from repro.detection.middle import SparseMiddleExtractor
 from repro.detection.nms import rotated_nms
 from repro.detection.preprocess import preprocess
-from repro.detection.refine import BoxRefiner, RefinementSpec
+from repro.detection.refine import BoxRefiner
 from repro.detection.rpn import RegionProposalNetwork
 from repro.detection.vfe import VoxelFeatureEncoder
 from repro.geometry.boxes import Box3D
@@ -30,7 +30,10 @@ from repro.pointcloud.cloud import PointCloud
 from repro.pointcloud.voxel import VoxelGridSpec, voxelize
 from repro.profiling import PROFILER
 
-__all__ = ["SPODConfig", "SPOD"]
+__all__ = ["NMS_IOU", "SPODConfig", "SPOD"]
+
+#: Rotated BEV IoU above which detections suppress each other.
+NMS_IOU = 0.2
 
 
 @functools.lru_cache(maxsize=4)
@@ -82,12 +85,9 @@ class SPODConfig:
             cell to spawn a proposal.
         detection_threshold: minimum calibrated score to report — scores
             below this are the paper's X (missing detection).
-        nms_iou: rotated BEV IoU above which detections suppress each other.
         densify: run the spherical densification preprocessing of [27].
         use_learned_heads: decode boxes/scores from the trained network
             heads instead of the analytic refine+calibrate path.
-        refinement: box-fitting knobs for the analytic path.
-        calibrator: confidence model weights.
         dtype: compute dtype for the kernel path (voxelize -> VFE ->
             middle -> RPN): ``"float32"``, ``"float64"``, or ``None`` to
             auto-select — float32 for :meth:`SPOD.pretrained` (inference),
@@ -104,14 +104,10 @@ class SPODConfig:
     )
     vfe_channels: int = 4
     hidden_channels: int = 4
-    num_yaws: int = 2
     candidate_threshold: float = 0.35
     detection_threshold: float = 0.5
-    nms_iou: float = 0.2
     densify: bool = False
     use_learned_heads: bool = False
-    refinement: RefinementSpec = field(default_factory=RefinementSpec)
-    calibrator: CalibratorWeights = field(default_factory=CalibratorWeights)
     seed: int = 0
     dtype: str | None = None
 
@@ -157,13 +153,14 @@ class SPOD:
         self.middle = SparseMiddleExtractor(
             cfg.vfe_channels, cfg.vfe_channels, cfg.vfe_channels, seed=cfg.seed + 1
         )
+        self.anchors = AnchorGrid(cfg.voxel_spec)
+        # One objectness channel and one regression block per anchor yaw.
         self.rpn = RegionProposalNetwork(
             cfg.vfe_channels * nz,
             cfg.hidden_channels,
-            num_yaws=cfg.num_yaws,
+            num_yaws=len(self.anchors.yaws),
             seed=cfg.seed + 2,
         )
-        self.anchors = AnchorGrid(cfg.voxel_spec)
         self._nz = nz
 
     @staticmethod
@@ -324,7 +321,7 @@ class SPOD:
                     cls_logits, pre.obstacles.xyz, pre.full.xyz, pre.ground_z
                 )
         with PROFILER.stage("spod.nms"):
-            return rotated_nms(raw, self.config.nms_iou)
+            return rotated_nms(raw, NMS_IOU)
 
     # -- decoding paths -------------------------------------------------------
     def _candidate_cells(self, cls_logits: np.ndarray) -> np.ndarray:
@@ -378,12 +375,8 @@ class SPOD:
                 np.compress(ground_mask, full_xyz[:, 0]),
                 np.compress(ground_mask, full_xyz[:, 1]),
             )
-            refiner = BoxRefiner(
-                obstacle_xyz, ground_z, self.config.refinement, ground_xy=ground_xy
-            )
-            calibrator = ConfidenceCalibrator(
-                obstacle_xyz, ground_z, self.config.calibrator
-            )
+            refiner = BoxRefiner(obstacle_xyz, ground_z, ground_xy=ground_xy)
+            calibrator = ConfidenceCalibrator(obstacle_xyz, ground_z)
         centers = self.anchors.cell_centers()
         with PROFILER.stage("spod.decode.refine"):
             fits = refiner.refine_batch([centers[ix, iy] for ix, iy in cells])
@@ -409,7 +402,6 @@ class SPOD:
     ) -> list[Detection]:
         cls_logits = cls_logits[0]  # (A, H, W)
         reg = reg[0]  # (7A, H, W)
-        num_yaws = self.config.num_yaws
         prob = 1.0 / (1.0 + np.exp(-np.clip(cls_logits, -60, 60)))
         anchors = self.anchors
         centers = anchors.cell_centers()

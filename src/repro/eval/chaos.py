@@ -28,7 +28,7 @@ import numpy as np
 from repro.detection.spod import SPOD
 from repro.eval.matching import in_eval_area, match_detections
 from repro.faults import FaultPlan
-from repro.fusion.agent import AgentStep, CooperAgent, CooperSession, ResilienceConfig
+from repro.fusion.agent import AgentStep, CooperAgent, CooperSession
 from repro.fusion.cooper import Cooper
 from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiCategory, RoiPolicy
@@ -87,7 +87,7 @@ class ChaosRunResult:
 def build_chaos_session(
     detector: SPOD | None = None,
     faults: FaultPlan | None = None,
-    resilience: ResilienceConfig | None = None,
+    stale_fallback: bool = True,
     channel: DsrcChannel | None = None,
 ) -> CooperSession:
     """The sweeps' scenario: a two-agent parking lot, one mover.
@@ -122,7 +122,7 @@ def build_chaos_session(
         agents=agents,
         channel=channel or DsrcChannel(),
         faults=faults,
-        resilience=resilience or ResilienceConfig(),
+        stale_fallback=stale_fallback,
     )
 
 
@@ -186,13 +186,13 @@ def session_recall(
 def _run_point(
     faults: FaultPlan | None,
     detector: SPOD | None,
-    resilience: ResilienceConfig | None,
     duration_seconds: float,
     seed: int,
     workers: int | None,
+    stale_fallback: bool = True,
 ) -> ChaosRunResult:
     session = build_chaos_session(
-        detector=detector, faults=faults, resilience=resilience
+        detector=detector, faults=faults, stale_fallback=stale_fallback
     )
     logs = session.run(
         duration_seconds=duration_seconds, period_seconds=1.0, seed=seed,
@@ -206,7 +206,6 @@ def loss_sweep(
     duration_seconds: float = 6.0,
     seed: int = 0,
     detector: SPOD | None = None,
-    resilience: ResilienceConfig | None = None,
     workers: int | None = None,
 ) -> list[dict]:
     """Recall vs Gilbert-Elliott target loss rate (bursty, not i.i.d.).
@@ -221,9 +220,7 @@ def loss_sweep(
             if loss <= 0.0
             else FaultPlan.lossy(loss, seed=seed + int(round(loss * 1000)))
         )
-        result = _run_point(
-            plan, detector, resilience, duration_seconds, seed, workers
-        )
+        result = _run_point(plan, detector, duration_seconds, seed, workers)
         points.append({"loss_rate": loss, **result.as_dict()})
     return points
 
@@ -233,7 +230,6 @@ def gps_error_sweep(
     duration_seconds: float = 6.0,
     seed: int = 0,
     detector: SPOD | None = None,
-    resilience: ResilienceConfig | None = None,
     workers: int | None = None,
 ) -> list[dict]:
     """Recall vs GPS dead-reckoning error under permanent GPS dropout.
@@ -253,9 +249,7 @@ def gps_error_sweep(
                 gps_dropout_error_m=error,
             )
         )
-        result = _run_point(
-            plan, detector, resilience, duration_seconds, seed, workers
-        )
+        result = _run_point(plan, detector, duration_seconds, seed, workers)
         points.append({"gps_error_m": error, **result.as_dict()})
     return points
 
@@ -274,13 +268,9 @@ def stale_fallback_comparison(
     into the merge or the receiver falls back to its own scan.
     """
     plan = FaultPlan.lossy(loss_rate, seed=seed + 77)
-    with_stale = _run_point(
-        plan, detector, ResilienceConfig(stale_fallback=True),
-        duration_seconds, seed, workers,
-    )
+    with_stale = _run_point(plan, detector, duration_seconds, seed, workers)
     drop_to_ego = _run_point(
-        plan, detector, ResilienceConfig(stale_fallback=False),
-        duration_seconds, seed, workers,
+        plan, detector, duration_seconds, seed, workers, stale_fallback=False
     )
     return {
         "loss_rate": loss_rate,

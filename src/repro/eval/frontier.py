@@ -34,7 +34,6 @@ from repro.eval.matching import in_eval_area, match_detections
 from repro.faults import FaultPlan
 from repro.fusion.align import merge_packages
 from repro.fusion.feature import (
-    FeatureFusionConfig,
     FeaturePackage,
     FeatureTap,
     build_feature_package,
@@ -63,7 +62,6 @@ _SESSION_MODES = ("raw", "feature", "gated")
 def case_frontier(
     case: CooperativeCase,
     detector: SPOD,
-    config: FeatureFusionConfig | None = None,
     gate_distance: float = 2.5,
     max_eval_range: float = 60.0,
 ) -> dict:
@@ -73,7 +71,6 @@ def case_frontier(
     this case; ``recall`` matches the receiver's detections against the
     ground-truth cars visible from its true pose.
     """
-    config = config or FeatureFusionConfig()
     r = detector.config.voxel_spec.point_range
     visible = [
         b
@@ -127,9 +124,7 @@ def case_frontier(
         for name, obs in case.observations.items()
     }
     receiver_tap = taps[case.receiver]
-    request = build_request(
-        receiver_tap.heat, receiver_pose, case.receiver, config=config
-    )
+    request = build_request(receiver_tap.heat, receiver_pose, case.receiver)
     for mode, requests in (("feature", ()), ("gated", (request,))):
         total_bytes = sum(r.size_bytes() for r in requests)
         packages: list[FeaturePackage] = []
@@ -144,7 +139,6 @@ def case_frontier(
                 name,
                 heat=taps[name].heat,
                 requests=requests,
-                config=config,
             ).serialize()
             total_bytes += len(payload)
             packages.append(FeaturePackage.deserialize(payload))
@@ -237,7 +231,6 @@ def fusion_frontier(
     seed: int = 0,
     detector: SPOD | None = None,
     worker_counts: tuple[int, int] = (1, 4),
-    config: FeatureFusionConfig | None = None,
 ) -> dict:
     """The full frontier report (the ``BENCH_fusion.json`` payload).
 
@@ -248,11 +241,10 @@ def fusion_frontier(
     ledger each run recorded.
     """
     detector = detector or SPOD.pretrained()
-    config = config or FeatureFusionConfig()
     cases = kitti_cases(seed=seed)
     if smoke:
         cases = cases[:2]
-    case_rows = [case_frontier(case, detector, config) for case in cases]
+    case_rows = [case_frontier(case, detector) for case in cases]
 
     def mean(values: list[float]) -> float:
         return float(np.mean(values)) if values else 0.0

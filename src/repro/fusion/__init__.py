@@ -23,7 +23,6 @@ from repro.fusion.baselines import (
 from repro.fusion.temporal import merge_timeline
 from repro.fusion.feature import (
     ConfidenceRequest,
-    FeatureFusionConfig,
     FeaturePackage,
     FeatureTap,
     FusedFeatures,
@@ -45,7 +44,6 @@ from repro.fusion.diagnostics import AlignmentReport, alignment_residual, valida
 __all__ = [
     "ExchangePackage",
     "ConfidenceRequest",
-    "FeatureFusionConfig",
     "FeaturePackage",
     "FeatureTap",
     "FusedFeatures",

@@ -30,17 +30,16 @@ runs them inline, on the session's own objects.
 
 The session is built to *degrade*, not crash, under faults: an optional
 :class:`repro.faults.FaultPlan` injects bursty channel loss, latency
-spikes and sensor faults, and the resilience mechanisms configured by
-:class:`ResilienceConfig` absorb them — a pre-merge sanity gate
-quarantines corrupted packages, an age-bounded stale-package cache
-re-aligns a peer's last delivery through the same Eq. (1)-(3) transform
-when a fresh one is lost, and a per-peer circuit breaker stops burning
-airtime on dark links.  When every peer is dark the loop falls back to
-ego-only perception.  Every degradation event is mirrored into the
-session's :attr:`CooperSession.degradation` table and the
-:mod:`repro.profiling` registry, and all fault/resilience decisions run
-in the parent process or as pure seeded functions, so logs stay
-bit-identical at any worker count.
+spikes and sensor faults, and the session's resilience mechanisms absorb
+them — a pre-merge sanity gate quarantines corrupted packages, an
+age-bounded stale-package cache re-aligns a peer's last delivery through
+the same Eq. (1)-(3) transform when a fresh one is lost, and a per-peer
+circuit breaker stops burning airtime on dark links.  When every peer is
+dark the loop falls back to ego-only perception.  Every degradation event
+is mirrored into the session's :attr:`CooperSession.degradation` table
+and the :mod:`repro.profiling` registry, and all fault/resilience
+decisions run in the parent process or as pure seeded functions, so logs
+stay bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from repro.fusion.align import package_intrinsically_sane, pose_delta_plausible
 from repro.fusion.cooper import Cooper
 from repro.fusion.feature import (
     ConfidenceRequest,
-    FeatureFusionConfig,
     FeaturePackage,
     FeatureTap,
     build_feature_package,
@@ -69,7 +67,6 @@ from repro.fusion.temporal import StalePackageCache
 from repro.network.comm import CommRecorder
 from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiPolicy, extract_roi
-from repro.network.scheduler import Demand, SharedChannelScheduler
 from repro.profiling import PROFILER
 from repro.runtime import WorkerPool, resolve_workers, stable_hash
 from repro.scene.trajectories import Trajectory
@@ -83,13 +80,23 @@ __all__ = [
     "CooperSession",
     "FUSION_MODES",
     "PeerHealth",
-    "ResilienceConfig",
 ]
 
 #: Session fusion modes: raw-cloud merge (the paper's low-level fusion;
 #: ROI policies make it the "roi" point of the frontier), F-Cooper style
 #: feature-map exchange, and Where2comm style confidence-gated features.
 FUSION_MODES = ("raw", "feature", "gated")
+
+#: Consecutive delivery failures that open a peer's circuit breaker.
+BREAKER_THRESHOLD = 3
+
+#: Steps a tripped breaker skips the peer before probing it again.
+BREAKER_COOLDOWN_STEPS = 2
+
+#: Sanity bound (m) on how far a peer's claimed pose may move per step
+#: from its last delivery: 50 m in one second is 180 km/h, so anything
+#: above is a corrupted fix, not a vehicle.
+MAX_POSE_JUMP_M_PER_STEP = 50.0
 
 
 def _observe_seed(session_seed: int, step_index: int, agent_index: int) -> int:
@@ -138,50 +145,6 @@ class AgentStep:
     detections: list[Detection] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Knobs of the session's graceful-degradation machinery.
-
-    Attributes:
-        stale_fallback: merge a peer's last delivered package (re-aligned
-            by its own recorded pose through Eq. (1)-(3)) when the fresh
-            one is lost.
-        max_stale_steps: oldest cache entry the fallback may use.
-        breaker_threshold: consecutive delivery failures that open a
-            peer's circuit breaker (0 disables the breaker).
-        breaker_cooldown_steps: steps a tripped breaker skips the peer
-            before probing it again.
-        sanity_gate: reject corrupted packages (non-finite or implausible
-            points/poses) before they reach the merge.
-        max_peer_distance_m: sanity bound on the sender-receiver BEV
-            distance (DSRC is a sub-kilometre radio).
-        max_point_range_m: sanity bound on received point coordinates.
-        max_pose_jump_m_per_step: sanity bound on how far a peer's
-            claimed pose may move per step from its last delivery (50 m
-            in one second is 180 km/h — anything above is a corrupted
-            fix, not a vehicle).
-    """
-
-    stale_fallback: bool = True
-    max_stale_steps: int = 3
-    breaker_threshold: int = 3
-    breaker_cooldown_steps: int = 2
-    sanity_gate: bool = True
-    max_peer_distance_m: float = 500.0
-    max_point_range_m: float = 300.0
-    max_pose_jump_m_per_step: float = 50.0
-
-    def __post_init__(self) -> None:
-        if self.max_stale_steps < 0:
-            raise ValueError("max_stale_steps must be non-negative")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be non-negative")
-        if self.breaker_cooldown_steps < 1:
-            raise ValueError("breaker_cooldown_steps must be at least 1")
-        if self.max_pose_jump_m_per_step <= 0:
-            raise ValueError("max_pose_jump_m_per_step must be positive")
-
-
 @dataclass
 class PeerHealth:
     """Circuit-breaker state of one broadcasting peer's link.
@@ -203,11 +166,12 @@ class PeerHealth:
         """A delivery landed: close the breaker's failure run."""
         self.consecutive_failures = 0
 
-    def record_failure(self, step: int, threshold: int, cooldown: int) -> None:
-        """A delivery failed; trip the breaker once the run hits threshold."""
+    def record_failure(self, step: int) -> None:
+        """A delivery failed; trip the breaker once the run reaches
+        ``BREAKER_THRESHOLD``."""
         self.consecutive_failures += 1
-        if threshold > 0 and self.consecutive_failures >= threshold:
-            self.open_until_step = step + 1 + cooldown
+        if self.consecutive_failures >= BREAKER_THRESHOLD:
+            self.open_until_step = step + 1 + BREAKER_COOLDOWN_STEPS
 
 
 @dataclass
@@ -303,9 +267,13 @@ class CooperSession:
         agents: the participating vehicles.
         channel: the (shared) DSRC link model.
         faults: optional seeded fault schedule injected into the channel
-            and every rig (None — the clean-world behaviour).
-        resilience: the graceful-degradation knobs (defaults are inert in
-            a fault-free run: nothing is ever stale, insane or dark).
+            and every rig (None — the clean-world behaviour).  The sanity
+            gate and the circuit breaker always run; they are inert in a
+            fault-free run, where nothing is ever insane or dark.
+        stale_fallback: merge a peer's last delivered package (re-aligned
+            by its own recorded pose through Eq. (1)-(3), at most
+            ``MAX_STALE_STEPS`` old) when the fresh one is lost; False
+            drops to the receiver's own scan instead.
         temporal: carry each agent's scan geometry cache
             (``repro.temporal``) across steps, in every fusion mode.  The
             cache verifies its keys exactly, so logs are bit-identical to a
@@ -318,13 +286,7 @@ class CooperSession:
             style: every agent additionally broadcasts a small
             :class:`ConfidenceRequest` and senders ship only foreground
             features some requester is missing).
-        feature_config: gating thresholds for the feature modes.
-        scheduler: optional :class:`SharedChannelScheduler` admitting
-            every period's broadcasts against one shared channel budget
-            before the per-link DSRC model runs.  Deferred broadcasts are
-            dropped for the period (the next period's package supersedes
-            them — freshest-only) and counted as ``scheduler_deferrals``.
-        comm: the per-frame bandwidth ledger, re-created by every
+        comm: the per-frame bandwidth ledger, created by every
             :meth:`run`.  Records every message actually put on the air
             (packages and confidence requests), parent-side only, so the
             ledger is bit-identical at any worker count.
@@ -337,14 +299,12 @@ class CooperSession:
     agents: list[CooperAgent]
     channel: DsrcChannel = field(default_factory=DsrcChannel)
     faults: FaultPlan | None = None
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+    stale_fallback: bool = True
     temporal: bool = False
     fusion_mode: str = "raw"
-    feature_config: FeatureFusionConfig = field(
-        default_factory=FeatureFusionConfig
+    comm: CommRecorder = field(
+        default_factory=CommRecorder, init=False, repr=False
     )
-    scheduler: SharedChannelScheduler | None = None
-    comm: CommRecorder = field(default_factory=CommRecorder, repr=False)
     degradation: dict[str, int] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -385,9 +345,7 @@ class CooperSession:
         self.comm = CommRecorder()
         self.degradation = {}
         self._health = {}
-        self._stale_cache = StalePackageCache(
-            max_age_steps=self.resilience.max_stale_steps
-        )
+        self._stale_cache = StalePackageCache()
         if self.temporal:
             self._temporal = {agent.name: TemporalState() for agent in self.agents}
         else:
@@ -457,39 +415,7 @@ class CooperSession:
         """The receiver-independent sanity verdict for either wire format."""
         if isinstance(package, FeaturePackage):
             return feature_package_intrinsically_sane(package)
-        return package_intrinsically_sane(
-            package, self.resilience.max_point_range_m
-        )
-
-    def _admitted_senders(
-        self, wire: dict[str, tuple[bytes, int]], step_index: int
-    ) -> set[str] | None:
-        """Shared-channel admission for this step's broadcasts (or None).
-
-        Senders whose circuit breaker is open never reach the channel and
-        therefore never compete for capacity.  Deferred demands are
-        dropped rather than retransmitted later: the sender's next-period
-        package supersedes this one (freshest-only), so the scheduler's
-        backlog is cleared after each admission round.
-        """
-        if self.scheduler is None:
-            return None
-        resilience = self.resilience
-        demands = [
-            Demand(sender=agent.name, bits=wire[agent.name][1])
-            for agent in self.agents
-            if not (
-                resilience.breaker_threshold > 0
-                and self._health.setdefault(
-                    agent.name, PeerHealth()
-                ).is_open(step_index)
-            )
-        ]
-        report = self.scheduler.schedule_second(demands)
-        self.scheduler.drop_backlog()
-        if report.deferred:
-            self._count("scheduler_deferrals", len(report.deferred))
-        return {demand.sender for demand in report.delivered}
+        return package_intrinsically_sane(package)
 
     def _broadcast_outcomes(
         self,
@@ -499,19 +425,16 @@ class CooperSession:
     ) -> dict[str, _Broadcast]:
         """Decide every sender's broadcast fate for one step.
 
-        The shared DSRC channel, the optional shared-channel scheduler,
-        the fault plan's per-link conditions and the circuit breaker all
-        act here, in the parent, in agent order, which is what keeps
-        fault schedules and health state identical at any worker count.
-        Each delivered package is decoded once: that package feeds the
-        sanity gate, the fallback cache and every receiver's merge.  Every
-        transmission that reaches the air is entered into the :attr:`comm`
-        ledger.
+        The shared DSRC channel, the fault plan's per-link conditions and
+        the circuit breaker all act here, in the parent, in agent order,
+        which is what keeps fault schedules and health state identical at
+        any worker count.  Each delivered package is decoded once: that
+        package feeds the sanity gate, the fallback cache and every
+        receiver's merge.  Every transmission that reaches the air is
+        entered into the :attr:`comm` ledger.
         """
-        resilience = self.resilience
         self.comm.note_frame(step_index)
         kind = "cloud" if self.fusion_mode == "raw" else "features"
-        admitted = self._admitted_senders(wire, step_index)
         outcomes: dict[str, _Broadcast] = {}
         for agent in self.agents:
             sender = agent.name
@@ -522,27 +445,13 @@ class CooperSession:
                 if self.faults is not None
                 else None
             )
-            if resilience.breaker_threshold > 0 and health.is_open(step_index):
+            if health.is_open(step_index):
                 self._count("breaker_skips")
-                outcomes[sender] = _Broadcast(delivered=False)
-                continue
-            if admitted is not None and sender not in admitted:
-                # Deferred by the shared-channel scheduler: never reached
-                # the air this period, so nothing enters the ledger.
-                health.record_failure(
-                    step_index,
-                    resilience.breaker_threshold,
-                    resilience.breaker_cooldown_steps,
-                )
                 outcomes[sender] = _Broadcast(delivered=False)
                 continue
             if conditions is not None and conditions.blackout:
                 self._count("channel_blackouts")
-                health.record_failure(
-                    step_index,
-                    resilience.breaker_threshold,
-                    resilience.breaker_cooldown_steps,
-                )
+                health.record_failure(step_index)
                 outcomes[sender] = _Broadcast(delivered=False)
                 continue
             report = self.channel.transmit(
@@ -560,20 +469,13 @@ class CooperSession:
             if report.timed_out:
                 self._count("deadline_drops")
             if not report.delivered:
-                health.record_failure(
-                    step_index,
-                    resilience.breaker_threshold,
-                    resilience.breaker_cooldown_steps,
-                )
+                health.record_failure(step_index)
                 outcomes[sender] = _Broadcast(delivered=False)
                 continue
             health.record_success()
             package = self._deserialize_package(payload)
-            sane = (
-                not resilience.sanity_gate
-                or self._package_intrinsically_sane(package)
-            )
-            if sane and resilience.sanity_gate:
+            sane = self._package_intrinsically_sane(package)
+            if sane:
                 # Pose-jump check against the peer's own last delivery: a
                 # physically impossible move marks a corrupted fix and
                 # must not poison the fallback cache.
@@ -582,7 +484,7 @@ class CooperSession:
                     jump = np.hypot(
                         *(package.pose.position[:2] - prev.package.pose.position[:2])
                     )
-                    limit = resilience.max_pose_jump_m_per_step * max(
+                    limit = MAX_POSE_JUMP_M_PER_STEP * max(
                         1, step_index - prev.step
                     )
                     sane = bool(jump <= limit)
@@ -609,7 +511,6 @@ class CooperSession:
         then stale-cache fallbacks for peers that went dark), the per-peer
         channel outcome flags, and how many packages came from the cache.
         """
-        resilience = self.resilience
         packages: list[ExchangePackage | FeaturePackage] = []
         flags: list[bool] = []
         stale = 0
@@ -620,21 +521,13 @@ class CooperSession:
             outcome = outcomes[sender]
             flags.append(outcome.delivered)
             usable = outcome.delivered and outcome.intrinsically_sane
-            if (
-                usable
-                and resilience.sanity_gate
-                and not pose_delta_plausible(
-                    outcome.package,
-                    receiver_pose,
-                    resilience.max_peer_distance_m,
-                )
-            ):
+            if usable and not pose_delta_plausible(outcome.package, receiver_pose):
                 self._count("sanity_rejects")
                 usable = False
             if usable:
                 packages.append(outcome.package)
                 continue
-            if not resilience.stale_fallback:
+            if not self.stale_fallback:
                 continue
             entry = self._stale_cache.recall(sender, step_index)
             # A same-step entry is the very package just rejected for
@@ -642,14 +535,7 @@ class CooperSession:
             if (
                 entry is not None
                 and entry.step < step_index
-                and (
-                    not resilience.sanity_gate
-                    or pose_delta_plausible(
-                        entry.package,
-                        receiver_pose,
-                        resilience.max_peer_distance_m,
-                    )
-                )
+                and pose_delta_plausible(entry.package, receiver_pose)
             ):
                 packages.append(entry.package)
                 stale += 1
@@ -762,8 +648,7 @@ class CooperSession:
 
         Runs in the parent in agent order.  In gated mode every agent
         first broadcasts its confidence request (a tiny control message,
-        entered into the ledger but exempt from scheduler admission the
-        way safety beacons are), then each sender packages the union of
+        entered into the ledger), then each sender packages the union of
         what the other requesters still want.
         """
         gated = self.fusion_mode == "gated"
@@ -776,7 +661,6 @@ class CooperSession:
                     observations[name].measured_pose,
                     name,
                     timestamp=t,
-                    config=self.feature_config,
                 )
                 requests[name] = request
                 self.comm.record(
@@ -803,7 +687,6 @@ class CooperSession:
                     if gated
                     else ()
                 ),
-                config=self.feature_config,
             )
             payload = package.serialize()
             wire[name] = (payload, len(payload) * 8)

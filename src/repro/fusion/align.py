@@ -25,6 +25,14 @@ __all__ = [
     "pose_delta_plausible",
 ]
 
+#: Sanity bound (m) on received point coordinates: far beyond any LiDAR's
+#: physical range.
+MAX_POINT_RANGE_M = 300.0
+
+#: Sanity bound (m) on the sender-receiver BEV distance: DSRC is a
+#: sub-kilometre radio.
+MAX_PEER_DISTANCE_M = 500.0
+
 
 def alignment_transform(
     transmitter_pose: Pose, receiver_pose: Pose
@@ -60,9 +68,7 @@ def merge_packages(
         return merge_clouds([native, *aligned], frame_id="cooperative")
 
 
-def package_intrinsically_sane(
-    package: ExchangePackage, max_point_range_m: float = 300.0
-) -> bool:
+def package_intrinsically_sane(package: ExchangePackage) -> bool:
     """Receiver-independent corruption checks on one package.
 
     A package that decodes but carries non-finite pose components,
@@ -88,14 +94,10 @@ def package_intrinsically_sane(
     lo, hi = package.cloud.bounds()
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         return False
-    return bool(max(-lo.min(), hi.max()) <= max_point_range_m)
+    return bool(max(-lo.min(), hi.max()) <= MAX_POINT_RANGE_M)
 
 
-def pose_delta_plausible(
-    package: ExchangePackage,
-    receiver_pose: Pose,
-    max_peer_distance_m: float = 500.0,
-) -> bool:
+def pose_delta_plausible(package: ExchangePackage, receiver_pose: Pose) -> bool:
     """Is the sender's claimed pose physically reachable from the receiver?
 
     DSRC is a single-hop, sub-kilometre radio: a package claiming to come
@@ -103,5 +105,5 @@ def pose_delta_plausible(
     aligning by it would translate the cooperator's points into nonsense.
     """
     delta = package.pose.position - receiver_pose.position
-    return bool(np.hypot(delta[0], delta[1]) <= max_peer_distance_m)
+    return bool(np.hypot(delta[0], delta[1]) <= MAX_PEER_DISTANCE_M)
 

@@ -60,14 +60,12 @@ class Cooper:
         reject_misaligned: when True, packages whose aligned points
             physically disagree with the native scan (GPS fault, spoofed
             cloud — the paper's II-B trust concern) are quarantined
-            instead of merged.
-        residual_threshold: acceptance bound (metres) for the alignment
-            residual; see :func:`repro.fusion.diagnostics.validate_package`.
+            instead of merged (see
+            :func:`repro.fusion.diagnostics.validate_package`).
     """
 
     detector: SPOD = field(default_factory=SPOD.pretrained)
     reject_misaligned: bool = False
-    residual_threshold: float = 0.35
 
     def fuse(
         self,
@@ -88,10 +86,7 @@ class Cooper:
             accepted = []
             with PROFILER.stage("cooper.validate"):
                 for package in packages:
-                    report = validate_package(
-                        native_cloud, package, receiver_pose,
-                        residual_threshold=self.residual_threshold,
-                    )
+                    report = validate_package(native_cloud, package, receiver_pose)
                     if report.consistent:
                         accepted.append(package)
                     else:

@@ -47,7 +47,7 @@ from repro.detection.detections import Detection
 from repro.detection.nms import rotated_nms
 from repro.detection.nn.sparse import SparseTensor3d
 from repro.detection.preprocess import PreprocessResult
-from repro.detection.spod import SPOD
+from repro.detection.spod import NMS_IOU, SPOD
 from repro.fusion.align import alignment_transform
 from repro.fusion.package import encode_sender
 from repro.geometry.transforms import Pose
@@ -56,7 +56,6 @@ from repro.pointcloud.voxel import VoxelGridSpec
 from repro.profiling import PROFILER
 
 __all__ = [
-    "FeatureFusionConfig",
     "FeaturePackage",
     "ConfidenceRequest",
     "rpn_confidence",
@@ -78,38 +77,22 @@ _REQ_MAGIC = b"CPRQ"  # Cooper Request
 _REQ_HEADER = struct.Struct("<4sB16sd6H")
 _POSE_STRUCT = struct.Struct("<6d")
 
+#: RPN confidence at or above which a requester marks a BEV cell as
+#: already covered (peers need not send features there).
+REQUEST_THRESHOLD = 0.5
 
-@dataclass(frozen=True)
-class FeatureFusionConfig:
-    """Knobs of the confidence-gated exchange.
+#: Dilation (in cells) of the covered mask: a safety margin so a peer's
+#: slightly offset evidence for an already-seen object is still suppressed.
+REQUEST_DILATION = 1
 
-    Attributes:
-        request_threshold: RPN confidence at or above which the requester
-            marks a BEV cell as already covered (peers need not send
-            features there).
-        request_dilation: dilation (in cells) of the covered mask — a
-            safety margin so a peer's slightly offset evidence for an
-            already-seen object is still suppressed.
-        foreground_threshold: a *sender* only ships voxels whose own RPN
-            confidence suggests content; cells below this are background
-            clutter (walls, vegetation) that no receiver benefits from.
-        foreground_dilation: dilation of the sender's foreground mask —
-            keeps the voxels at object boundaries that carry the box
-            extent.
-    """
+#: A sender only ships voxels whose own RPN confidence reaches this; cells
+#: below it are background clutter (walls, vegetation) that no receiver
+#: benefits from.
+FOREGROUND_THRESHOLD = 0.1
 
-    request_threshold: float = 0.5
-    request_dilation: int = 1
-    foreground_threshold: float = 0.1
-    foreground_dilation: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.request_threshold <= 1.0:
-            raise ValueError("request_threshold must be in (0, 1]")
-        if not 0.0 < self.foreground_threshold <= 1.0:
-            raise ValueError("foreground_threshold must be in (0, 1]")
-        if self.request_dilation < 0 or self.foreground_dilation < 0:
-            raise ValueError("dilations must be non-negative")
+#: Dilation (in cells) of the sender's foreground mask: keeps the voxels
+#: at object boundaries that carry the box extent.
+FOREGROUND_DILATION = 2
 
 
 @dataclass(frozen=True)
@@ -356,15 +339,11 @@ def build_request(
     pose: Pose,
     sender: str,
     timestamp: float = 0.0,
-    config: FeatureFusionConfig | None = None,
 ) -> ConfidenceRequest:
     """Turn a requester's confidence map into the gating control message."""
-    config = config or FeatureFusionConfig()
-    confident = heat >= config.request_threshold
-    if config.request_dilation:
-        confident = ndimage.binary_dilation(
-            confident, iterations=config.request_dilation
-        )
+    confident = ndimage.binary_dilation(
+        heat >= REQUEST_THRESHOLD, iterations=REQUEST_DILATION
+    )
     return ConfidenceRequest(
         confident=confident, pose=pose, sender=sender, timestamp=timestamp
     )
@@ -422,7 +401,6 @@ def build_feature_package(
     timestamp: float = 0.0,
     heat: np.ndarray | None = None,
     requests: tuple[ConfidenceRequest, ...] = (),
-    config: FeatureFusionConfig | None = None,
 ) -> FeaturePackage:
     """Assemble one sender's outgoing feature package.
 
@@ -432,17 +410,14 @@ def build_feature_package(
     grid wants the cell (the requester is not already confident there).
     DSRC is a broadcast medium, so the union over requesters ships once.
     """
-    config = config or FeatureFusionConfig()
     coords = np.asarray(coords)
     features = np.asarray(features, dtype=np.float64)
     if requests:
         if heat is None:
             raise ValueError("gated packaging requires the sender's heat map")
-        foreground = heat >= config.foreground_threshold
-        if config.foreground_dilation:
-            foreground = ndimage.binary_dilation(
-                foreground, iterations=config.foreground_dilation
-            )
+        foreground = ndimage.binary_dilation(
+            heat >= FOREGROUND_THRESHOLD, iterations=FOREGROUND_DILATION
+        )
         keep = foreground[coords[:, 0], coords[:, 1]]
         wanted = np.zeros(len(coords), dtype=bool)
         for request in requests:
@@ -643,7 +618,7 @@ def decode_fused(
             cls_logits, obstacle_xyz, full_xyz, ground_z
         )
     with PROFILER.stage("spod.nms"):
-        kept = rotated_nms(raw, detector.config.nms_iou)
+        kept = rotated_nms(raw, NMS_IOU)
     threshold = detector.config.detection_threshold
     return [d for d in kept if d.score >= threshold]
 

@@ -23,6 +23,10 @@ from repro.sensors.rig import RigObservation
 
 __all__ = ["merge_timeline", "StaleEntry", "StalePackageCache"]
 
+#: Oldest usable stale-cache entry, in session steps: an entry from step
+#: ``s`` serves requests up to ``s + MAX_STALE_STEPS``.
+MAX_STALE_STEPS = 3
+
 
 def merge_timeline(
     observations: Sequence[RigObservation],
@@ -79,14 +83,9 @@ class StalePackageCache:
     receiver's current frame exactly as :func:`merge_timeline` re-aligns
     a vehicle's own scan history.  Static structure stays valid; only
     movers smear — which is why the fallback is bounded by
-    ``max_age_steps`` rather than kept forever.
-
-    Attributes:
-        max_age_steps: oldest usable entry, in session steps (an entry
-            from step ``s`` serves requests up to ``s + max_age_steps``).
+    ``MAX_STALE_STEPS`` rather than kept forever.
     """
 
-    max_age_steps: int = 3
     _entries: dict[str, StaleEntry] = field(default_factory=dict)
 
     def store(self, sender: str, package: ExchangePackage, step: int) -> None:
@@ -105,6 +104,6 @@ class StalePackageCache:
     def recall(self, sender: str, step: int) -> StaleEntry | None:
         """The peer's last delivery, if it is still young enough."""
         entry = self._entries.get(sender)
-        if entry is None or step - entry.step > self.max_age_steps:
+        if entry is None or step - entry.step > MAX_STALE_STEPS:
             return None
         return entry

@@ -17,7 +17,7 @@ subtracted before transmission in every category.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.geometry.boxes import Box3D
@@ -46,18 +46,16 @@ class RoiPolicy:
     """Parameters of the ROI extraction.
 
     Attributes:
-        category: which Fig. 11 situation applies.
-        sector_fov_deg: opening angle for FRONT_SECTOR (the paper's 120).
-        corridor_length / corridor_width: FORWARD_CORRIDOR geometry.
+        category: which Fig. 11 situation applies; FRONT_SECTOR keeps the
+            paper's 120-degree sector and FORWARD_CORRIDOR a 50 x 8 m
+            corridor (the defaults of :func:`crop_sector` and
+            :func:`forward_corridor`).
         subtract_known_background: drop mapped static structure first.
         exchange_rate_hz: how often packages are sent (the paper settles
             on 1 Hz as sufficient).
     """
 
     category: RoiCategory = RoiCategory.FULL_FRAME
-    sector_fov_deg: float = 120.0
-    corridor_length: float = 50.0
-    corridor_width: float = 8.0
     subtract_known_background: bool = True
     exchange_rate_hz: float = 1.0
 
@@ -79,11 +77,7 @@ def extract_roi(
         if policy.category is RoiCategory.FULL_FRAME:
             return working
         if policy.category is RoiCategory.FRONT_SECTOR:
-            return crop_sector(working, fov_deg=policy.sector_fov_deg)
+            return crop_sector(working)
         if policy.category is RoiCategory.FORWARD_CORRIDOR:
-            return forward_corridor(
-                working,
-                length=policy.corridor_length,
-                width=policy.corridor_width,
-            )
+            return forward_corridor(working)
         raise AssertionError(f"unhandled category {policy.category}")

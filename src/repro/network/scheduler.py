@@ -98,18 +98,6 @@ class SharedChannelScheduler:
         """Currently deferred demands, oldest first (read-only view)."""
         return [demand for _, demand in self._backlog]
 
-    def drop_backlog(self) -> int:
-        """Discard every deferred demand; returns how many were dropped.
-
-        Supports freshest-only flows (the session loop): a deferred
-        exchange package is superseded by the sender's next frame, so
-        retransmitting the stale payload would waste the airtime the
-        deferral was meant to save.
-        """
-        dropped = len(self._backlog)
-        self._backlog = []
-        return dropped
-
     @property
     def capacity_bits_per_second(self) -> float:
         """The channel's sustained capacity."""

@@ -22,14 +22,29 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.detection.calibrate import (
+    BIAS,
     CAR_MAX_HEIGHT,
+    COUNT_CAP,
+    COUNT_WEIGHT,
+    COVERAGE_BINS,
+    COVERAGE_WEIGHT,
     FOOTPRINT_PAD,
+    OVERRUN_PENALTY,
+    TALL_PENALTY,
     BoxEvidence,
     ConfidenceCalibrator,
     _grid_labels,
 )
-from repro.detection.classes import CAR, classify_cluster
-from repro.detection.refine import BoxRefiner, Fit
+from repro.detection.classes import classify_cluster
+from repro.detection.refine import (
+    GATHER_RADIUS,
+    MEANSHIFT_ITERATIONS,
+    MEANSHIFT_RADIUS,
+    MIN_POINTS,
+    SEED_RADIUS,
+    BoxRefiner,
+    Fit,
+)
 from repro.geometry.boxes import Box3D, points_in_box
 
 
@@ -49,14 +64,13 @@ class ReferenceRefiner(BoxRefiner):
             self._tree = cKDTree(self._car_points[:, :2])
 
     def refine_batch(self, proposals_xy) -> list[Fit | None]:
-        spec = self.spec
         n = len(proposals_xy)
         fits: list[Fit | None] = [None] * n
         if self._tree is None or n == 0:
             return fits
         centers = np.array([p[:2] for p in proposals_xy], dtype=float)
         seed_lists = self._tree.query_ball_point(
-            centers, spec.seed_radius, return_sorted=True
+            centers, SEED_RADIUS, return_sorted=True
         )
         seed_clusters: list[np.ndarray | None] = [None] * n
         modes = centers.copy()
@@ -73,17 +87,17 @@ class ReferenceRefiner(BoxRefiner):
                 self._clusters[seed_idx[distances <= cutoff]]
             )
             shifting[i] = True
-        for _ in range(spec.meanshift_iterations):
+        for _ in range(MEANSHIFT_ITERATIONS):
             live = np.flatnonzero(shifting)
             if not len(live):
                 break
             near_lists = self._tree.query_ball_point(
-                modes[live], spec.meanshift_radius, return_sorted=True
+                modes[live], MEANSHIFT_RADIUS, return_sorted=True
             )
             for j, i in enumerate(live):
                 near = np.asarray(near_lists[j], dtype=int)
                 near = near[np.isin(self._clusters[near], seed_clusters[i])]
-                if len(near) < spec.min_points:
+                if len(near) < MIN_POINTS:
                     shifting[i] = False
                     continue
                 new_mode = self._car_points[near, :2].mean(axis=0)
@@ -94,40 +108,28 @@ class ReferenceRefiner(BoxRefiner):
         if not seeded:
             return fits
         gather_lists = self._tree.query_ball_point(
-            modes[seeded], spec.gather_radius, return_sorted=True
+            modes[seeded], GATHER_RADIUS, return_sorted=True
         )
         for j, i in enumerate(seeded):
             idx = np.asarray(gather_lists[j], dtype=int)
             idx = idx[np.isin(self._clusters[idx], seed_clusters[i])]
-            if len(idx) >= max(spec.min_points, 1):
+            if len(idx) >= MIN_POINTS:
                 fits[i] = self._fit(self._car_points[idx])
         return fits
 
     def _fit(self, local: np.ndarray) -> Fit:
-        spec = self.spec
         local_xy = local[:, :2]
         centroid = local_xy.mean(axis=0)
-        if len(local_xy) >= 2:
-            centered = local_xy - centroid
-            cov = centered.T @ centered / len(local_xy)
-            eigenvalues, eigenvectors = np.linalg.eigh(cov)
-            projected = centered @ eigenvectors
-            spans = projected.max(axis=0) - projected.min(axis=0)
-            major, minor = float(spans[1]), float(spans[0])
-        else:
-            major = minor = 0.0
-        object_class = CAR
-        if spec.multi_class:
-            height_span = float(local[:, 2].max() - self.ground_z)
-            object_class = classify_cluster(major, minor, height_span)
-            length, width, height = object_class.template
-        else:
-            length, width, height = spec.template_size
-        if len(local_xy) >= 3:
-            axis = eigenvectors[:, int(np.argmax(eigenvalues))]
-            base_yaw = float(np.arctan2(axis[1], axis[0]))
-        else:
-            base_yaw = 0.0
+        centered = local_xy - centroid
+        cov = centered.T @ centered / len(local_xy)
+        eigenvalues, eigenvectors = np.linalg.eigh(cov)
+        projected = centered @ eigenvectors
+        spans = projected.max(axis=0) - projected.min(axis=0)
+        height_span = float(local[:, 2].max() - self.ground_z)
+        object_class = classify_cluster(float(spans[1]), float(spans[0]), height_span)
+        length, width, height = object_class.template
+        axis = eigenvectors[:, int(np.argmax(eigenvalues))]
+        base_yaw = float(np.arctan2(axis[1], axis[0]))
         best = None
         for yaw in (base_yaw, base_yaw + np.pi / 2.0):
             boxes = [
@@ -226,7 +228,7 @@ class ReferenceCalibrator(ConfidenceCalibrator):
     def score_batch(self, boxes, object_classes) -> np.ndarray:
         return np.array(
             [
-                reference_score(self.weights, self.reference_evidence(box), cls)
+                reference_score(self.reference_evidence(box), cls)
                 for box, cls in zip(boxes, object_classes)
             ]
         )
@@ -235,7 +237,6 @@ class ReferenceCalibrator(ConfidenceCalibrator):
         type(self).lookups += 1
         if not len(self.points):
             return BoxEvidence(0, 0.0, 0, 0.0)
-        w = self.weights
         rel = self.points[:, :2] - box.center[:2]
         cos_y, sin_y = np.cos(-box.yaw), np.sin(-box.yaw)
         u = rel[:, 0] * cos_y - rel[:, 1] * sin_y
@@ -261,25 +262,25 @@ class ReferenceCalibrator(ConfidenceCalibrator):
             overrun = max(0.0, extent - car_limit)
         rel = box_points[:, :2] - box.center[:2]
         azimuth = np.arctan2(rel[:, 1], rel[:, 0])
-        bins = ((azimuth + np.pi) / (2 * np.pi) * w.coverage_bins).astype(int)
-        bins = np.clip(bins, 0, w.coverage_bins - 1)
-        occupied = np.count_nonzero(np.bincount(bins, minlength=w.coverage_bins))
-        coverage = occupied / w.coverage_bins
+        bins = ((azimuth + np.pi) / (2 * np.pi) * COVERAGE_BINS).astype(int)
+        bins = np.clip(bins, 0, COVERAGE_BINS - 1)
+        occupied = np.count_nonzero(np.bincount(bins, minlength=COVERAGE_BINS))
+        coverage = occupied / COVERAGE_BINS
         return BoxEvidence(int(len(box_points)), float(coverage), tall_count, overrun)
 
 
-def reference_score(weights, ev: BoxEvidence, object_class=None) -> float:
+def reference_score(ev: BoxEvidence, object_class=None) -> float:
     """The calibrator's logistic model for one box, in scalars."""
-    bias = weights.bias
-    count_cap = weights.count_cap
+    bias = BIAS
+    count_cap = COUNT_CAP
     if object_class is not None:
         bias += object_class.bias_offset
         count_cap = min(count_cap, object_class.count_cap)
     logit = (
-        weights.count_weight * np.log1p(min(ev.num_points, count_cap))
-        + weights.coverage_weight * ev.coverage
-        - weights.tall_penalty * np.log1p(ev.tall_count)
-        - weights.overrun_penalty * ev.length_overrun
+        COUNT_WEIGHT * np.log1p(min(ev.num_points, count_cap))
+        + COVERAGE_WEIGHT * ev.coverage
+        - TALL_PENALTY * np.log1p(ev.tall_count)
+        - OVERRUN_PENALTY * ev.length_overrun
         - bias
     )
     return float(1.0 / (1.0 + np.exp(-np.clip(logit, -60, 60))))

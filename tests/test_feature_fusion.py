@@ -11,7 +11,6 @@ from repro.eval.matching import match_detections
 from repro.faults import FaultPlan
 from repro.fusion.feature import (
     ConfidenceRequest,
-    FeatureFusionConfig,
     FeaturePackage,
     build_feature_package,
     build_request,
@@ -160,7 +159,6 @@ class TestFusionMath:
         assert fused.proxy_xyz.shape[1] == 3
 
     def test_gated_package_never_larger_than_ungated(self):
-        config = FeatureFusionConfig()
         rng = np.random.default_rng(5)
         from repro.detection.spod import SPODConfig
 
@@ -176,7 +174,7 @@ class TestFusionMath:
         features = rng.uniform(0, 1, size=(300, 4))
         heat = rng.uniform(0, 1, size=(nx, ny))
         pose = Pose(np.zeros(3))
-        request = build_request(heat, pose, "rx", config=config)
+        request = build_request(heat, pose, "rx")
         ungated = build_feature_package(spec, coords, features, pose, "tx")
         gated = build_feature_package(
             spec,
@@ -186,7 +184,6 @@ class TestFusionMath:
             "tx",
             heat=heat,
             requests=(request,),
-            config=config,
         )
         assert gated.num_voxels <= ungated.num_voxels
         assert gated.size_bytes() <= ungated.size_bytes()

@@ -7,15 +7,14 @@ import repro.detection.spod as spod_module
 from repro.datasets.synthetic_kitti import kitti_cases
 from repro.datasets.tj import tj_cases
 from repro.detection.calibrate import (
+    COUNT_CAP,
     FOOTPRINT_PAD,
     LOOKUP_CELL,
     BoxEvidence,
-    CalibratorWeights,
     ConfidenceCalibrator,
 )
 from repro.detection.classes import CAR, CYCLIST, PEDESTRIAN
-from repro.detection.refine import GROUND_CELL, BoxRefiner, RefinementSpec
-from repro.detection.spod import SPOD, SPODConfig
+from repro.detection.refine import GROUND_CELL, MIN_POINTS, BoxRefiner
 from repro.fusion.align import merge_packages
 from repro.geometry.boxes import Box3D
 from repro.scenario import FAMILIES, build_case, compile_scenario, scenario_seed
@@ -122,12 +121,6 @@ class TestRefiner:
         assert yaw_error < np.deg2rad(25)
 
 
-class TestCalibratorWeights:
-    def test_invalid_bins(self):
-        with pytest.raises(ValueError):
-            CalibratorWeights(coverage_bins=0)
-
-
 class TestCalibrator:
     def test_score_monotone_in_points(self):
         box = gt_box(10.0, 0.0)
@@ -210,11 +203,13 @@ class TestCalibrator:
         )
 
     def test_count_cap_saturates(self):
-        weights = CalibratorWeights(count_cap=100)
-        calibrator = ConfidenceCalibrator(np.zeros((0, 3)), GROUND, weights)
-        a = calibrator.score_from_evidence(BoxEvidence(100, 0.5, 0, 0.0))
-        b = calibrator.score_from_evidence(BoxEvidence(10_000, 0.5, 0, 0.0))
-        assert a == pytest.approx(b)
+        calibrator = ConfidenceCalibrator(np.zeros((0, 3)), GROUND)
+
+        def score(num_points):
+            return calibrator.score_from_evidence(BoxEvidence(num_points, 0.5, 0, 0.0))
+
+        assert score(COUNT_CAP - 100) < score(COUNT_CAP)
+        assert score(COUNT_CAP) == pytest.approx(score(10_000))
 
 
 def _edge_points(center_xy, yaw, half_u, half_v, count=9):
@@ -400,7 +395,7 @@ class TestCalibratorLookup:
         classes = [template, None] * 12
         scores = fast.score_batch(boxes, classes)
         assert scores.tolist() == [
-            reference_score(fast.weights, ev, c) for ev, c in zip(expected, classes)
+            reference_score(ev, c) for ev, c in zip(expected, classes)
         ]
         assert sum(ev.num_points > 0 for ev in expected) > 0
 
@@ -451,6 +446,34 @@ def _single_and_merged(case):
     return [own, merged]
 
 
+@pytest.fixture(scope="module")
+def case_clouds():
+    """``case_clouds(dataset)``: the receiver and merged clouds of the four
+    KITTI or fifteen T&J cases, built once per module."""
+    built = {}
+
+    def clouds(dataset):
+        if dataset not in built:
+            cases = kitti_cases() if dataset == "kitti" else tj_cases()
+            built[dataset] = [
+                cloud for case in cases for cloud in _single_and_merged(case)
+            ]
+        return built[dataset]
+
+    return clouds
+
+
+class _RecordingRefiner(BoxRefiner):
+    """The detector's refiner, keeping every fit it returns in ``fits``."""
+
+    fits: list = []
+
+    def refine_batch(self, proposals_xy):
+        fits = super().refine_batch(proposals_xy)
+        type(self).fits.extend(fit for fit in fits if fit is not None)
+        return fits
+
+
 class TestDecodeFamilySweep:
     """Decode stays bit-identical to the per-proposal reference on one seeded
     scenario of every ``repro.scenario`` family: each observer's own cloud
@@ -478,19 +501,15 @@ class TestDecodeReferenceCases:
     KITTI and fifteen T&J cases, single shot and merged."""
 
     @pytest.mark.parametrize("dataset", ["kitti", "tj"])
-    def test_detect_all_matches_reference(self, dataset, detector, monkeypatch):
-        cases = kitti_cases() if dataset == "kitti" else tj_cases()
-        clouds = [cloud for case in cases for cloud in _single_and_merged(case)]
+    def test_detect_all_matches_reference(
+        self, dataset, detector, case_clouds, monkeypatch
+    ):
+        clouds = case_clouds(dataset)
         fast = [_detection_bytes(detector.detect_all(c)) for c in clouds]
         assert fast == _reference_detections(detector, clouds, monkeypatch)
         assert all(fast)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [RefinementSpec(), RefinementSpec(min_points=1)],
-        ids=["default", "min_points_1"],
-    )
-    def test_refine_batch_matches_reference_on_float64_points(self, spec):
+    def test_refine_batch_matches_reference_on_float64_points(self):
         """Full-precision coordinates, where summation order shows in the
         last bit (cloud coordinates are float32, whose float64 sums are
         exact in any order)."""
@@ -512,11 +531,11 @@ class TestDecodeReferenceCases:
             for _ in range(3)
         ] + list(rng.uniform([-5.0, -15.0], [30.0, 15.0], size=(10, 2)))
         proposals += proposals[:4]
-        fast = BoxRefiner(obstacles, GROUND, spec, ground_xy=ground.T).refine_batch(
+        fast = BoxRefiner(obstacles, GROUND, ground_xy=ground.T).refine_batch(
             proposals
         )
         reference = ReferenceRefiner(
-            obstacles, GROUND, spec, ground_xy=ground.T
+            obstacles, GROUND, ground_xy=ground.T
         ).refine_batch(proposals)
         assert [f is None for f in fast] == [f is None for f in reference]
         pairs = [(f, r) for f, r in zip(fast, reference) if f is not None]
@@ -525,19 +544,18 @@ class TestDecodeReferenceCases:
             assert f.box.as_vector().tobytes() == r.box.as_vector().tobytes()
             assert f.object_class == r.object_class
             assert np.array_equal(f.points, r.points)
+        assert min(len(f.points) for f, _ in pairs) >= MIN_POINTS
 
-    @pytest.mark.parametrize(
-        "spec",
-        [RefinementSpec(min_points=1), RefinementSpec(multi_class=False)],
-        ids=["min_points_1", "single_class"],
-    )
-    def test_refinement_variants_match_reference(self, spec, monkeypatch):
-        detector = SPOD.pretrained(SPODConfig(refinement=spec))
-        clouds = [
-            cloud
-            for case in (kitti_cases()[0], tj_cases()[0])
-            for cloud in _single_and_merged(case)
-        ]
-        fast = [_detection_bytes(detector.detect_all(c)) for c in clouds]
-        assert fast == _reference_detections(detector, clouds, monkeypatch)
-        assert all(fast)
+    @pytest.mark.parametrize("dataset", ["kitti", "tj"])
+    def test_every_fit_holds_min_points(
+        self, dataset, detector, case_clouds, monkeypatch
+    ):
+        """No fit reaches the principal-axis analysis with fewer than
+        ``MIN_POINTS`` points, single shot or merged."""
+        monkeypatch.setattr(spod_module, "BoxRefiner", _RecordingRefiner)
+        monkeypatch.setattr(_RecordingRefiner, "fits", [])
+        for cloud in case_clouds(dataset):
+            detector.detect_all(cloud)
+        sizes = [len(fit.points) for fit in _RecordingRefiner.fits]
+        assert sizes
+        assert min(sizes) >= MIN_POINTS

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.fusion.agent import CooperAgent, CooperSession, PeerHealth, ResilienceConfig
+from repro.fusion.agent import CooperAgent, CooperSession, PeerHealth
 from repro.fusion.cooper import Cooper
 from repro.geometry.transforms import Pose
 from repro.network.dsrc import DsrcChannel
@@ -43,7 +43,7 @@ KNOWN_COUNTERS = {
 }
 
 
-def build_session(detector, faults=None, resilience=None, channel=None):
+def build_session(detector, faults=None, stale_fallback=True, channel=None):
     """A small two-agent session over a three-car world."""
     world = World(
         (
@@ -77,7 +77,7 @@ def build_session(detector, faults=None, resilience=None, channel=None):
                 make_agent("beta", 4.0, -4.0)],
         channel=channel or DsrcChannel(),
         faults=faults,
-        resilience=resilience or ResilienceConfig(),
+        stale_fallback=stale_fallback,
     )
 
 
@@ -116,18 +116,16 @@ class TestCrashFreedom:
                 for s in range(5)
             ),
         )
-        session = build_session(
-            detector,
-            faults=plan,
-            resilience=ResilienceConfig(stale_fallback=False,
-                                        breaker_threshold=0),
-        )
+        session = build_session(detector, faults=plan, stale_fallback=False)
         logs = session.run(duration_seconds=5.0, seed=1)
         for steps in logs.values():
             for step in steps:
                 assert step.delivered == [False]
                 assert step.received_packages == []
-        assert session.degradation["channel_blackouts"] == 10  # 2 senders x 5
+        # Each sender blacks out at steps 0-2, which opens its breaker, and
+        # is skipped at steps 3-4: all 2 senders x 5 broadcasts are lost.
+        assert session.degradation["channel_blackouts"] == 6
+        assert session.degradation["breaker_skips"] == 4
         assert session.degradation["ego_only_steps"] == 10
 
 
@@ -193,30 +191,29 @@ class TestStaleFallback:
             events=(FaultEvent(FaultKind.CHANNEL_BLACKOUT, step=1,
                                agent="beta"),),
         )
-        session = build_session(
-            detector, faults=plan,
-            resilience=ResilienceConfig(stale_fallback=False),
-        )
+        session = build_session(detector, faults=plan, stale_fallback=False)
         logs = session.run(duration_seconds=3.0, seed=0)
         step1 = logs["alpha"][1]
         assert step1.received_packages == []
         assert session.degradation.get("stale_fallbacks", 0) == 0
 
     def test_cache_expires(self, detector):
-        """An outage longer than max_stale_steps leaves nothing to serve."""
+        """An outage longer than ``MAX_STALE_STEPS`` (3) leaves nothing to
+        serve."""
         events = tuple(
             FaultEvent(FaultKind.CHANNEL_BLACKOUT, step=s, agent="beta")
             for s in range(1, 6)
         )
         session = build_session(
-            detector, faults=FaultPlan(seed=0, events=events),
-            resilience=ResilienceConfig(max_stale_steps=2,
-                                        breaker_threshold=0),
+            detector, faults=FaultPlan(seed=0, events=events)
         )
         logs = session.run(duration_seconds=6.0, seed=0)
         counts = [len(s.received_packages) for s in logs["alpha"]]
-        # Fresh at step 0; stale at steps 1-2; expired from step 3 on.
-        assert counts == [1, 1, 1, 0, 0, 0]
+        # Fresh at step 0; stale at steps 1-3 (blackouts, then the breaker
+        # opens); expired from step 4 on, while the breaker skips beta.
+        assert counts == [1, 1, 1, 1, 0, 0]
+        assert [s.stale_count for s in logs["alpha"]] == [0, 1, 1, 1, 0, 0]
+        assert session.degradation["breaker_skips"] == 2
 
 
 class TestCircuitBreaker:
@@ -227,10 +224,7 @@ class TestCircuitBreaker:
         )
         session = build_session(
             detector, faults=FaultPlan(seed=0, events=events),
-            resilience=ResilienceConfig(
-                stale_fallback=False, breaker_threshold=3,
-                breaker_cooldown_steps=2,
-            ),
+            stale_fallback=False,
         )
         logs = session.run(duration_seconds=7.0, seed=0)
         delivered = [s.delivered[0] for s in logs["alpha"]]
@@ -240,23 +234,10 @@ class TestCircuitBreaker:
         assert session.degradation["channel_blackouts"] == 3
         assert session.degradation["breaker_skips"] == 2
 
-    def test_disabled_breaker_keeps_trying(self, detector):
-        events = tuple(
-            FaultEvent(FaultKind.CHANNEL_BLACKOUT, step=s, agent="beta")
-            for s in range(3)
-        )
-        session = build_session(
-            detector, faults=FaultPlan(seed=0, events=events),
-            resilience=ResilienceConfig(stale_fallback=False,
-                                        breaker_threshold=0),
-        )
-        session.run(duration_seconds=5.0, seed=0)
-        assert "breaker_skips" not in session.degradation
-
     def test_peer_health_unit(self):
         health = PeerHealth()
         for step in range(3):
-            health.record_failure(step, threshold=3, cooldown=2)
+            health.record_failure(step)
         assert health.is_open(3) and health.is_open(4)
         assert not health.is_open(5)  # the probe step
         health.record_success()
@@ -281,22 +262,6 @@ class TestSanityGate:
         assert len(step1.received_packages) == 1
         assert session.degradation["sanity_rejects"] >= 1
 
-    def test_gate_disabled_lets_it_through(self, detector):
-        plan = FaultPlan(
-            seed=0,
-            events=(FaultEvent(FaultKind.GPS_BIAS, step=1, agent="beta",
-                               magnitude=10_000.0),),
-        )
-        session = build_session(
-            detector, faults=plan,
-            resilience=ResilienceConfig(sanity_gate=False),
-        )
-        logs = session.run(duration_seconds=3.0, seed=0)
-        step1 = logs["alpha"][1]
-        assert step1.stale_count == 0
-        assert len(step1.received_packages) == 1
-        assert "sanity_rejects" not in session.degradation
-
 
 class TestFaultFreeParity:
     def test_no_plan_means_no_degradation(self, detector):
@@ -308,9 +273,3 @@ class TestFaultFreeParity:
                 assert step.delivered == [True]
                 assert step.stale_count == 0
                 assert len(step.received_packages) == 1
-
-    def test_resilience_config_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(max_stale_steps=-1)
-        with pytest.raises(ValueError):
-            ResilienceConfig(breaker_cooldown_steps=0)

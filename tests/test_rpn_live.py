@@ -243,7 +243,7 @@ class TestRegressionReaders:
         ((cls_logits, reg),) = seen
         bev = detector.forward_features(cloud, inference=True)["bev"]
         expected_cls, expected_reg = reference_rpn(detector.rpn, bev)
-        assert reg.shape[1] == 7 * detector.config.num_yaws
+        assert reg.shape[1] == 7 * len(detector.anchors.yaws)
         assert reg.any()
         _assert_bytes_equal(cls_logits, expected_cls)
         _assert_bytes_equal(reg, expected_reg)

@@ -32,6 +32,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SPODConfig(detection_threshold=1.5)
 
+    @pytest.mark.parametrize(
+        "build", [SPOD.pretrained, SPOD], ids=["pretrained", "plain"]
+    )
+    def test_rpn_heads_follow_anchor_yaws(self, build):
+        """One objectness channel and one 7-value regression block per
+        anchor yaw, the layout the decode and the trainer read."""
+        detector = build()
+        tensors = detector.forward(scene_cloud(car_surface_points(12.0, 2.0)))
+        yaws = len(detector.anchors.yaws)
+        assert tensors["cls_logits"].shape[1] == yaws
+        assert tensors["reg"].shape[1] == 7 * yaws
+        assert detector.rpn_apply(tensors["bev"]).shape[1] == yaws
+
 
 class TestDetection:
     def test_detects_dense_car(self, detector):
@@ -90,7 +103,7 @@ class TestDetection:
         cloud = scene_cloud(car_surface_points(12.0, 2.0))
         tensors = detector.forward(cloud)
         assert set(tensors) >= {"pre", "grid", "bev", "cls_logits", "reg"}
-        assert tensors["cls_logits"].shape[1] == detector.config.num_yaws
+        assert tensors["cls_logits"].shape[1] == len(detector.anchors.yaws)
 
 
 class TestCustomConfig:
