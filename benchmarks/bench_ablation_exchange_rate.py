@@ -28,7 +28,7 @@ def test_ablation_exchange_rate(benchmark, results_dir):
     )
     ego = StationaryTrajectory(layout.viewpoint("ego"))
     oncoming = StationaryTrajectory(layout.viewpoint("oncoming"))
-    channel = DsrcChannel(bandwidth_mbps=6.0)
+    channel = DsrcChannel()
 
     rows = []
     utilisation = {}

@@ -11,7 +11,6 @@ reason ROI extraction is load-bearing for fleet-scale cooperation.
 """
 
 from benchmarks.conftest import publish
-from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiCategory, RoiPolicy, extract_roi
 from repro.network.scheduler import Demand, SharedChannelScheduler
 from repro.scene.layouts import two_lane_road
@@ -29,7 +28,6 @@ def _bits_per_direction(policy: RoiPolicy) -> int:
 
 
 def test_ext_congestion(benchmark, results_dir):
-    channel = DsrcChannel(bandwidth_mbps=6.0)
     policies = {
         "full frame": RoiPolicy(
             category=RoiCategory.FULL_FRAME, subtract_known_background=False
@@ -44,12 +42,12 @@ def test_ext_congestion(benchmark, results_dir):
         bits = _bits_per_direction(policy)
         directions = 2 if policy.category.bidirectional else 1
         max_pairs = SharedChannelScheduler.saturation_point(
-            channel, bits, bidirectional=policy.category.bidirectional
+            bits, bidirectional=policy.category.bidirectional
         )
         saturation[label] = max_pairs
         # Verify with the scheduler: max_pairs fits, max_pairs + 2 defers.
         def run_pairs(n):
-            scheduler = SharedChannelScheduler(channel)
+            scheduler = SharedChannelScheduler()
             demands = [
                 Demand(f"pair{i}-{d}", bits)
                 for i in range(n)

@@ -14,7 +14,6 @@ per frame per car); and every series stays within DSRC capacity.
 import numpy as np
 
 from benchmarks.conftest import publish
-from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.network.simulator import ExchangeSimulator
 from repro.scene.layouts import two_lane_road
@@ -72,8 +71,7 @@ def test_fig12_roi_volumes(benchmark, results_dir):
     # The costliest frame is in the paper's low-megabit band.
     assert 0.2 < per_frame < 3.0
     # Everything fits DSRC.
-    channel = DsrcChannel(bandwidth_mbps=6.0)
-    assert all(trace.within_capacity(channel) for trace in traces.values())
+    assert all(trace.within_capacity() for trace in traces.values())
     assert all(all(trace.delivered) for trace in traces.values())
 
     # Benchmark one simulated exchange second (scan + ROI + codec + channel).

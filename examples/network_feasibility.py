@@ -9,7 +9,6 @@ can carry raw-data cooperative perception.
 Run:  python examples/network_feasibility.py
 """
 
-from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.network.simulator import ExchangeSimulator
 from repro.scene.layouts import two_lane_road
@@ -28,7 +27,6 @@ def main() -> None:
     ego = StraightTrajectory(layout.viewpoint("ego"), speed=6.0)
     oncoming = StraightTrajectory(layout.viewpoint("oncoming"), speed=6.0)
     leader = StationaryTrajectory(layout.viewpoint("leader"))
-    channel = DsrcChannel(bandwidth_mbps=6.0, base_latency_ms=2.0)
 
     policies = {
         "ROI 1 full frame, both ways (opposite lanes)": (
@@ -61,7 +59,7 @@ def main() -> None:
     print()
     for label, trace in traces.items():
         per_frame = max(trace.per_frame_megabits)
-        fits = trace.within_capacity(channel)
+        fits = trace.within_capacity()
         latency = max(trace.latencies)
         print(f"{label}")
         print(

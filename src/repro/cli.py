@@ -132,7 +132,6 @@ def _cmd_drift(args: argparse.Namespace) -> int:
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
-    from repro.network.dsrc import DsrcChannel
     from repro.network.roi_policy import RoiCategory, RoiPolicy
     from repro.network.simulator import ExchangeSimulator
     from repro.scene.layouts import two_lane_road
@@ -148,7 +147,6 @@ def _cmd_network(args: argparse.Namespace) -> int:
     )
     ego = StationaryTrajectory(layout.viewpoint("ego"))
     other = StationaryTrajectory(layout.viewpoint("oncoming"))
-    channel = DsrcChannel(bandwidth_mbps=6.0)
     for category in RoiCategory:
         subtract = category is not RoiCategory.FULL_FRAME
         policy = RoiPolicy(category=category, subtract_known_background=subtract)
@@ -156,7 +154,7 @@ def _cmd_network(args: argparse.Namespace) -> int:
         print(
             f"{category.name:17s}: mean {trace.mean_volume_megabits:5.2f} Mbit/s, "
             f"peak {trace.peak_volume_megabits:5.2f}, "
-            f"within DSRC: {'yes' if trace.within_capacity(channel) else 'NO'}"
+            f"within DSRC: {'yes' if trace.within_capacity() else 'NO'}"
         )
     return 0
 

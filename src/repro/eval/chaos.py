@@ -30,7 +30,6 @@ from repro.eval.matching import in_eval_area, match_detections
 from repro.faults import FaultPlan
 from repro.fusion.agent import AgentStep, CooperAgent, CooperSession
 from repro.fusion.cooper import Cooper
-from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.scene.layouts import parking_lot
 from repro.scene.trajectories import StationaryTrajectory, StraightTrajectory
@@ -88,7 +87,6 @@ def build_chaos_session(
     detector: SPOD | None = None,
     faults: FaultPlan | None = None,
     stale_fallback: bool = True,
-    channel: DsrcChannel | None = None,
 ) -> CooperSession:
     """The sweeps' scenario: a two-agent parking lot, one mover.
 
@@ -120,7 +118,6 @@ def build_chaos_session(
     return CooperSession(
         world=layout.world,
         agents=agents,
-        channel=channel or DsrcChannel(),
         faults=faults,
         stale_fallback=stale_fallback,
     )

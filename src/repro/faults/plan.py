@@ -32,8 +32,12 @@ __all__ = [
     "SensorFaults",
     "NO_SENSOR_FAULTS",
     "FaultPlan",
+    "IMU_GLITCH_DEG",
     "parse_fault_spec",
 ]
+
+#: Bound (degrees) of a stochastic IMU yaw glitch's magnitude.
+IMU_GLITCH_DEG = 5.0
 
 
 def parse_fault_spec(
@@ -110,8 +114,8 @@ class ChannelConditions:
     """Resolved channel faults for one (step, sender) broadcast.
 
     Attributes:
-        loss_rate: effective per-attempt loss probability, or None to use
-            the channel's own configured rate.
+        loss_rate: effective per-attempt loss probability, or None for a
+            clean link (the channel loses nothing of its own).
         extra_latency_ms: jitter/spike latency added to every attempt.
         blackout: scripted total outage — the broadcast is lost outright.
         state: the Gilbert-Elliott state behind ``loss_rate`` (or None
@@ -187,14 +191,14 @@ class FaultPlan:
 
     Attributes:
         seed: base seed every stochastic fault derives from.
-        burst: bursty channel loss model (None — channel's own loss).
+        burst: bursty channel loss model (None — a clean link).
         jitter: latency jitter model (None — no extra latency).
         gps_dropout_prob: per-(step, agent) GPS fix-loss probability.
         gps_dropout_error_m: position error bound during a dropout.
         gps_bias_drift_m_per_step: linear GPS bias growth per step, in a
             per-agent fixed random direction (slow drift).
-        imu_glitch_prob: per-(step, agent) yaw glitch probability.
-        imu_glitch_deg: yaw glitch magnitude bound (degrees).
+        imu_glitch_prob: per-(step, agent) yaw glitch probability; a
+            glitch is uniform within :data:`IMU_GLITCH_DEG`.
         lidar_blackout_prob: per-(step, agent) blackout-frame probability.
         events: scripted faults on top of the stochastic processes.
     """
@@ -206,7 +210,6 @@ class FaultPlan:
     gps_dropout_error_m: float = 3.0
     gps_bias_drift_m_per_step: float = 0.0
     imu_glitch_prob: float = 0.0
-    imu_glitch_deg: float = 5.0
     lidar_blackout_prob: float = 0.0
     events: tuple[FaultEvent, ...] = field(default_factory=tuple)
 
@@ -287,7 +290,7 @@ class FaultPlan:
         imu_offset_deg = 0.0
         if imu_glitch:
             imu_offset_deg = float(
-                rng.uniform(-self.imu_glitch_deg, self.imu_glitch_deg)
+                rng.uniform(-IMU_GLITCH_DEG, IMU_GLITCH_DEG)
             )
 
         for event in self.events:

@@ -6,8 +6,8 @@ exchange period:
 1. **observe** — scan the world, read GPS + IMU (``repro.sensors``),
 2. **share** — ROI-extract, background-subtract, compress and serialise an
    exchange package (``repro.network.roi_policy`` / ``repro.fusion.package``),
-3. **transmit** — fragment the package over the DSRC channel
-   (``repro.network``),
+3. **transmit** — send the whole package over the one DSRC channel
+   (``repro.network.dsrc``),
 4. **fuse + detect** — align received packages, merge, run SPOD
    (``repro.fusion`` / ``repro.detection``).
 
@@ -19,7 +19,7 @@ count:
 
 * **sense** — one task per agent observes, then serialises its raw
   exchange package or, in the feature modes, taps its own detector;
-* **exchange** — the parent builds the feature-mode wire, runs the shared
+* **exchange** — the parent builds the feature-mode wire, runs the DSRC
   channel and the fault/resilience machinery, decodes each delivered
   package once and assembles every receiver's inbox from those packages;
 * **perceive** — one task per agent fuses its inbox with its own data and
@@ -129,8 +129,8 @@ class AgentStep:
             with the fallback cache.  In the feature fusion modes these are
             :class:`FeaturePackage` instances.
         delivered: per-peer channel outcome for this period's broadcasts
-            (False covers loss, deadline drops, blackouts and circuit-
-            breaker skips — the fresh package did not arrive).
+            (False covers loss, blackouts and circuit-breaker skips — the
+            fresh package did not arrive).
         stale_count: how many of ``received_packages`` were age-bounded
             stale-cache fallbacks rather than fresh deliveries.
         detections: SPOD output on the fused cloud.
@@ -262,10 +262,13 @@ class CooperAgent:
 class CooperSession:
     """Drives multiple agents through a shared timeline.
 
+    Every broadcast crosses one DSRC channel
+    (:class:`~repro.network.dsrc.DsrcChannel`): its fixed bandwidth,
+    latency and retry budget, and a loss that only the fault plan supplies.
+
     Attributes:
         world: the shared environment.
         agents: the participating vehicles.
-        channel: the (shared) DSRC link model.
         faults: optional seeded fault schedule injected into the channel
             and every rig (None — the clean-world behaviour).  The sanity
             gate and the circuit breaker always run; they are inert in a
@@ -297,7 +300,6 @@ class CooperSession:
 
     world: World
     agents: list[CooperAgent]
-    channel: DsrcChannel = field(default_factory=DsrcChannel)
     faults: FaultPlan | None = None
     stale_fallback: bool = True
     temporal: bool = False
@@ -434,6 +436,7 @@ class CooperSession:
         entered into the :attr:`comm` ledger.
         """
         self.comm.note_frame(step_index)
+        channel = DsrcChannel()
         kind = "cloud" if self.fusion_mode == "raw" else "features"
         outcomes: dict[str, _Broadcast] = {}
         for agent in self.agents:
@@ -454,7 +457,7 @@ class CooperSession:
                 health.record_failure(step_index)
                 outcomes[sender] = _Broadcast(delivered=False)
                 continue
-            report = self.channel.transmit(
+            report = channel.transmit(
                 bits,
                 seed=_channel_seed(seed, step_index, sender),
                 loss_rate=conditions.loss_rate if conditions else None,
@@ -466,8 +469,6 @@ class CooperSession:
                 step_index, sender, kind, len(payload),
                 delivered=report.delivered,
             )
-            if report.timed_out:
-                self._count("deadline_drops")
             if not report.delivered:
                 health.record_failure(step_index)
                 outcomes[sender] = _Broadcast(delivered=False)

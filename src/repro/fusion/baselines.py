@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 from repro.detection.detections import Detection
 from repro.detection.nms import rotated_nms
-from repro.detection.spod import SPOD
+from repro.detection.spod import NMS_IOU, SPOD
 from repro.fusion.align import alignment_transform
 from repro.fusion.feature import (
     FeaturePackage,
@@ -46,12 +46,13 @@ def object_level_fusion(
     native_cloud: PointCloud,
     receiver_pose: Pose,
     packages: Sequence[ExchangePackage],
-    nms_iou: float = 0.3,
 ) -> list[Detection]:
     """High-level fusion: merge per-vehicle *detections*, not points.
 
     Each cooperator runs SPOD on its own cloud; detected boxes are
-    transformed into the receiver frame and deduplicated with NMS.  Objects
+    transformed into the receiver frame and deduplicated with the
+    detector's own NMS threshold (:data:`~repro.detection.spod.NMS_IOU`),
+    so one car seen by two vehicles leaves one box.  Objects
     below every single vehicle's detection threshold can never appear in
     the output — the structural weakness the paper's low-level fusion
     avoids.
@@ -61,7 +62,7 @@ def object_level_fusion(
         remote_detections = detector.detect(package.cloud)
         transform = alignment_transform(package.pose, receiver_pose)
         fused.extend(d.transformed(transform) for d in remote_detections)
-    return rotated_nms(fused, nms_iou)
+    return rotated_nms(fused, NMS_IOU)
 
 
 def feature_level_fusion(

@@ -24,7 +24,17 @@ from repro.fusion.package import ExchangePackage
 from repro.geometry.transforms import Pose
 from repro.pointcloud.cloud import PointCloud
 
-__all__ = ["AlignmentReport", "alignment_residual", "validate_package"]
+__all__ = [
+    "RESIDUAL_THRESHOLD_M",
+    "AlignmentReport",
+    "alignment_residual",
+    "validate_package",
+]
+
+#: Alignment residual (metres) above which a package is inconsistent: well
+#: above combined sensor noise plus in-spec GPS/IMU error (~0.1-0.2 m
+#: residual) and well below what a metre-scale localisation fault produces.
+RESIDUAL_THRESHOLD_M = 0.35
 
 
 @dataclass(frozen=True)
@@ -36,7 +46,7 @@ class AlignmentReport:
             the overlap region; ``inf`` when there is no overlap to judge.
         overlap_points: how many received points fell inside the native
             cloud's neighbourhood and contributed to the residual.
-        consistent: residual at or below the acceptance threshold.
+        consistent: residual at or below :data:`RESIDUAL_THRESHOLD_M`.
     """
 
     residual: float
@@ -85,21 +95,16 @@ def alignment_residual(
 
 
 def validate_package(
-    native: PointCloud,
-    package: ExchangePackage,
-    receiver_pose: Pose,
-    residual_threshold: float = 0.35,
+    native: PointCloud, package: ExchangePackage, receiver_pose: Pose
 ) -> AlignmentReport:
     """Check a received package's physical consistency with the native scan.
 
-    The threshold default sits well above combined sensor noise plus
-    in-spec GPS/IMU error (~0.1-0.2 m residual) and well below the residual
-    a metre-scale localisation fault produces.  Packages with *no* overlap
-    cannot be checked; they are accepted (their content is additive-only)
-    with ``residual = inf`` and ``overlap_points = 0``.
+    Packages with *no* overlap cannot be checked; they are accepted (their
+    content is additive-only) with ``residual = inf`` and
+    ``overlap_points = 0``.
     """
     aligned = align_package(package, receiver_pose)
     residual, overlap = alignment_residual(native, aligned)
     if overlap == 0:
         return AlignmentReport(residual, overlap, consistent=True)
-    return AlignmentReport(residual, overlap, residual <= residual_threshold)
+    return AlignmentReport(residual, overlap, residual <= RESIDUAL_THRESHOLD_M)

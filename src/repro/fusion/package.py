@@ -8,7 +8,9 @@ Vehicle's IMU reading is also required."
 An :class:`ExchangePackage` is exactly that: the (possibly ROI-cropped)
 cloud in the sender's LiDAR frame plus the sender's measured pose (GPS
 position + IMU attitude) and sensor metadata.  Packages serialise to the
-compact wire format used by the networking layer.
+compact wire format used by the networking layer, with the cloud in the
+default codec (:class:`~repro.pointcloud.compression.CompressionSpec`:
+16-bit coordinates, 8-bit reflectance).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from repro.geometry.transforms import Pose
 from repro.pointcloud.cloud import PointCloud
 from repro.pointcloud.compression import (
-    CompressionSpec,
     compress_cloud,
     compressed_size_bytes,
     decompress_cloud,
@@ -79,7 +80,7 @@ class ExchangePackage:
             raise ValueError("beam_count must be positive")
         encode_sender(self.sender)  # fail fast on an over-long name
 
-    def serialize(self, spec: CompressionSpec | None = None) -> bytes:
+    def serialize(self) -> bytes:
         """Encode to the wire format: metadata + pose + compressed cloud."""
         with PROFILER.stage("package.serialize"):
             sender_bytes = encode_sender(self.sender)
@@ -92,7 +93,7 @@ class ExchangePackage:
                 self.pose.pitch,
                 self.pose.roll,
             )
-            return meta + pose + compress_cloud(self.cloud, spec)
+            return meta + pose + compress_cloud(self.cloud)
 
     @staticmethod
     def deserialize(payload: bytes) -> "ExchangePackage":
@@ -115,7 +116,7 @@ class ExchangePackage:
                 timestamp=timestamp,
             )
 
-    def size_bytes(self, spec: CompressionSpec | None = None) -> int:
+    def size_bytes(self) -> int:
         """Wire size of this package in bytes, computed analytically.
 
         Every wire section has a fixed or arithmetically determined size
@@ -123,14 +124,14 @@ class ExchangePackage:
         payload), so the size never requires actually serialising —
         which matters to the schedulers and bandwidth ledgers that query
         sizes every frame for every sender.  Guaranteed equal to
-        ``len(self.serialize(spec))``.
+        ``len(self.serialize())``.
         """
         return (
             _META_STRUCT.size
             + _POSE_STRUCT.size
-            + compressed_size_bytes(len(self.cloud), spec)
+            + compressed_size_bytes(len(self.cloud))
         )
 
-    def size_megabits(self, spec: CompressionSpec | None = None) -> float:
+    def size_megabits(self) -> float:
         """Wire size in megabits — the unit of the paper's Fig. 12."""
-        return self.size_bytes(spec) * 8 / 1e6
+        return self.size_bytes() * 8 / 1e6

@@ -3,9 +3,8 @@
 IEEE 802.11p / DSRC [12] offers 3-27 Mbit/s per channel with a practical
 sustained throughput around 6 Mbit/s and single-hop latencies of a few
 milliseconds at vehicular ranges.  The model here answers the questions the
-paper's Section IV-G asks: how long does a payload take to transmit, does a
-frame's worth of ROI data fit in the per-frame budget, and what fraction of
-channel capacity does an exchange policy consume?
+paper's Section IV-G asks: how long does a payload take to transmit, and
+what fraction of channel capacity does an exchange policy consume?
 """
 
 from __future__ import annotations
@@ -16,7 +15,23 @@ import numpy as np
 
 from repro.profiling import PROFILER
 
-__all__ = ["DsrcChannel", "TransmissionReport"]
+__all__ = [
+    "BANDWIDTH_MBPS",
+    "BASE_LATENCY_MS",
+    "MAX_RETRIES",
+    "DsrcChannel",
+    "TransmissionReport",
+]
+
+#: Sustained throughput (Mbit/s): paper-era practical DSRC; the
+#: standard's channels peak at 27.
+BANDWIDTH_MBPS = 6.0
+
+#: Fixed per-message overhead (ms): MAC plus propagation.
+BASE_LATENCY_MS = 2.0
+
+#: Retransmissions after the first attempt before a send is reported lost.
+MAX_RETRIES = 3
 
 
 @dataclass
@@ -29,15 +44,12 @@ class TransmissionReport:
         seconds: total latency (propagation + serialisation + retries).
         delivered: False if loss persisted beyond the retry budget.
         attempts: transmission attempts used.
-        timed_out: True when the channel's latency deadline expired before
-            delivery — the package was dropped as *late*, not lost.
     """
 
     payload_bits: int
     seconds: float
     delivered: bool
     attempts: int
-    timed_out: bool = False
 
     @property
     def total_bits(self) -> int:
@@ -48,61 +60,16 @@ class TransmissionReport:
         """
         return self.payload_bits * self.attempts
 
-    @property
-    def throughput_mbps(self) -> float:
-        """Effective goodput in Mbit/s: *delivered* payload over total time.
 
-        Retransmitted copies consume airtime (the ``seconds`` denominator
-        grows with every retry) but never count as delivered data, so a
-        lossy link reports a goodput below the channel bandwidth.
-        """
-        if self.seconds <= 0 or not self.delivered:
-            return 0.0
-        return self.payload_bits / self.seconds / 1e6
-
-
-@dataclass(frozen=True)
 class DsrcChannel:
-    """A point-to-point DSRC link.
-
-    Attributes:
-        bandwidth_mbps: sustained throughput (paper-era practical DSRC ~6;
-            the standard's channels peak at 27).
-        base_latency_ms: fixed per-message overhead (MAC + propagation).
-        loss_rate: independent per-attempt probability a message is lost.
-        max_retries: retransmission budget before reporting failure.
-        backoff_ms: exponential retry backoff — retry ``k`` waits
-            ``backoff_ms * 2**(k-1)`` before re-sending (0 disables).
-        deadline_ms: per-frame latency budget.  A transmission that cannot
-            complete inside the deadline is *dropped as late* (reported
-            undelivered with ``timed_out``) rather than blocked on — a
-            perception loop must start fusing, not wait.  None disables.
-    """
-
-    bandwidth_mbps: float = 6.0
-    base_latency_ms: float = 2.0
-    loss_rate: float = 0.0
-    max_retries: int = 3
-    backoff_ms: float = 0.0
-    deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss_rate must be in [0, 1)")
-        if self.base_latency_ms < 0:
-            raise ValueError("base_latency_ms must be non-negative")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff_ms < 0:
-            raise ValueError("backoff_ms must be non-negative")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError("deadline_ms must be positive (or None)")
+    """The point-to-point DSRC link: :data:`BANDWIDTH_MBPS`,
+    :data:`BASE_LATENCY_MS` per attempt and up to :data:`MAX_RETRIES`
+    retransmissions.  The link loses nothing of its own; loss comes from
+    the caller (a fault plan's burst state)."""
 
     def serialization_seconds(self, payload_bits: int) -> float:
         """Time to clock the payload onto the air."""
-        return payload_bits / (self.bandwidth_mbps * 1e6)
+        return payload_bits / (BANDWIDTH_MBPS * 1e6)
 
     def transmit(
         self,
@@ -114,24 +81,18 @@ class DsrcChannel:
     ) -> TransmissionReport:
         """Transmit a payload, retrying on (seeded) random loss.
 
-        ``loss_rate`` overrides the channel's configured rate for this
-        call (a fault plan's Gilbert-Elliott state supplies it);
-        ``extra_latency_ms`` adds per-attempt jitter/spike latency.  With
-        a ``deadline_ms`` configured, an attempt that cannot finish
-        inside the budget is never started: the package is dropped as
-        late (``timed_out``) instead of blocking the perception loop.
+        ``loss_rate`` is the per-attempt loss probability of this call (a
+        fault plan's Gilbert-Elliott state supplies it; None is a clean
+        link); ``extra_latency_ms`` adds per-attempt jitter/spike latency.
         """
         if payload_bits < 0:
             raise ValueError("payload_bits must be non-negative")
         if extra_latency_ms < 0:
             raise ValueError("extra_latency_ms must be non-negative")
-        effective_loss = self.loss_rate if loss_rate is None else loss_rate
+        effective_loss = 0.0 if loss_rate is None else loss_rate
         effective_loss = min(max(effective_loss, 0.0), 1.0)
-        deadline_s = (
-            self.deadline_ms / 1e3 if self.deadline_ms is not None else None
-        )
         attempt_cost = (
-            (self.base_latency_ms + extra_latency_ms) / 1e3
+            (BASE_LATENCY_MS + extra_latency_ms) / 1e3
             + self.serialization_seconds(payload_bits)
         )
         with PROFILER.stage("dsrc.transmit"):
@@ -139,45 +100,18 @@ class DsrcChannel:
             elapsed = 0.0
             attempts = 0
             delivered = False
-            timed_out = False
-            while attempts <= self.max_retries:
-                backoff = (
-                    self.backoff_ms / 1e3 * 2 ** (attempts - 1)
-                    if attempts > 0 and self.backoff_ms > 0
-                    else 0.0
-                )
-                if (
-                    deadline_s is not None
-                    and elapsed + backoff + attempt_cost > deadline_s
-                ):
-                    timed_out = True
-                    break
+            while attempts <= MAX_RETRIES:
                 attempts += 1
-                elapsed += backoff + attempt_cost
+                elapsed += attempt_cost
                 if rng.random() >= effective_loss:
                     delivered = True
                     break
-            report = TransmissionReport(
-                payload_bits, elapsed, delivered, attempts, timed_out
-            )
+            report = TransmissionReport(payload_bits, elapsed, delivered, attempts)
         PROFILER.count("dsrc.payload_bits", payload_bits)
         PROFILER.count("dsrc.total_bits", report.total_bits)
         PROFILER.count("dsrc.attempts", attempts)
-        if timed_out:
-            PROFILER.count("dsrc.deadline_drops")
         return report
-
-    def fits_in_budget(self, payload_bits: int, budget_seconds: float) -> bool:
-        """Can the payload be delivered inside ``budget_seconds``?
-
-        The paper's constraint: at a 1 Hz exchange rate, each frame's ROI
-        data must clear the channel within a second.
-        """
-        return (
-            self.base_latency_ms / 1e3 + self.serialization_seconds(payload_bits)
-            <= budget_seconds
-        )
 
     def utilization(self, bits_per_second: float) -> float:
         """Fraction of channel capacity a sustained bit-rate consumes."""
-        return bits_per_second / (self.bandwidth_mbps * 1e6)
+        return bits_per_second / (BANDWIDTH_MBPS * 1e6)

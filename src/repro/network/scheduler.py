@@ -15,9 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.network.dsrc import DsrcChannel
+from repro.network.dsrc import BANDWIDTH_MBPS
 
-__all__ = ["Demand", "ScheduleReport", "SharedChannelScheduler"]
+__all__ = [
+    "AGING_BOOST_SECONDS",
+    "Demand",
+    "ScheduleReport",
+    "SharedChannelScheduler",
+]
+
+#: Deferred seconds that raise a backlogged demand by one priority level.
+AGING_BOOST_SECONDS = 4
 
 
 @dataclass(frozen=True)
@@ -54,14 +62,10 @@ class ScheduleReport:
     deferred: list[Demand] = field(default_factory=list)
     utilization: float = 0.0
 
-    @property
-    def delivered_bits(self) -> int:
-        """Total bits that made it onto the air."""
-        return sum(d.bits for d in self.delivered)
-
 
 class SharedChannelScheduler:
-    """Admits transmission demands against one DSRC channel per second.
+    """Admits transmission demands against one DSRC channel's capacity
+    (:data:`~repro.network.dsrc.BANDWIDTH_MBPS`) per second.
 
     Fresh demands are served in the documented ``(-priority, bits,
     sender)`` order — small high-priority messages first, mirroring
@@ -70,7 +74,7 @@ class SharedChannelScheduler:
     in every run regardless of arrival order.
 
     Unserved demands carry over to the next second via :attr:`backlog`
-    **with aging**: a demand deferred for ``aging_boost_seconds`` seconds
+    **with aging**: a demand deferred for :data:`AGING_BOOST_SECONDS` seconds
     gains one effective priority level (and older demands outrank younger
     ones at equal effective priority).  Without aging, a large
     low-priority demand is leapfrogged forever by a steady trickle of
@@ -82,15 +86,7 @@ class SharedChannelScheduler:
     documented key exactly.
     """
 
-    def __init__(
-        self,
-        channel: DsrcChannel | None = None,
-        aging_boost_seconds: int = 4,
-    ) -> None:
-        if aging_boost_seconds < 1:
-            raise ValueError("aging_boost_seconds must be at least 1")
-        self.channel = channel or DsrcChannel()
-        self.aging_boost_seconds = aging_boost_seconds
+    def __init__(self) -> None:
         self._backlog: list[tuple[int, Demand]] = []
 
     @property
@@ -101,12 +97,12 @@ class SharedChannelScheduler:
     @property
     def capacity_bits_per_second(self) -> float:
         """The channel's sustained capacity."""
-        return self.channel.bandwidth_mbps * 1e6
+        return BANDWIDTH_MBPS * 1e6
 
     def schedule_second(self, demands: list[Demand]) -> ScheduleReport:
         """Serve this second's demands (plus aged backlog) within capacity.
 
-        The service order is ``(-(priority + age // aging_boost_seconds),
+        The service order is ``(-(priority + age // AGING_BOOST_SECONDS),
         -age, bits, sender)`` where ``age`` counts deferred seconds —
         for same-second demands (age 0) this reduces to the documented
         stable key ``(-priority, bits, sender)``.
@@ -115,7 +111,7 @@ class SharedChannelScheduler:
         queue = sorted(
             aged,
             key=lambda item: (
-                -(item[1].priority + item[0] // self.aging_boost_seconds),
+                -(item[1].priority + item[0] // AGING_BOOST_SECONDS),
                 -item[0],
                 item[1].bits,
                 item[1].sender,
@@ -145,9 +141,7 @@ class SharedChannelScheduler:
         return [self.schedule_second(batch) for batch in per_second_demands]
 
     @staticmethod
-    def saturation_point(
-        channel: DsrcChannel, bits_per_pair: float, bidirectional: bool = True
-    ) -> int:
+    def saturation_point(bits_per_pair: float, bidirectional: bool = True) -> int:
         """Max cooperating pairs one channel supports at a given demand.
 
         The congestion headline: at full-frame exchange each pair costs
@@ -156,4 +150,4 @@ class SharedChannelScheduler:
         if bits_per_pair <= 0:
             raise ValueError("bits_per_pair must be positive")
         per_pair = bits_per_pair * (2 if bidirectional else 1)
-        return int(np.floor(channel.bandwidth_mbps * 1e6 / per_pair))
+        return int(np.floor(BANDWIDTH_MBPS * 1e6 / per_pair))

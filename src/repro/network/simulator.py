@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fusion.package import ExchangePackage
-from repro.network.dsrc import DsrcChannel
+from repro.network.dsrc import BANDWIDTH_MBPS, DsrcChannel
 from repro.network.roi_policy import RoiPolicy, extract_roi
-from repro.pointcloud.compression import CompressionSpec
 from repro.scene.trajectories import Trajectory
 from repro.scene.world import World
 from repro.sensors.rig import SensorRig
@@ -49,11 +48,6 @@ class ExchangeTrace:
     attempts: list[int] = field(default_factory=list)
 
     @property
-    def total_attempts(self) -> int:
-        """Transmission attempts summed over every package."""
-        return int(sum(self.attempts))
-
-    @property
     def peak_volume_megabits(self) -> float:
         """Largest single-second volume."""
         return float(self.volume_megabits.max()) if len(self.volume_megabits) else 0.0
@@ -63,27 +57,24 @@ class ExchangeTrace:
         """Average per-second volume."""
         return float(self.volume_megabits.mean()) if len(self.volume_megabits) else 0.0
 
-    def within_capacity(self, channel: DsrcChannel) -> bool:
-        """Does every second's volume fit the channel's sustained rate?"""
-        return bool((self.volume_megabits <= channel.bandwidth_mbps).all())
+    def within_capacity(self) -> bool:
+        """Does every second's volume fit the DSRC sustained rate?"""
+        return bool((self.volume_megabits <= BANDWIDTH_MBPS).all())
 
 
 @dataclass
 class ExchangeSimulator:
-    """Simulates ROI data exchange between two cooperating vehicles.
+    """Simulates ROI data exchange between two cooperating vehicles over
+    the DSRC link (:class:`~repro.network.dsrc.DsrcChannel`).
 
     Attributes:
         world: the environment both vehicles scan.
         rig_a / rig_b: the two vehicles' sensor rigs (16-beam by default).
-        channel: the DSRC link between them.
-        compression: wire codec for the packages.
     """
 
     world: World
     rig_a: SensorRig
     rig_b: SensorRig
-    channel: DsrcChannel = field(default_factory=DsrcChannel)
-    compression: CompressionSpec = field(default_factory=CompressionSpec)
 
     def run(
         self,
@@ -104,6 +95,7 @@ class ExchangeSimulator:
         buckets = np.zeros(int(np.ceil(duration_seconds)))
         trace = ExchangeTrace(seconds=np.arange(len(buckets)), volume_megabits=buckets)
 
+        channel = DsrcChannel()
         background = [a.box for a in self.world.background()]
         for step, t in enumerate(times):
             pose_a = trajectory_a.pose_at(float(t))
@@ -124,8 +116,8 @@ class ExchangeSimulator:
                     beam_count=rig.lidar.pattern.num_beams,
                     timestamp=float(t),
                 )
-                bits = package.size_bytes(self.compression) * 8
-                report = self.channel.transmit(bits, seed=seed + step * 13)
+                bits = package.size_bytes() * 8
+                report = channel.transmit(bits, seed=seed + step * 13)
                 bucket = min(int(t), len(buckets) - 1)
                 trace.volume_megabits[bucket] += bits / 1e6
                 trace.per_frame_megabits.append(bits / 1e6)

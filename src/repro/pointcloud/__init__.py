@@ -17,7 +17,6 @@ from repro.pointcloud.voxel import VoxelGrid, VoxelGridSpec
 from repro.pointcloud.spherical import SphericalProjection, spherical_project
 from repro.pointcloud.roi import (
     crop_box,
-    crop_range,
     crop_sector,
     forward_corridor,
     subtract_background,
@@ -39,7 +38,6 @@ __all__ = [
     "SphericalProjection",
     "spherical_project",
     "crop_box",
-    "crop_range",
     "crop_sector",
     "forward_corridor",
     "subtract_background",

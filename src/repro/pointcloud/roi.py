@@ -23,42 +23,33 @@ from repro.geometry.rotations import normalize_angles
 from repro.pointcloud.cloud import PointCloud
 
 __all__ = [
-    "crop_range",
+    "CORRIDOR_HEIGHT_M",
+    "CORRIDOR_LENGTH_M",
+    "CORRIDOR_WIDTH_M",
+    "SECTOR_FOV_DEG",
     "crop_sector",
     "crop_box",
     "forward_corridor",
     "subtract_background",
 ]
 
+#: Full opening angle of the front sector (ROI category 2): the
+#: front-view camera alignment the paper uses.
+SECTOR_FOV_DEG = 120.0
 
-def crop_range(cloud: PointCloud, max_range: float, min_range: float = 0.0) -> PointCloud:
-    """Keep points whose distance from the sensor is within the band."""
-    if max_range <= min_range:
-        raise ValueError("max_range must exceed min_range")
-    r = cloud.ranges
-    return cloud.select((r >= min_range) & (r <= max_range))
+#: The forward corridor (ROI category 3) along +x from the sensor, metres.
+CORRIDOR_LENGTH_M = 50.0
+CORRIDOR_WIDTH_M = 8.0
+CORRIDOR_HEIGHT_M = 4.0
 
 
-def crop_sector(
-    cloud: PointCloud,
-    fov_deg: float = 120.0,
-    center_azimuth_deg: float = 0.0,
-    max_range: float | None = None,
-) -> PointCloud:
-    """Keep points inside an azimuthal sector (ROI category 2).
-
-    ``fov_deg`` is the full opening angle; the default 120 degrees matches
-    the front-view camera alignment the paper uses.
-    """
-    if not 0 < fov_deg <= 360:
-        raise ValueError("fov_deg must be in (0, 360]")
+def crop_sector(cloud: PointCloud) -> PointCloud:
+    """Keep points inside the :data:`SECTOR_FOV_DEG` sector centred on +x
+    (ROI category 2), at any range."""
     azimuth = np.arctan2(cloud.xyz[:, 1], cloud.xyz[:, 0])
-    center = np.deg2rad(center_azimuth_deg)
-    half = np.deg2rad(fov_deg) / 2.0
-    delta = np.abs(normalize_angles(azimuth - center))
+    half = np.deg2rad(SECTOR_FOV_DEG) / 2.0
+    delta = np.abs(normalize_angles(azimuth))
     mask = delta <= half + 1e-6  # tolerance: float32 points on the boundary
-    if max_range is not None:
-        mask &= cloud.ranges <= max_range
     return cloud.select(mask)
 
 
@@ -67,24 +58,19 @@ def crop_box(cloud: PointCloud, box: Box3D, margin: float = 0.0) -> PointCloud:
     return cloud.select(points_in_box(cloud.data, box, margin=margin))
 
 
-def forward_corridor(
-    cloud: PointCloud,
-    length: float = 50.0,
-    width: float = 8.0,
-    height: float = 4.0,
-) -> PointCloud:
-    """Keep points in a forward corridor along +x (ROI category 3).
+def forward_corridor(cloud: PointCloud) -> PointCloud:
+    """Keep points in the forward corridor along +x (ROI category 3).
 
     Models the trailing-car case: only the leading car's forward field of
     view along the driving path is needed, a one-way transfer.
     """
-    if min(length, width, height) <= 0:
-        raise ValueError("corridor dimensions must be positive")
     corridor = Box3D(
-        center=np.array([length / 2.0, 0.0, height / 2.0 - 2.0]),
-        length=length,
-        width=width,
-        height=height,
+        center=np.array(
+            [CORRIDOR_LENGTH_M / 2.0, 0.0, CORRIDOR_HEIGHT_M / 2.0 - 2.0]
+        ),
+        length=CORRIDOR_LENGTH_M,
+        width=CORRIDOR_WIDTH_M,
+        height=CORRIDOR_HEIGHT_M,
         yaw=0.0,
     )
     return crop_box(cloud, corridor)

@@ -3,8 +3,8 @@
 The paper's testbeds use a Velodyne HDL-64E (KITTI) and a VLP-16 (the T&J
 golf cart) plus an integrated GPS/IMU unit with <10 cm positional error.
 This package simulates all three: a vectorised ray-casting LiDAR with
-occlusion, range noise and dropout; a GPS model with bounded drift (the
-quantity Fig. 10 skews); and an IMU attitude model.
+occlusion, range noise and dropout; a GPS reader with bounded drift (the
+quantity Fig. 10 skews); and an IMU attitude reader.
 """
 
 from repro.sensors.lidar import (
@@ -15,8 +15,8 @@ from repro.sensors.lidar import (
     HDL_32E,
     HDL_64E,
 )
-from repro.sensors.gps import GpsModel, GpsSkew
-from repro.sensors.imu import ImuModel
+from repro.sensors.gps import GpsSkew, read_gps
+from repro.sensors.imu import read_imu
 from repro.sensors.rig import SensorRig, RigObservation
 from repro.sensors.camera import PinholeCamera, CameraImage, image_fragment_for_box
 
@@ -27,9 +27,9 @@ __all__ = [
     "VLP_16",
     "HDL_32E",
     "HDL_64E",
-    "GpsModel",
     "GpsSkew",
-    "ImuModel",
+    "read_gps",
+    "read_imu",
     "SensorRig",
     "RigObservation",
     "PinholeCamera",

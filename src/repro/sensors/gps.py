@@ -1,4 +1,4 @@
-"""GPS model with bounded drift and the Fig. 10 skewing protocol.
+"""GPS reading with bounded drift and the Fig. 10 skewing protocol.
 
 The paper's integrated GPS/INS yields <10 cm positional error [6]; Fig. 10
 tests fusion robustness by *procedurally* skewing GPS readings three ways:
@@ -7,20 +7,26 @@ tests fusion robustness by *procedurally* skewing GPS readings three ways:
 * a single axis pushed to the bound,
 * double the bound ("abnormal instances").
 
-:class:`GpsSkew` encodes those protocols; :class:`GpsModel` produces noisy
+:class:`GpsSkew` encodes those protocols; :func:`read_gps` produces noisy
 readings from true poses.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.geometry.transforms import Pose
 
-__all__ = ["GpsSkew", "GpsModel"]
+__all__ = ["GPS_DRIFT_BOUND", "GPS_NOISE_STD", "GpsSkew", "read_gps"]
+
+#: White positional noise per axis (metres).
+GPS_NOISE_STD = 0.02
+
+#: Maximum integrated drift magnitude (metres); the paper cites <10 cm for
+#: GPS/INS integration.
+GPS_DRIFT_BOUND = 0.10
 
 
 class GpsSkew(enum.Enum):
@@ -50,46 +56,27 @@ class GpsSkew(enum.Enum):
         raise AssertionError(f"unhandled skew {self}")
 
 
-@dataclass(frozen=True)
-class GpsModel:
-    """Produces GPS position readings from true poses.
+def read_gps(
+    true_pose: Pose, seed: int = 0, skew: GpsSkew = GpsSkew.NONE
+) -> Pose:
+    """Return the pose with GPS-corrupted position (attitude untouched).
 
-    Attributes:
-        noise_std: white positional noise per axis (metres).
-        drift_bound: maximum integrated drift magnitude (metres); the paper
-            cites <10 cm for GPS/INS integration.
+    The reading = truth + random drift of up to :data:`GPS_DRIFT_BOUND` +
+    white noise of :data:`GPS_NOISE_STD` + the requested skew protocol
+    offset (pushed to the drift bound).
     """
-
-    noise_std: float = 0.02
-    drift_bound: float = 0.10
-
-    def __post_init__(self) -> None:
-        if self.noise_std < 0 or self.drift_bound < 0:
-            raise ValueError("noise parameters must be non-negative")
-
-    def read(
-        self,
-        true_pose: Pose,
-        seed: int = 0,
-        skew: GpsSkew = GpsSkew.NONE,
-    ) -> Pose:
-        """Return the pose with GPS-corrupted position (attitude untouched).
-
-        The reading = truth + bounded random drift + white noise + the
-        requested skew protocol offset.
-        """
-        rng = np.random.default_rng(seed)
-        drift_direction = rng.normal(size=2)
-        norm = np.linalg.norm(drift_direction)
-        if norm > 0:
-            drift_direction = drift_direction / norm
-        drift_mag = rng.uniform(0.0, self.drift_bound)
-        drift = np.array([*(drift_direction * drift_mag), 0.0])
-        noise = rng.normal(0.0, self.noise_std, size=3) * np.array([1, 1, 0.3])
-        offset = drift + noise + skew.offset(self.drift_bound, rng)
-        return Pose(
-            true_pose.position + offset,
-            yaw=true_pose.yaw,
-            pitch=true_pose.pitch,
-            roll=true_pose.roll,
-        )
+    rng = np.random.default_rng(seed)
+    drift_direction = rng.normal(size=2)
+    norm = np.linalg.norm(drift_direction)
+    if norm > 0:
+        drift_direction = drift_direction / norm
+    drift_mag = rng.uniform(0.0, GPS_DRIFT_BOUND)
+    drift = np.array([*(drift_direction * drift_mag), 0.0])
+    noise = rng.normal(0.0, GPS_NOISE_STD, size=3) * np.array([1, 1, 0.3])
+    offset = drift + noise + skew.offset(GPS_DRIFT_BOUND, rng)
+    return Pose(
+        true_pose.position + offset,
+        yaw=true_pose.yaw,
+        pitch=true_pose.pitch,
+        roll=true_pose.roll,
+    )

@@ -39,6 +39,7 @@ from repro.runtime.seeding import stable_hash
 from repro.scene.world import World
 
 __all__ = [
+    "MIN_RANGE_M",
     "BeamPattern",
     "LidarModel",
     "LidarScan",
@@ -50,6 +51,9 @@ __all__ = [
 
 _GROUND_LABEL = "__ground__"
 _GROUND_REFLECTANCE = 0.2
+
+#: Blind radius around the sensor (metres): nearer hits return nothing.
+MIN_RANGE_M = 1.5
 
 
 @dataclass(frozen=True)
@@ -169,21 +173,18 @@ class LidarScan:
 
 @dataclass(frozen=True)
 class LidarModel:
-    """A simulated spinning LiDAR.
+    """A simulated spinning LiDAR with a :data:`MIN_RANGE_M` blind radius
+    that returns ground-plane hits as well as actor hits.
 
     Attributes:
         pattern: the beam table (VLP_16, HDL_32E, HDL_64E or custom).
         range_noise_std: Gaussian noise added to hit distances (metres).
         dropout: probability that a valid return is lost.
-        min_range: blind radius around the sensor.
-        include_ground: whether ground-plane returns are produced.
     """
 
     pattern: BeamPattern = VLP_16
     range_noise_std: float = 0.02
     dropout: float = 0.05
-    min_range: float = 1.5
-    include_ground: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.dropout < 1.0:
@@ -207,7 +208,7 @@ class LidarModel:
         Occlusion falls out of nearest-hit selection: an actor behind
         another receives no rays on the blocked arc, creating exactly the
         blind zones that motivate cooperative perception.  Range noise is
-        clamped to ``[min_range, max_range]`` so returned points never
+        clamped to ``[MIN_RANGE_M, max_range]`` so returned points never
         violate the advertised range bounds.
 
         ``cache`` (a :class:`ScanGeometryCache`) memoises the per-actor
@@ -250,18 +251,17 @@ class LidarModel:
             best_t = np.full(num_rays, np.inf)
             best_label = np.zeros(num_rays, dtype=np.int64)
 
-        if self.include_ground:
-            dz = directions[:, 2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_ground = (world.ground_z - origin[2]) / dz
-            t_ground = np.where((dz < -1e-9) & (t_ground > 0), t_ground, np.inf)
-            better = t_ground < best_t
-            best_t = np.where(better, t_ground, best_t)
-            best_label = np.where(better, ground, best_label)
+        dz = directions[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_ground = (world.ground_z - origin[2]) / dz
+        t_ground = np.where((dz < -1e-9) & (t_ground > 0), t_ground, np.inf)
+        better = t_ground < best_t
+        best_t = np.where(better, t_ground, best_t)
+        best_label = np.where(better, ground, best_label)
 
         valid = (
             np.isfinite(best_t)
-            & (best_t >= self.min_range)
+            & (best_t >= MIN_RANGE_M)
             & (best_t <= self.pattern.max_range)
         )
         if self.dropout > 0:
@@ -272,7 +272,7 @@ class LidarModel:
             t = t + rng.normal(0.0, self.range_noise_std, size=len(t))
             # Re-gate after adding noise: a draw must not push a return
             # outside the advertised range bounds (or behind the sensor).
-            np.clip(t, self.min_range, self.pattern.max_range, out=t)
+            np.clip(t, MIN_RANGE_M, self.pattern.max_range, out=t)
         # Hits are built in the world frame and mapped back: building them
         # in the sensor frame would round differently.
         hits = np.compress(valid, directions, axis=0)

@@ -24,8 +24,8 @@ from repro.faults.plan import SensorFaults
 from repro.geometry.transforms import Pose
 from repro.pointcloud.cloud import PointCloud
 from repro.scene.world import World
-from repro.sensors.gps import GpsModel, GpsSkew
-from repro.sensors.imu import ImuModel
+from repro.sensors.gps import GpsSkew, read_gps
+from repro.sensors.imu import read_imu
 from repro.sensors.lidar import LidarModel, LidarScan
 
 __all__ = ["RigObservation", "SensorRig"]
@@ -48,18 +48,16 @@ class RigObservation:
 
 @dataclass(frozen=True)
 class SensorRig:
-    """A vehicle's full sensor suite.
+    """A vehicle's full sensor suite: a LiDAR plus the GPS and IMU
+    readers (:func:`~repro.sensors.gps.read_gps`,
+    :func:`~repro.sensors.imu.read_imu`).
 
     Attributes:
         lidar: the LiDAR simulator.
-        gps: the GPS reading model.
-        imu: the IMU reading model.
         name: vehicle identifier carried into frames and packages.
     """
 
     lidar: LidarModel = field(default_factory=LidarModel)
-    gps: GpsModel = field(default_factory=GpsModel)
-    imu: ImuModel = field(default_factory=ImuModel)
     name: str = "vehicle"
 
     def observe(
@@ -86,8 +84,8 @@ class SensorRig:
             scan = _blackout_scan(true_pose)
         else:
             scan = self.lidar.scan(world, true_pose, seed=seed, cache=scan_cache)
-        gps_pose = self.gps.read(true_pose, seed=seed + 1, skew=gps_skew)
-        imu_pose = self.imu.read(true_pose, seed=seed + 2)
+        gps_pose = read_gps(true_pose, seed=seed + 1, skew=gps_skew)
+        imu_pose = read_imu(true_pose, seed=seed + 2)
         measured = Pose(
             gps_pose.position,
             yaw=imu_pose.yaw,

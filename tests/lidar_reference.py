@@ -21,6 +21,7 @@ from repro.pointcloud.cloud import PointCloud
 from repro.sensors.lidar import (
     _GROUND_LABEL,
     _GROUND_REFLECTANCE,
+    MIN_RANGE_M,
     _ray_direction_table,
 )
 
@@ -105,17 +106,16 @@ def reference_scan(lidar, world, pose, seed):
     else:
         best_t = np.full(len(directions), np.inf)
         best_label = np.zeros(len(directions), dtype=np.int64)
-    if lidar.include_ground:
-        dz = directions[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_ground = (world.ground_z - origin[2]) / dz
-        t_ground = np.where((dz < -1e-9) & (t_ground > 0), t_ground, np.inf)
-        better = t_ground < best_t
-        best_t = np.where(better, t_ground, best_t)
-        best_label = np.where(better, -2, best_label)  # ground sentinel
+    dz = directions[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = (world.ground_z - origin[2]) / dz
+    t_ground = np.where((dz < -1e-9) & (t_ground > 0), t_ground, np.inf)
+    better = t_ground < best_t
+    best_t = np.where(better, t_ground, best_t)
+    best_label = np.where(better, -2, best_label)  # ground sentinel
     valid = (
         np.isfinite(best_t)
-        & (best_t >= lidar.min_range)
+        & (best_t >= MIN_RANGE_M)
         & (best_t <= lidar.pattern.max_range)
     )
     if lidar.dropout > 0:
@@ -123,7 +123,7 @@ def reference_scan(lidar, world, pose, seed):
     t = best_t[valid]
     if lidar.range_noise_std > 0:
         t = t + rng.normal(0.0, lidar.range_noise_std, size=len(t))
-        np.clip(t, lidar.min_range, lidar.pattern.max_range, out=t)
+        np.clip(t, MIN_RANGE_M, lidar.pattern.max_range, out=t)
     hit_world = origin + directions[valid] * t[:, None]
     if len(t):
         from_world = pose.from_world()

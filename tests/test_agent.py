@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.faults import BurstLossModel, FaultPlan
 from repro.fusion.agent import CooperAgent, CooperSession
 from repro.fusion.cooper import Cooper
-from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.scene.layouts import parking_lot
 from repro.scene.trajectories import StationaryTrajectory, StraightTrajectory
@@ -78,10 +78,11 @@ class TestCooperSession:
 
     def test_lossy_channel_drops_packages(self, session_setup):
         layout, session = session_setup
+        # 95% loss per attempt in either channel state, so most broadcasts
+        # exhaust the retry budget.
+        plan = FaultPlan(burst=BurstLossModel(loss_good=0.95, loss_bad=0.95))
         lossy = CooperSession(
-            world=layout.world,
-            agents=session.agents,
-            channel=DsrcChannel(loss_rate=0.95, max_retries=0),
+            world=layout.world, agents=session.agents, faults=plan
         )
         logs = lossy.run(duration_seconds=2.0, period_seconds=1.0, seed=1)
         deliveries = [

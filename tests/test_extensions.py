@@ -13,7 +13,6 @@ from repro.eval.experiments import run_case
 from repro.fusion.cooper import Cooper
 from repro.fusion.package import ExchangePackage
 from repro.scene.layouts import parking_lot, t_junction
-from repro.sensors.imu import ImuModel
 from repro.sensors.lidar import BeamPattern, LidarModel
 from repro.sensors.rig import SensorRig
 
@@ -154,16 +153,11 @@ class TestFailureInjection:
     def test_packet_loss_burst_recovers_with_retries(self):
         """A bursty channel still delivers a full package within budget."""
         from repro.network.dsrc import DsrcChannel
-        from repro.network.messages import MessageFramer
 
-        payload = bytes(np.random.default_rng(0).integers(0, 256, 50_000, dtype=np.uint8))
-        framer = MessageFramer()
-        channel = DsrcChannel(bandwidth_mbps=6.0, loss_rate=0.3, max_retries=8)
-        frames = framer.fragment(payload)
-        total = 0.0
-        for i, frame in enumerate(frames):
-            report = channel.transmit(len(frame.encode()) * 8, seed=i)
-            assert report.delivered
-            total += report.seconds
-        assert MessageFramer.reassemble(frames) == payload
-        assert total < 1.0
+        reports = [
+            DsrcChannel().transmit(50_000 * 8, seed=s, loss_rate=0.3)
+            for s in range(10)
+        ]
+        assert all(r.delivered for r in reports)
+        assert any(r.attempts > 1 for r in reports)
+        assert max(r.seconds for r in reports) < 1.0

@@ -1,7 +1,7 @@
 """Cross-module integration tests: the full Cooper data path.
 
 These exercise the complete wire: scan -> ROI -> compress -> package ->
-fragment -> DSRC -> reassemble -> align -> merge -> detect, plus the
+DSRC -> decode -> align -> merge -> detect, plus the
 end-to-end scenario property the paper's headline figures rest on.
 """
 
@@ -13,7 +13,6 @@ from repro.eval.experiments import run_case
 from repro.fusion.align import merge_packages
 from repro.fusion.package import ExchangePackage
 from repro.network.dsrc import DsrcChannel
-from repro.network.messages import MessageFramer
 from repro.network.roi_policy import RoiCategory, RoiPolicy, extract_roi
 from repro.scene.layouts import parking_lot
 from repro.sensors.lidar import BeamPattern, LidarModel
@@ -29,15 +28,15 @@ def lot_layout():
 
 class TestFullWirePath:
     def test_scan_to_detection_over_the_wire(self, lot_layout, detector):
-        """A package survives ROI, codec, framing and a lossy channel, and
-        still improves the receiver's detections."""
+        """A package survives ROI, codec and a lossy channel, and still
+        improves the receiver's detections."""
         world = lot_layout.world
         rig_tx = SensorRig(lidar=LidarModel(pattern=FAST_16, dropout=0.0), name="tx")
         rig_rx = SensorRig(lidar=LidarModel(pattern=FAST_16, dropout=0.0), name="rx")
         tx_obs = rig_tx.observe(world, lot_layout.viewpoint("car2"), seed=1)
         rx_obs = rig_rx.observe(world, lot_layout.viewpoint("car1"), seed=2)
 
-        # Sender side: ROI extraction, packaging, fragmentation.
+        # Sender side: ROI extraction and packaging.
         roi = extract_roi(
             tx_obs.scan.cloud,
             RoiPolicy(category=RoiCategory.FULL_FRAME),
@@ -46,20 +45,14 @@ class TestFullWirePath:
         )
         package = ExchangePackage(roi, tx_obs.measured_pose, sender="tx")
         wire = package.serialize()
-        framer = MessageFramer(mtu_bytes=2304)
-        frames = framer.fragment(wire)
 
-        # Channel: every frame must clear a 6 Mbps DSRC link within 1 s total.
-        channel = DsrcChannel(bandwidth_mbps=6.0, loss_rate=0.1, max_retries=5)
-        total_seconds = 0.0
-        for i, frame in enumerate(frames):
-            report = channel.transmit(len(frame.encode()) * 8, seed=i)
-            assert report.delivered
-            total_seconds += report.seconds
-        assert total_seconds < 1.0  # fits the paper's 1 Hz exchange budget
+        # Channel: the package must clear the 6 Mbps DSRC link within 1 s.
+        report = DsrcChannel().transmit(len(wire) * 8, seed=0, loss_rate=0.1)
+        assert report.delivered
+        assert report.seconds < 1.0  # fits the paper's 1 Hz exchange budget
 
-        # Receiver side: reassemble, decode, align, merge, detect.
-        received = ExchangePackage.deserialize(MessageFramer.reassemble(frames))
+        # Receiver side: decode, align, merge, detect.
+        received = ExchangePackage.deserialize(wire)
         assert received.sender == "tx"
         merged = merge_packages(
             rx_obs.scan.cloud, [received], rx_obs.measured_pose

@@ -15,6 +15,7 @@ from repro.scene.world import World
 from repro.sensors.lidar import (
     HDL_32E,
     HDL_64E,
+    MIN_RANGE_M,
     VLP_16,
     BeamPattern,
     LidarModel,
@@ -116,16 +117,6 @@ class TestScan:
         scan = fast_lidar.scan(simple_world, sensor_pose, seed=0)
         assert len(scan.non_ground()) < len(scan.cloud)
 
-    def test_ground_disabled(self, simple_world, sensor_pose, fast_lidar):
-        lidar = LidarModel(
-            pattern=fast_lidar.pattern,
-            include_ground=False,
-            dropout=0.0,
-            range_noise_std=0.0,
-        )
-        scan = lidar.scan(simple_world, sensor_pose, seed=0)
-        assert len(scan.non_ground()) == len(scan.cloud)
-
     def test_dropout_reduces_returns(self, simple_world, sensor_pose, fast_lidar):
         no_drop = LidarModel(pattern=fast_lidar.pattern, dropout=0.0).scan(
             simple_world, sensor_pose, seed=0
@@ -154,7 +145,7 @@ class TestScan:
         pattern = BeamPattern(
             "short", (0.0,), azimuth_resolution_deg=1.0, max_range=5.0
         )
-        lidar = LidarModel(pattern=pattern, dropout=0.0, include_ground=False)
+        lidar = LidarModel(pattern=pattern, dropout=0.0)
         far_car = make_car(10.0, 0.0, name="far")
         scan = lidar.scan(World((far_car,)), sensor_pose, seed=0)
         assert len(scan.cloud) == 0
@@ -191,7 +182,7 @@ class TestScan:
             LidarModel(range_noise_std=-0.1)
 
     def test_range_noise_respects_range_bounds(self, simple_world, sensor_pose):
-        """Noisy hit distances stay inside [min_range, max_range].
+        """Noisy hit distances stay inside [MIN_RANGE_M, max_range].
 
         Regression: noise used to be added *after* the range gate, so a
         large draw could push a return beyond max_range or (pathologically)
@@ -203,15 +194,13 @@ class TestScan:
             azimuth_resolution_deg=1.0,
             max_range=20.0,
         )
-        lidar = LidarModel(
-            pattern=pattern, dropout=0.0, range_noise_std=50.0, min_range=1.5
-        )
+        lidar = LidarModel(pattern=pattern, dropout=0.0, range_noise_std=50.0)
         scan = lidar.scan(simple_world, sensor_pose, seed=0)
         assert len(scan.cloud) > 0
         # Clouds store float32, so allow rounding at that precision.
         distances = np.linalg.norm(scan.cloud.xyz, axis=1)
         assert distances.max() <= pattern.max_range + 1e-3
-        assert distances.min() >= lidar.min_range - 1e-3
+        assert distances.min() >= MIN_RANGE_M - 1e-3
 
 
 class TestScanCacheMemo:
@@ -531,7 +520,7 @@ class TestScanStorage:
 
     def test_scan_without_returns(self, sensor_pose):
         pattern = BeamPattern("short", (0.0,), 1.0, max_range=5.0)
-        lidar = LidarModel(pattern=pattern, include_ground=False)
+        lidar = LidarModel(pattern=pattern)
         world = World((make_car(10.0, 0.0, name="far"),))
         scan = lidar.scan(world, sensor_pose, seed=0)
         assert len(scan.cloud) == 0

@@ -9,7 +9,11 @@ from repro.fusion.align import align_package, alignment_transform, merge_package
 from repro.fusion.package import ExchangePackage
 from repro.geometry.transforms import Pose
 from repro.pointcloud.cloud import PointCloud
-from repro.pointcloud.compression import CompressionSpec
+from repro.pointcloud.compression import (
+    CompressionSpec,
+    compress_cloud,
+    compressed_size_bytes,
+)
 
 
 def cloud_of(*points) -> PointCloud:
@@ -87,6 +91,9 @@ class TestExchangePackage:
     def test_size_bytes_matches_serialized_length(
         self, count, coordinate_bits, reflectance_bits
     ):
+        """The package's analytic size equals its wire length, and the
+        codec's analytic size, which the package size adds up, equals its
+        payload at every spec the codec ablation sweeps."""
         spec = CompressionSpec(
             coordinate_bits=coordinate_bits, reflectance_bits=reflectance_bits
         )
@@ -94,7 +101,8 @@ class TestExchangePackage:
             np.random.default_rng(7).normal(size=(count, 4)).astype(np.float32)
         )
         package = package_at(0, 0, 0, cloud=cloud)
-        assert package.size_bytes(spec) == len(package.serialize(spec))
+        assert package.size_bytes() == len(package.serialize())
+        assert compressed_size_bytes(count, spec) == len(compress_cloud(cloud, spec))
 
     def test_size_bytes_default_spec_matches_serialized_length(self):
         package = package_at(0, 0, 0)
@@ -110,10 +118,12 @@ class TestExchangePackage:
 
     def test_compression_spec_respected(self):
         cloud = PointCloud(np.random.default_rng(1).normal(size=(500, 4)))
+        lean = compress_cloud(cloud, CompressionSpec(reflectance_bits=0))
+        full = compress_cloud(cloud, CompressionSpec(reflectance_bits=8))
+        assert len(lean) < len(full)
+        # The package wire carries the default codec.
         package = package_at(0, 0, 0, cloud=cloud)
-        lean = package.size_bytes(CompressionSpec(reflectance_bits=0))
-        full = package.size_bytes(CompressionSpec(reflectance_bits=8))
-        assert lean < full
+        assert package.serialize().endswith(compress_cloud(cloud))
 
 
 class TestAlignment:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.fusion.package import ExchangePackage
 from repro.geometry.transforms import Pose
-from repro.network.dsrc import DsrcChannel
 from repro.network.scheduler import Demand, SharedChannelScheduler
 from repro.pointcloud.cloud import PointCloud
 from repro.pointcloud.mapping import BackgroundMapper
@@ -65,17 +64,18 @@ class TestSchedulerProperties:
     @settings(max_examples=60)
     def test_conservation(self, raw):
         """Every demand is either delivered or deferred — none vanish."""
-        scheduler = SharedChannelScheduler(DsrcChannel(bandwidth_mbps=6.0))
+        scheduler = SharedChannelScheduler()
         demands = [Demand(f"v{i}", bits, pri) for i, (bits, pri) in enumerate(raw)]
         report = scheduler.schedule_second(demands)
         assert len(report.delivered) + len(report.deferred) == len(demands)
-        assert report.delivered_bits <= scheduler.capacity_bits_per_second
+        delivered_bits = sum(d.bits for d in report.delivered)
+        assert delivered_bits <= scheduler.capacity_bits_per_second
 
     @given(demands_strategy)
     @settings(max_examples=40)
     def test_backlog_drains_eventually(self, raw):
         """With no new demands, the backlog empties in bounded rounds."""
-        scheduler = SharedChannelScheduler(DsrcChannel(bandwidth_mbps=6.0))
+        scheduler = SharedChannelScheduler()
         demands = [
             Demand(f"v{i}", min(bits, 5_999_999), pri)
             for i, (bits, pri) in enumerate(raw)
@@ -91,7 +91,7 @@ class TestSchedulerProperties:
     @settings(max_examples=40)
     def test_priority_dominance(self, raw):
         """No deferred demand outranks (strictly) every delivered one."""
-        scheduler = SharedChannelScheduler(DsrcChannel(bandwidth_mbps=6.0))
+        scheduler = SharedChannelScheduler()
         demands = [Demand(f"v{i}", bits, pri) for i, (bits, pri) in enumerate(raw)]
         report = scheduler.schedule_second(demands)
         if report.delivered and report.deferred:

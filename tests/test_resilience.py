@@ -14,7 +14,6 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan
 from repro.fusion.agent import CooperAgent, CooperSession, PeerHealth
 from repro.fusion.cooper import Cooper
 from repro.geometry.transforms import Pose
-from repro.network.dsrc import DsrcChannel
 from repro.network.roi_policy import RoiCategory, RoiPolicy
 from repro.profiling import PROFILER
 from repro.runtime import fork_available
@@ -32,7 +31,6 @@ FAST_16 = BeamPattern(
 KNOWN_COUNTERS = {
     "breaker_skips",
     "channel_blackouts",
-    "deadline_drops",
     "ego_only_steps",
     "gps_bias_steps",
     "gps_dropouts",
@@ -43,7 +41,7 @@ KNOWN_COUNTERS = {
 }
 
 
-def build_session(detector, faults=None, stale_fallback=True, channel=None):
+def build_session(detector, faults=None, stale_fallback=True):
     """A small two-agent session over a three-car world."""
     world = World(
         (
@@ -75,7 +73,6 @@ def build_session(detector, faults=None, stale_fallback=True, channel=None):
         world=world,
         agents=[make_agent("alpha", 0.0, 0.0, speed=1.0),
                 make_agent("beta", 4.0, -4.0)],
-        channel=channel or DsrcChannel(),
         faults=faults,
         stale_fallback=stale_fallback,
     )

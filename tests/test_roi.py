@@ -7,7 +7,6 @@ from repro.geometry.boxes import Box3D, points_in_any_box, points_in_box
 from repro.pointcloud.cloud import PointCloud
 from repro.pointcloud.roi import (
     crop_box,
-    crop_range,
     crop_sector,
     forward_corridor,
     subtract_background,
@@ -82,44 +81,17 @@ def whole_cloud_union(data, boxes, margin) -> np.ndarray:
     return union
 
 
-class TestCropRange:
-    def test_keeps_inside(self):
-        c = cloud_of([5, 0, 0, 0], [50, 0, 0, 0])
-        assert len(crop_range(c, max_range=10.0)) == 1
-
-    def test_min_range(self):
-        c = cloud_of([0.5, 0, 0, 0], [5, 0, 0, 0])
-        assert len(crop_range(c, max_range=10.0, min_range=1.0)) == 1
-
-    def test_invalid_band(self):
-        with pytest.raises(ValueError):
-            crop_range(cloud_of([1, 0, 0, 0]), max_range=1.0, min_range=2.0)
-
-
 class TestCropSector:
     def test_120_degree_front(self):
         c = cloud_of([10, 0, 0, 0], [0, 10, 0, 0], [-10, 0, 0, 0])
-        kept = crop_sector(c, fov_deg=120.0)
+        kept = crop_sector(c)
         assert len(kept) == 1
         assert kept.xyz[0, 0] == pytest.approx(10.0)
 
     def test_sector_boundary_inclusive(self):
         # 60 degrees off-centre is exactly on the 120-degree boundary.
         c = cloud_of([np.cos(np.pi / 3), np.sin(np.pi / 3), 0, 0])
-        assert len(crop_sector(c, fov_deg=120.0)) == 1
-
-    def test_rotated_center(self):
-        c = cloud_of([0, 10, 0, 0])
-        assert len(crop_sector(c, fov_deg=90.0, center_azimuth_deg=90.0)) == 1
-        assert len(crop_sector(c, fov_deg=90.0, center_azimuth_deg=-90.0)) == 0
-
-    def test_with_max_range(self):
-        c = cloud_of([10, 0, 0, 0], [90, 0, 0, 0])
-        assert len(crop_sector(c, fov_deg=120.0, max_range=50.0)) == 1
-
-    def test_invalid_fov(self):
-        with pytest.raises(ValueError):
-            crop_sector(cloud_of([1, 0, 0, 0]), fov_deg=0.0)
+        assert len(crop_sector(c)) == 1
 
     def test_empty_cloud(self):
         assert crop_sector(PointCloud.empty()).is_empty()
@@ -133,13 +105,9 @@ class TestCropBoxAndCorridor:
 
     def test_forward_corridor_one_way_geometry(self):
         c = cloud_of([10, 0, 0, 0], [10, 10, 0, 0], [-5, 0, 0, 0])
-        kept = forward_corridor(c, length=50.0, width=8.0)
+        kept = forward_corridor(c)
         assert len(kept) == 1
         assert kept.xyz[0, 0] == pytest.approx(10.0)
-
-    def test_forward_corridor_invalid(self):
-        with pytest.raises(ValueError):
-            forward_corridor(PointCloud.empty(), length=-1.0)
 
 
 class TestBackgroundSubtraction:

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.network.dsrc import DsrcChannel
-from repro.network.scheduler import Demand, SharedChannelScheduler
-
-
-def channel(mbps=6.0) -> DsrcChannel:
-    return DsrcChannel(bandwidth_mbps=mbps)
+from repro.network.scheduler import (
+    AGING_BOOST_SECONDS,
+    Demand,
+    SharedChannelScheduler,
+)
 
 
 class TestDemand:
@@ -18,7 +17,7 @@ class TestDemand:
 
 class TestScheduler:
     def test_under_capacity_all_delivered(self):
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         demands = [Demand("a", 1_000_000), Demand("b", 2_000_000)]
         report = scheduler.schedule_second(demands)
         assert len(report.delivered) == 2
@@ -26,7 +25,7 @@ class TestScheduler:
         assert report.utilization == pytest.approx(0.5)
 
     def test_over_capacity_defers(self):
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         demands = [Demand(f"v{i}", 2_000_000) for i in range(5)]  # 10 Mbit
         report = scheduler.schedule_second(demands)
         assert len(report.delivered) == 3
@@ -34,21 +33,21 @@ class TestScheduler:
         assert report.utilization == pytest.approx(1.0)
 
     def test_priority_wins_under_saturation(self):
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         bulk = [Demand(f"bulk{i}", 3_000_000, priority=0) for i in range(3)]
         safety = Demand("safety", 100_000, priority=10)
         report = scheduler.schedule_second(bulk + [safety])
         assert safety in report.delivered
 
     def test_small_first_within_priority(self):
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         big = Demand("big", 5_000_000)
         small = Demand("small", 1_500_000)
         report = scheduler.schedule_second([big, small])
         assert small in report.delivered  # small fits alongside
 
     def test_backlog_carries_over(self):
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         overload = [Demand(f"v{i}", 2_500_000) for i in range(4)]  # 10 Mbit
         first = scheduler.schedule_second(overload)
         assert first.deferred
@@ -57,28 +56,28 @@ class TestScheduler:
         assert not scheduler.backlog
 
     def test_run_trace(self):
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         trace = scheduler.run([[Demand("a", 1_000_000)], [], [Demand("b", 500)]])
         assert len(trace) == 3
-        assert trace[0].delivered_bits == 1_000_000
+        assert trace[0].delivered == [Demand("a", 1_000_000)]
 
     def test_saturation_point(self):
         # 1.8 Mbit/frame (the paper's worst case), both directions, 1 Hz.
         pairs = SharedChannelScheduler.saturation_point(
-            channel(6.0), bits_per_pair=1_800_000, bidirectional=True
+            bits_per_pair=1_800_000, bidirectional=True
         )
         assert pairs == 1  # full-frame exchange: one pair per 6 Mbps channel
         pairs_roi = SharedChannelScheduler.saturation_point(
-            channel(6.0), bits_per_pair=200_000, bidirectional=True
+            bits_per_pair=200_000, bidirectional=True
         )
         assert pairs_roi == 15  # ROI trimming buys an order of magnitude
 
     def test_saturation_point_invalid(self):
         with pytest.raises(ValueError):
-            SharedChannelScheduler.saturation_point(channel(), 0.0)
+            SharedChannelScheduler.saturation_point(0.0)
 
     def test_empty_second_is_noop(self):
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         report = scheduler.schedule_second([])
         assert not report.delivered
         assert not report.deferred
@@ -88,12 +87,12 @@ class TestScheduler:
     def test_tie_break_is_sender_order(self):
         # Equal (priority, bits) demands are served in sender order, so
         # the delivered/deferred split never depends on arrival order.
-        scheduler = SharedChannelScheduler(channel())
+        scheduler = SharedChannelScheduler()
         demands = [Demand(s, 2_500_000) for s in ("d", "b", "c", "a")]
         report = scheduler.schedule_second(demands)
         assert [d.sender for d in report.delivered] == ["a", "b"]
         assert [d.sender for d in report.deferred] == ["c", "d"]
-        rerun = SharedChannelScheduler(channel())
+        rerun = SharedChannelScheduler()
         assert (
             rerun.schedule_second(list(reversed(demands))).delivered
             == report.delivered
@@ -103,7 +102,7 @@ class TestScheduler:
         # A backlogged low-priority demand must be served as soon as a
         # later run() second has headroom for it — deferral is delay,
         # not permanent starvation.
-        scheduler = SharedChannelScheduler(channel(6.0))
+        scheduler = SharedChannelScheduler()
         bulk = Demand("bulk", 2_500_000, priority=0)
         per_second = [
             [  # second 0: safety traffic fills the channel exactly
@@ -129,7 +128,7 @@ class TestScheduler:
         # it and consumed just enough capacity that it never fit — a
         # permanent starvation, not a delay.  Backlog aging must get it
         # onto the air in bounded time.
-        scheduler = SharedChannelScheduler(channel(6.0))
+        scheduler = SharedChannelScheduler()
         big = Demand("big", 5_000_000, priority=0)
         smalls = lambda t: [  # noqa: E731
             Demand(f"s{t}a", 2_000_000, priority=0),
@@ -147,9 +146,10 @@ class TestScheduler:
 
     def test_aging_escalates_past_higher_priority(self):
         # A demand starved behind persistent higher-priority traffic gains
-        # one effective priority level per aging_boost_seconds deferred
+        # one effective priority level per AGING_BOOST_SECONDS deferred
         # seconds, bounding its starvation even across priority classes.
-        scheduler = SharedChannelScheduler(channel(6.0), aging_boost_seconds=4)
+        assert AGING_BOOST_SECONDS == 4
+        scheduler = SharedChannelScheduler()
         low = Demand("low", 1_000_000, priority=0)
         safety = lambda t: [  # noqa: E731
             Demand(f"p{t}a", 3_000_000, priority=1),
@@ -164,14 +164,10 @@ class TestScheduler:
         # at age 4 its effective priority reaches 1 and age breaks the tie.
         assert delivered_low == [4]
 
-    def test_aging_boost_seconds_validated(self):
-        with pytest.raises(ValueError):
-            SharedChannelScheduler(channel(), aging_boost_seconds=0)
-
     def test_fresh_demands_keep_documented_order(self):
         # Same-second (age 0) demands must still follow the documented
         # (-priority, bits, sender) stable key exactly.
-        scheduler = SharedChannelScheduler(channel(6.0))
+        scheduler = SharedChannelScheduler()
         demands = [
             Demand("z", 1_000_000, priority=0),
             Demand("a", 1_000_000, priority=0),
